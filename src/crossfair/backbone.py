@@ -39,25 +39,17 @@ class Backbone:
         self.n_items_source = ds.n_items_source
         self.n_items_target = ds.n_items_target
 
-        self.target_to_source = np.full(ds.n_users_target, -1, dtype=np.int64)
-        for t, s in ds.overlap.items():
-            self.target_to_source[t] = s
-
+        self.target_to_source = ds.target_to_source.copy()
         self.target_slot = np.arange(ds.n_users_target, dtype=np.int64)
-        self.source_slot = np.empty(ds.n_users_source, dtype=np.int64)
+        # Source users without a shared row get fresh slots after the target block.
+        self.source_slot = np.full(ds.n_users_source, -1, dtype=np.int64)
         if mode == "shared":
-            source_of = {s: t for t, s in ds.overlap.items()}
-            next_slot = ds.n_users_target
-            for s in range(ds.n_users_source):
-                if s in source_of:
-                    self.source_slot[s] = source_of[s]
-                else:
-                    self.source_slot[s] = next_slot
-                    next_slot += 1
-            n_slots = next_slot
-        else:
-            self.source_slot = ds.n_users_target + np.arange(ds.n_users_source, dtype=np.int64)
-            n_slots = ds.n_users_target + ds.n_users_source
+            t = np.flatnonzero(self.target_to_source >= 0)
+            self.source_slot[self.target_to_source[t]] = t
+        fresh = self.source_slot < 0
+        n_fresh = int(fresh.sum())
+        self.source_slot[fresh] = ds.n_users_target + np.arange(n_fresh)
+        n_slots = ds.n_users_target + n_fresh
 
         rng = make_rng(seed, "backbone-init")
         self.user_pool = rng.normal(0.0, INIT_STD, size=(n_slots, d))
@@ -97,13 +89,6 @@ class Backbone:
         if not 0 <= item < self.n_items_target:
             raise DataError(f"target item {item} out of range")
         return float(self.user_pool[self.target_slot[user]] @ self.item_target[item])
-
-    def score_source(self, source_user: int, item: int) -> float:
-        if not 0 <= source_user < self.n_users_source:
-            raise DataError(f"source user {source_user} out of range")
-        if not 0 <= item < self.n_items_source:
-            raise DataError(f"source item {item} out of range")
-        return float(self.user_pool[self.source_slot[source_user]] @ self.item_source[item])
 
     def _check_target_user(self, user: int):
         if not 0 <= user < self.n_users_target:

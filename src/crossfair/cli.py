@@ -30,9 +30,9 @@ from .data import (
     split_per_user,
     write_attributes,
     write_interactions,
+    write_tsv,
 )
 from .errors import CrossfairError, DataError, UsageError
-from .sampler import SamplerConfig
 from .trainer import (
     ABLATION_VARIANTS,
     TrainConfig,
@@ -46,6 +46,7 @@ SYNTH_KEYS = (
     "n_items_target", "latent_dim", "group_split", "source_disparity",
     "domain_shift", "interactions_per_user", "source_density_ratio", "rng_seed",
 )
+SYNTH_FLOAT_KEYS = ("overlap_fraction", "group_split", "source_disparity", "domain_shift")
 
 
 @dataclass
@@ -83,6 +84,7 @@ class RunConfig:
             raise UsageError("no data source: set file paths or synth = true")
         if self.sharing_mode not in ("shared", "dual"):
             raise UsageError(f"unknown sharing_mode {self.sharing_mode!r}")
+        _check_cutoffs(self.eval_ks, "eval_ks")
         self.train.validate()
         return self
 
@@ -118,6 +120,25 @@ def _as_bool(value: str, key: str) -> bool:
     raise UsageError(f"{key}: expected a boolean, got {value!r}")
 
 
+def _int_list(value: str) -> tuple:
+    return tuple(int(x) for x in value.split(",") if x.strip())
+
+
+_EXPECTED = {int: "an integer", float: "a number", _int_list: "comma-separated integers"}
+
+
+def _convert(key: str, value: str, conv):
+    try:
+        return conv(value)
+    except ValueError:
+        raise UsageError(f"{key}: expected {_EXPECTED[conv]}, got {value!r}") from None
+
+
+def _check_cutoffs(ks: tuple, what: str):
+    if not ks or min(ks) < 1:
+        raise UsageError(f"{what}: expected positive cutoffs, got {ks!r}")
+
+
 def resolve_config(values: dict) -> RunConfig:
     cfg = RunConfig()
     synth_wanted = "synth" in values and _as_bool(values.pop("synth"), "synth")
@@ -141,28 +162,25 @@ def resolve_config(values: dict) -> RunConfig:
     for key, value in values.items():
         if key in handlers:
             attr, conv = handlers[key]
-            setattr(cfg, attr, conv(value))
+            setattr(cfg, attr, _convert(key, value, conv))
         elif key in train_handlers:
             conv = train_handlers[key]
-            parsed = _as_bool(value, key) if conv is None else conv(value)
+            parsed = _as_bool(value, key) if conv is None else _convert(key, value, conv)
             setattr(cfg.train, key, parsed)
         elif key in sampler_handlers:
-            setattr(cfg.train.sampler, key, sampler_handlers[key](value))
+            setattr(cfg.train.sampler, key, _convert(key, value, sampler_handlers[key]))
         elif key == "estimator_hidden":
-            cfg.train.estimator_hidden = tuple(int(x) for x in value.split(",") if x.strip())
+            cfg.train.estimator_hidden = _convert(key, value, _int_list)
         elif key == "eval_ks":
-            cfg.eval_ks = tuple(int(x) for x in value.split(",") if x.strip())
+            cfg.eval_ks = _convert(key, value, _int_list)
         elif key in SYNTH_KEYS:
-            synth_kwargs[key] = float(value) if "." in value or "fraction" in key else int(value)
+            conv = float if key in SYNTH_FLOAT_KEYS else int
+            synth_kwargs[key] = _convert(key, value, conv)
         else:
             raise UsageError(f"unknown config key {key!r}")
     if synth_wanted or synth_kwargs:
-        for key in ("overlap_fraction", "group_split", "source_disparity", "domain_shift"):
-            if key in synth_kwargs:
-                synth_kwargs[key] = float(synth_kwargs[key])
-        cfg.synth = SynthConfig(**{k: v for k, v in synth_kwargs.items()})
+        cfg.synth = SynthConfig(**synth_kwargs)
     cfg.train.seed = cfg.seed
-    cfg.train.sampler.rng_seed = cfg.seed
     if cfg.synth is not None and "rng_seed" not in synth_kwargs:
         cfg.synth.rng_seed = cfg.seed
     return cfg
@@ -219,7 +237,6 @@ def _load_run_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.train.seed = args.seed
-        cfg.train.sampler.rng_seed = args.seed
         if cfg.synth is not None:
             cfg.synth.rng_seed = args.seed
     return cfg
@@ -246,35 +263,28 @@ def cmd_synth(args) -> int:
                        ds.raw_ids["users_source"], ds.raw_ids["items_source"])
     write_interactions(out / "interactions_target.tsv", ds.interactions_target,
                        ds.raw_ids["users_target"], ds.raw_ids["items_target"])
-    write_attributes(out / "attributes.tsv", ds.groups, ds.raw_ids["users_target"],
+    write_attributes(out / "attributes.tsv", ds.target_group, ds.raw_ids["users_target"],
                      ds.group_labels)
+    n_overlap = len(ds.overlap_arrays()[0])
+    counts = np.bincount(ds.target_group, minlength=2)
     with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
         for key in SYNTH_KEYS:
             fh.write(f"{key} = {getattr(cfg.synth, key)}\n")
-        fh.write(f"n_overlap = {len(ds.overlap)}\n")
+        fh.write(f"n_overlap = {n_overlap}\n")
         fh.write(f"n_interactions_source = {len(ds.interactions_source)}\n")
         fh.write(f"n_interactions_target = {len(ds.interactions_target)}\n")
-        counts = {0: 0, 1: 0}
-        for g in ds.groups.values():
-            counts[g] += 1
         fh.write(f"n_group0 = {counts[0]}\nn_group1 = {counts[1]}\n")
     _say(args, f"wrote 4 dataset files to {out}")
     _say(args, f"  source: {ds.n_users_source} users, {ds.n_items_source} items, "
                f"{len(ds.interactions_source)} interactions")
     _say(args, f"  target: {ds.n_users_target} users, {ds.n_items_target} items, "
-               f"{len(ds.interactions_target)} interactions; overlap {len(ds.overlap)}")
+               f"{len(ds.interactions_target)} interactions; overlap {n_overlap}")
     return 0
 
 
 def _write_sidecars(out: Path, ds: CrossDomainDataset):
-    with open(out / "groups.tsv", "w", encoding="utf-8") as fh:
-        fh.write("user_id\tattribute\n")
-        for u in sorted(ds.groups):
-            fh.write(f"{u}\t{ds.group_labels[ds.groups[u]]}\n")
-    with open(out / "overlap.tsv", "w", encoding="utf-8") as fh:
-        fh.write("target_user_id\tsource_user_id\n")
-        for t in sorted(ds.overlap):
-            fh.write(f"{t}\t{ds.overlap[t]}\n")
+    write_attributes(out / "groups.tsv", ds.target_group, group_labels=ds.group_labels)
+    write_tsv(out / "overlap.tsv", ("target_user_id", "source_user_id"), *ds.overlap_arrays())
     if ds.raw_ids:
         with open(out / "id_maps.json", "w", encoding="utf-8") as fh:
             json.dump(ds.raw_ids, fh, sort_keys=True)
@@ -363,6 +373,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_cfg = _load_run_config(args).validate()
+    ks = run_cfg.eval_ks
+    if args.k:
+        ks = _convert("--k", args.k, _int_list)
+        _check_cutoffs(ks, "--k")
     ds = run_cfg.dataset()
     run_dir = Path(args.run)
     try:
@@ -370,7 +384,17 @@ def cmd_eval(args) -> int:
     except OSError as exc:
         raise DataError(f"cannot read run state: {exc}") from exc
     snapshot = backbone_mod.load_snapshot(run_dir / "snapshot.bin")
-    bb = backbone_mod.init(ds, state["embedding_dim"], state["sharing_mode"], state["seed"])
+    d = state["embedding_dim"]
+    for name, rows in (("user_emb_source", ds.n_users_source),
+                       ("user_emb_target", ds.n_users_target),
+                       ("item_emb_source", ds.n_items_source),
+                       ("item_emb_target", ds.n_items_target)):
+        if snapshot[name].shape != (rows, d):
+            raise DataError(
+                f"snapshot table {name} has shape {snapshot[name].shape} but the dataset "
+                f"needs {(rows, d)}: evaluate with the dataset the run was trained on"
+            )
+    bb = backbone_mod.init(ds, d, state["sharing_mode"], state["seed"])
     # Restore from the stored tables; dual slots first, shared pool rebuilt
     # from the target table plus non-overlapping source rows.
     emb_t, emb_s = snapshot["user_emb_target"], snapshot["user_emb_source"]
@@ -379,12 +403,6 @@ def cmd_eval(args) -> int:
     bb.item_source = snapshot["item_emb_source"]
     bb.item_target = snapshot["item_emb_target"]
     split = split_per_user(ds, state["seed"])
-    ks = run_cfg.eval_ks
-    if args.k:
-        try:
-            ks = tuple(int(x) for x in args.k.split(",") if x.strip())
-        except ValueError as exc:
-            raise UsageError(f"bad --k list: {exc}") from exc
     report = metrics_mod.evaluate(bb, split, ds, ks=ks)
     out = _out_dir(args, "eval_out")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")

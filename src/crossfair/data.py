@@ -31,9 +31,10 @@ SYNTH_NOISE_SOURCE = 0.75
 
 @dataclass
 class LoadedInteractions:
-    """Deduplicated (user, item) pairs plus dense-index -> raw-id maps."""
+    """Deduplicated (user, item) pairs as an (n, 2) int64 array, plus
+    dense-index -> raw-id maps."""
 
-    pairs: list
+    pairs: np.ndarray
     user_ids: list
     item_ids: list
 
@@ -62,7 +63,8 @@ def load_interactions(path, id_remap: bool = True) -> LoadedInteractions:
     """Parse an interactions TSV into deduplicated dense (user, item) pairs.
 
     With ``id_remap`` raw ids are densified in first-seen order; otherwise
-    the raw ids must already be integers and are used as-is.
+    the raw ids must already be integers and are used as-is. Duplicate pairs
+    keep their first occurrence.
     """
     header, rows = _read_tsv_rows(path)
     try:
@@ -73,35 +75,31 @@ def load_interactions(path, id_remap: bool = True) -> LoadedInteractions:
     if not rows:
         raise DataError(f"{path}: no interactions")
 
-    pairs = []
-    seen = set()
     user_map: dict = {}
     item_map: dict = {}
-    user_ids: list = []
-    item_ids: list = []
+    users, items = [], []
     for lineno, cols in rows:
         ru, ri = cols[ucol], cols[icol]
         if id_remap:
-            if ru not in user_map:
-                user_map[ru] = len(user_ids)
-                user_ids.append(ru)
-            if ri not in item_map:
-                item_map[ri] = len(item_ids)
-                item_ids.append(ri)
-            u, i = user_map[ru], item_map[ri]
+            users.append(user_map.setdefault(ru, len(user_map)))
+            items.append(item_map.setdefault(ri, len(item_map)))
         else:
             try:
-                u, i = int(ru), int(ri)
+                users.append(int(ru))
+                items.append(int(ri))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer id with id_remap off")
-            if u < 0 or i < 0:
-                raise DataError(f"{path}:{lineno}: negative id")
-        if (u, i) not in seen:
-            seen.add((u, i))
-            pairs.append((u, i))
-    if not id_remap:
-        user_ids = [str(u) for u in range(max(p[0] for p in pairs) + 1)]
-        item_ids = [str(i) for i in range(max(p[1] for p in pairs) + 1)]
+    pairs = np.array([users, items], dtype=np.int64).T
+    negative = np.flatnonzero((pairs < 0).any(axis=1))
+    if len(negative):
+        raise DataError(f"{path}:{rows[negative[0]][0]}: negative id")
+    _, first = np.unique(pairs, axis=0, return_index=True)
+    pairs = pairs[np.sort(first)]
+    if id_remap:
+        user_ids, item_ids = list(user_map), list(item_map)
+    else:
+        user_ids = [str(u) for u in range(pairs[:, 0].max() + 1)]
+        item_ids = [str(i) for i in range(pairs[:, 1].max() + 1)]
     return LoadedInteractions(pairs=pairs, user_ids=user_ids, item_ids=item_ids)
 
 
@@ -137,62 +135,65 @@ def load_attributes(path):
 class CrossDomainDataset:
     """Users, items, and implicit positives for a source and target domain.
 
-    Index spaces are dense per domain. ``overlap`` maps target user ids to
-    source user ids for users active in both domains. ``groups`` labels every
-    target user with 0 or 1.
+    Index spaces are dense per domain. Interactions are (n, 2) int64 arrays
+    with users in column 0 and items in column 1. ``target_to_source`` holds
+    each target user's source user id, or -1 for users with no source
+    identity. ``target_group`` labels every target user with 0 or 1.
     """
 
     n_users_source: int
     n_users_target: int
     n_items_source: int
     n_items_target: int
-    interactions_source: list
-    interactions_target: list
-    overlap: dict
-    groups: dict
+    interactions_source: np.ndarray
+    interactions_target: np.ndarray
+    target_to_source: np.ndarray
+    target_group: np.ndarray
     group_labels: tuple = ("g0", "g1")
     raw_ids: dict = field(default_factory=dict, repr=False)
 
     def validate(self):
-        for u, i in self.interactions_source:
-            if not (0 <= u < self.n_users_source and 0 <= i < self.n_items_source):
-                raise DataError(f"source interaction ({u},{i}) out of range")
-        for u, i in self.interactions_target:
-            if not (0 <= u < self.n_users_target and 0 <= i < self.n_items_target):
-                raise DataError(f"target interaction ({u},{i}) out of range")
-        if len(set(self.interactions_source)) != len(self.interactions_source):
-            raise DataError("duplicate (user, item) pair in source domain")
-        if len(set(self.interactions_target)) != len(self.interactions_target):
-            raise DataError("duplicate (user, item) pair in target domain")
-        if len(set(self.overlap.values())) != len(self.overlap):
+        for domain, pairs, n_users, n_items in (
+            ("source", self.interactions_source, self.n_users_source, self.n_items_source),
+            ("target", self.interactions_target, self.n_users_target, self.n_items_target),
+        ):
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise DataError(f"{domain} interactions must be an (n, 2) array")
+            bad = (pairs < 0).any(axis=1) | (pairs[:, 0] >= n_users) | (pairs[:, 1] >= n_items)
+            if np.any(bad):
+                u, i = pairs[np.argmax(bad)]
+                raise DataError(f"{domain} interaction ({u},{i}) out of range")
+            if len(np.unique(pairs[:, 0] * n_items + pairs[:, 1])) != len(pairs):
+                raise DataError(f"duplicate (user, item) pair in {domain} domain")
+        t2s = self.target_to_source
+        if t2s.shape != (self.n_users_target,):
+            raise DataError("overlap must hold one entry per target user")
+        linked = t2s[t2s >= 0]
+        if len(np.unique(linked)) != len(linked):
             raise DataError("overlap map is not injective")
-        for t, s in self.overlap.items():
-            if not 0 <= t < self.n_users_target:
-                raise DataError(f"overlap key {t} not a target user")
-            if not 0 <= s < self.n_users_source:
-                raise DataError(f"overlap value {s} not a source user")
-        missing = [u for u in range(self.n_users_target) if u not in self.groups]
-        if missing:
+        bad = (t2s < -1) | (t2s >= self.n_users_source)
+        if np.any(bad):
+            raise DataError(f"overlap value {t2s[np.argmax(bad)]} not a source user")
+        groups = self.target_group
+        if groups.shape != (self.n_users_target,):
+            raise DataError("groups must hold one label per target user")
+        missing = np.flatnonzero((groups != G0) & (groups != G1))
+        if len(missing):
             raise DataError(
                 f"{len(missing)} target users lack a group label (first: {missing[0]})"
             )
-        if set(self.groups.values()) != {G0, G1}:
+        if not (np.any(groups == G0) and np.any(groups == G1)):
             raise DataError("expected exactly two distinct group labels among target users")
         return self
 
     def group_array(self) -> np.ndarray:
         """Group label per target user as an int array."""
-        g = np.zeros(self.n_users_target, dtype=np.int64)
-        for u, lab in self.groups.items():
-            g[u] = lab
-        return g
+        return self.target_group
 
     def overlap_arrays(self):
         """Overlap as parallel (target ids, source ids) arrays, sorted by target id."""
-        ts = sorted(self.overlap.items())
-        t = np.array([p[0] for p in ts], dtype=np.int64)
-        s = np.array([p[1] for p in ts], dtype=np.int64)
-        return t, s
+        t = np.flatnonzero(self.target_to_source >= 0)
+        return t, self.target_to_source[t]
 
 
 def build_dataset(source: LoadedInteractions, target: LoadedInteractions,
@@ -204,24 +205,20 @@ def build_dataset(source: LoadedInteractions, target: LoadedInteractions,
     attribute entries for unknown users are ignored.
     """
     source_users = {ru: idx for idx, ru in enumerate(source.user_ids)}
-    overlap = {}
-    for t_idx, ru in enumerate(target.user_ids):
-        if ru in source_users:
-            overlap[t_idx] = source_users[ru]
-    groups = {}
-    for t_idx, ru in enumerate(target.user_ids):
+    for ru in target.user_ids:
         if ru not in attrs:
             raise DataError(f"target user {ru!r} missing from the attribute file")
-        groups[t_idx] = attrs[ru]
     ds = CrossDomainDataset(
         n_users_source=len(source.user_ids),
         n_users_target=len(target.user_ids),
         n_items_source=len(source.item_ids),
         n_items_target=len(target.item_ids),
-        interactions_source=list(source.pairs),
-        interactions_target=list(target.pairs),
-        overlap=overlap,
-        groups=groups,
+        interactions_source=source.pairs,
+        interactions_target=target.pairs,
+        target_to_source=np.array(
+            [source_users.get(ru, -1) for ru in target.user_ids], dtype=np.int64
+        ),
+        target_group=np.array([attrs[ru] for ru in target.user_ids], dtype=np.int64),
         group_labels=tuple(group_labels),
         raw_ids={
             "users_source": list(source.user_ids),
@@ -240,46 +237,64 @@ def load_dataset(source_path, target_path, attrs_path) -> CrossDomainDataset:
     return build_dataset(source, target, attrs, group_labels=labels)
 
 
+def write_tsv(path, names, first, second):
+    """Write two equal-length columns (any values with a ``str`` form) as
+    TSV under a header naming them."""
+    lines = np.char.add(
+        np.char.add(np.asarray(first).astype(str), "\t"),
+        np.char.add(np.asarray(second).astype(str), "\n"),
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(names) + "\n")
+        fh.write("".join(lines.tolist()))
+
+
 def write_interactions(path, pairs, user_ids=None, item_ids=None):
     """Write pairs as TSV, mapping dense ids through the given raw-id lists."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user_id\titem_id\n")
-        for u, i in pairs:
-            ru = user_ids[u] if user_ids is not None else str(u)
-            ri = item_ids[i] if item_ids is not None else str(i)
-            fh.write(f"{ru}\t{ri}\n")
+    users, items = pairs[:, 0], pairs[:, 1]
+    if user_ids is not None:
+        users = np.asarray(user_ids, dtype=str)[users]
+    if item_ids is not None:
+        items = np.asarray(item_ids, dtype=str)[items]
+    write_tsv(path, ("user_id", "item_id"), users, items)
 
 
 def write_attributes(path, groups, user_ids=None, group_labels=("A", "B")):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user_id\tattribute\n")
-        for u in sorted(groups):
-            ru = user_ids[u] if user_ids is not None else str(u)
-            fh.write(f"{ru}\t{group_labels[groups[u]]}\n")
+    """Write one attribute row per user from a per-user group array."""
+    users = np.arange(len(groups)) if user_ids is None else np.asarray(user_ids, dtype=str)
+    write_tsv(path, ("user_id", "attribute"), users,
+              np.asarray(group_labels, dtype=str)[groups])
 
 
 @dataclass
 class SplitDataset:
-    """Per-user interaction splits: 8:2 for source, 8:1:1 for target."""
+    """Per-user interaction splits, each an (n, 2) int64 array: 8:2 for
+    source, 8:1:1 for target."""
 
-    source_train: list
-    source_val: list
-    target_train: list
-    target_val: list
-    target_test: list
-
-    def all_source(self):
-        return self.source_train + self.source_val
-
-    def all_target(self):
-        return self.target_train + self.target_val + self.target_test
+    source_train: np.ndarray
+    source_val: np.ndarray
+    target_train: np.ndarray
+    target_val: np.ndarray
+    target_test: np.ndarray
 
 
-def _per_user_lists(pairs):
-    by_user: dict = {}
-    for u, i in pairs:
-        by_user.setdefault(u, []).append(i)
-    return by_user
+def _split_by_user(pairs, fractions, rng):
+    """Group pairs by ascending user (items keep their order), shuffle each
+    user's items in place, then cut each user's list into consecutive parts:
+    part k >= 1 takes floor(fractions[k-1] * n) items and part 0 the
+    remainder, which is at least one item while the fractions sum below 1.
+    """
+    order = np.argsort(pairs[:, 0], kind="stable")
+    users, items = pairs[order, 0], pairs[order, 1]
+    _, starts, counts = np.unique(users, return_index=True, return_counts=True)
+    for start, n in zip(starts.tolist(), counts.tolist()):
+        rng.shuffle(items[start: start + n])
+    sizes = [np.floor(f * counts).astype(np.int64) for f in fractions]
+    ends = np.cumsum([counts - sum(sizes), *sizes], axis=0)
+    pos = np.arange(len(users)) - np.repeat(starts, counts)
+    part = (pos >= np.repeat(ends, counts, axis=1)).sum(axis=0)
+    shuffled = np.column_stack([users, items])
+    return [shuffled[part == k] for k in range(len(fractions) + 1)]
 
 
 def split_per_user(ds: CrossDomainDataset, seed: int) -> SplitDataset:
@@ -288,34 +303,9 @@ def split_per_user(ds: CrossDomainDataset, seed: int) -> SplitDataset:
     with at least one interaction keeps at least one training pair.
     """
     rng = make_rng(seed, "split")
-    src_train, src_val = [], []
-    by_user_source = _per_user_lists(ds.interactions_source)
-    for u in sorted(by_user_source):
-        items = list(by_user_source[u])
-        rng.shuffle(items)
-        n = len(items)
-        n_val = int(np.floor(0.2 * n))
-        for i in items[: n - n_val]:
-            src_train.append((u, i))
-        for i in items[n - n_val:]:
-            src_val.append((u, i))
-    tgt_train, tgt_val, tgt_test = [], [], []
-    by_user_target = _per_user_lists(ds.interactions_target)
-    for u in sorted(by_user_target):
-        items = list(by_user_target[u])
-        rng.shuffle(items)
-        n = len(items)
-        n_val = int(np.floor(0.1 * n))
-        n_test = int(np.floor(0.1 * n))
-        n_train = n - n_val - n_test
-        assert n_train >= 1
-        for i in items[:n_train]:
-            tgt_train.append((u, i))
-        for i in items[n_train: n_train + n_val]:
-            tgt_val.append((u, i))
-        for i in items[n_train + n_val:]:
-            tgt_test.append((u, i))
-    return SplitDataset(src_train, src_val, tgt_train, tgt_val, tgt_test)
+    source = _split_by_user(ds.interactions_source, (0.2,), rng)
+    target = _split_by_user(ds.interactions_target, (0.1, 0.1), rng)
+    return SplitDataset(*source, *target)
 
 
 @dataclass
@@ -428,6 +418,12 @@ def _top_items(scores: np.ndarray, count: int) -> np.ndarray:
     return order[:, :count]
 
 
+def _pairs_from_top(top: np.ndarray) -> np.ndarray:
+    # (user, item) pairs from per-user rows of item ids, items ascending per user
+    users = np.repeat(np.arange(len(top), dtype=np.int64), top.shape[1])
+    return np.column_stack([users, np.sort(top, axis=1).ravel()])
+
+
 def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
     """Generate a two-domain dataset whose positives are each user's top
     items under a noisy latent score; see SynthConfig for the knobs.
@@ -437,18 +433,9 @@ def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
     top_t = _top_items(internals["noisy_t"], ipu)
     top_s = _top_items(internals["noisy_s"], ipu * cfg.source_density_ratio)
 
-    interactions_target = []
-    for u in range(cfg.n_users_target):
-        for i in sorted(top_t[u]):
-            interactions_target.append((u, int(i)))
-    interactions_source = []
-    for u in range(cfg.n_users_source):
-        for i in sorted(top_s[u]):
-            interactions_source.append((u, int(i)))
-
     n_overlap = internals["n_overlap"]
-    overlap = {t: t for t in range(n_overlap)}
-    groups = {u: int(internals["groups"][u]) for u in range(cfg.n_users_target)}
+    target_to_source = np.full(cfg.n_users_target, -1, dtype=np.int64)
+    target_to_source[:n_overlap] = np.arange(n_overlap)
 
     raw_users_target = [f"u{t}" for t in range(cfg.n_users_target)]
     raw_users_source = [f"u{t}" for t in range(n_overlap)] + [
@@ -459,10 +446,10 @@ def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
         n_users_target=cfg.n_users_target,
         n_items_source=cfg.n_items_source,
         n_items_target=cfg.n_items_target,
-        interactions_source=interactions_source,
-        interactions_target=interactions_target,
-        overlap=overlap,
-        groups=groups,
+        interactions_source=_pairs_from_top(top_s),
+        interactions_target=_pairs_from_top(top_t),
+        target_to_source=target_to_source,
+        target_group=internals["groups"],
         group_labels=("A", "B"),
         raw_ids={
             "users_source": raw_users_source,

@@ -140,21 +140,6 @@ class EvaluationReport:
                 writer.writerow([name, "ugf", repr(self.ugf[name])])
 
 
-def _relevant_by_user(pairs):
-    rel = {}
-    for u, i in pairs:
-        rel.setdefault(u, []).append(i)
-    return rel
-
-
-def _excluded_matrix(n_users, n_items, pair_lists):
-    mask = np.zeros((n_users, n_items), dtype=bool)
-    for pairs in pair_lists:
-        for u, i in pairs:
-            mask[u, i] = True
-    return mask
-
-
 def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> EvaluationReport:
     """Full-ranking evaluation over every user with relevant items in the
     requested phase. During validation only training positives are excluded
@@ -162,44 +147,46 @@ def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> Evaluat
     """
     ks = tuple(sorted(ks))
     if phase == "val":
-        relevant = _relevant_by_user(split.target_val)
+        relevant = split.target_val
         excluded = [split.target_train]
     elif phase == "test":
-        relevant = _relevant_by_user(split.target_test)
+        relevant = split.target_test
         excluded = [split.target_train, split.target_val]
     else:
         raise DataError(f"unknown phase {phase!r}")
-    users = np.array(sorted(relevant), dtype=np.int64)
+    users = np.unique(relevant[:, 0])
     if len(users) == 0:
         raise DataError(f"no users with {phase} positives")
 
-    groups_arr = ds.group_array()
+    row_of = np.full(ds.n_users_target, -1, dtype=np.int64)
+    row_of[users] = np.arange(len(users))
     scores = backbone.user_target_vectors(users) @ backbone.item_target.T
-    ex_mask = _excluded_matrix(ds.n_users_target, ds.n_items_target, excluded)[users]
-    scores[ex_mask] = -np.inf
+    for pairs in excluded:
+        rows = row_of[pairs[:, 0]]
+        kept = rows >= 0
+        scores[rows[kept], pairs[kept, 1]] = -np.inf
 
     kmax = max(ks)
     # argsort is stable on the negated scores, so ties resolve by ascending id
     top = np.argsort(-scores, axis=1, kind="stable")[:, :kmax]
 
+    rel_rows = row_of[relevant[:, 0]]
     rel_mask = np.zeros((len(users), ds.n_items_target), dtype=bool)
-    rel_counts = np.empty(len(users), dtype=np.int64)
-    for row, u in enumerate(users):
-        rel_mask[row, relevant[u]] = True
-        rel_counts[row] = len(relevant[u])
+    rel_mask[rel_rows, relevant[:, 1]] = True
+    rel_counts = np.bincount(rel_rows, minlength=len(users))
     hits = rel_mask[np.arange(len(users))[:, None], top]
 
     log_weights = 1.0 / np.log2(np.arange(2, kmax + 2))
     per_user = {}
     for k in ks:
-        hk = hits[:, :k]
+        hk = hits[:, :k]  # fewer than k columns when k exceeds the catalogue
         per_user[f"recall@{k}"] = hk.sum(axis=1) / rel_counts
-        dcg = (hk * log_weights[:k]).sum(axis=1)
+        dcg = (hk * log_weights[: hk.shape[1]]).sum(axis=1)
         ideal_cum = np.concatenate([[0.0], np.cumsum(log_weights[:k])])
         idcg = ideal_cum[np.minimum(rel_counts, k)]
         per_user[f"ndcg@{k}"] = dcg / idcg
 
-    user_groups = groups_arr[users]
+    user_groups = ds.target_group[users]
     overall, group_vals, gaps = {}, {G0: {}, G1: {}}, {}
     for name, vals in per_user.items():
         overall[name] = float(vals.mean())

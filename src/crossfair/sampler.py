@@ -27,7 +27,6 @@ class SamplerConfig:
     epsilon: float = 1.0
     candidate_size: int = 8
     negatives_per_positive: int = 1
-    rng_seed: int = 0
 
     def validate(self):
         if self.epsilon < 0:
@@ -136,25 +135,19 @@ class NegativePool:
     excluded; validation/test positives stay in, being unknown at train time).
 
     Eligible arrays are stored back to back with offsets so batched draws
-    stay vectorized.
+    stay vectorized; each user's items are in ascending order.
     """
 
-    def __init__(self, n_items: int, train_pairs, n_users: int):
+    def __init__(self, n_items: int, train_pairs: np.ndarray, n_users: int):
         self.n_items = n_items
-        positives = [[] for _ in range(n_users)]
-        for u, i in train_pairs:
-            positives[u].append(i)
-        lengths = np.empty(n_users, dtype=np.int64)
-        chunks = []
-        all_items = np.arange(n_items, dtype=np.int64)
-        for u in range(n_users):
-            elig = np.setdiff1d(all_items, np.asarray(positives[u], dtype=np.int64))
-            lengths[u] = len(elig)
-            chunks.append(elig)
-        self.lengths = lengths
+        eligible = np.ones((n_users, n_items), dtype=bool)
+        eligible[train_pairs[:, 0], train_pairs[:, 1]] = False
+        self.lengths = eligible.sum(axis=1, dtype=np.int64)
         self.starts = np.zeros(n_users, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=self.starts[1:])
-        self.flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        np.cumsum(self.lengths[:-1], out=self.starts[1:])
+        # row-major flat indices u * n_items + i, reduced to item ids
+        self.flat = np.flatnonzero(eligible)
+        self.flat %= n_items
 
     def eligible(self, user: int) -> np.ndarray:
         s = self.starts[user]
@@ -208,9 +201,11 @@ def batch_candidates(pool: NegativePool, users: np.ndarray, size: int, rng):
             bad = _rows_with_duplicates(idx)
         items[fast] = pool.flat[pool.starts[users[fast]][:, None] + idx]
 
-    for row in np.nonzero(take_all)[0]:
-        elig = pool.eligible(users[row])
-        items[row, : len(elig)] = elig
+    if np.any(take_all):
+        cols = np.arange(size)
+        short = lens[take_all][:, None]
+        idx = pool.starts[users[take_all]][:, None] + np.minimum(cols, short - 1)
+        items[take_all] = np.where(cols < short, pool.flat[idx], -1)
     for row in np.nonzero(slow)[0]:
         items[row] = rng.choice(pool.eligible(users[row]), size=size, replace=False)
     return items, counts

@@ -153,12 +153,7 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
     w1_target_gap = w1(cells[("t", G0)], cells[("t", G1)], "tgap")
     probe = probe_group_gap(cells[("t", G0)], cells[("t", G1)], seed=seed)
 
-    preserved = None
-    margin = None
-    if baseline_ugf is not None:
-        preserved = bool(rhs <= baseline_ugf)
-        margin = float(baseline_ugf - rhs)
-    return BoundReport(
+    report = BoundReport(
         w1_source_gap=w1_source_gap,
         delta_t_g0=delta_t0,
         delta_t_g1=delta_t1,
@@ -172,18 +167,21 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
         probe_gap_target=probe,
         measured_ugf=measured_ugf,
         baseline_ugf=baseline_ugf,
-        preserved=preserved,
-        margin=margin,
+        preserved=None,
+        margin=None,
         subsample_n=subsample_n,
         repetitions=repetitions,
     )
+    if baseline_ugf is not None:
+        report.preserved, report.margin = preservation_check(report, baseline_ugf)
+    return report
 
 
 def preservation_check(bound: BoundReport, gamma_ugf_baseline: float):
     """True when the bound's right-hand side does not exceed the baseline
     group gap; returns (verdict, margin)."""
     margin = float(gamma_ugf_baseline - bound.rhs)
-    return bound.rhs <= gamma_ugf_baseline, margin
+    return bool(bound.rhs <= gamma_ugf_baseline), margin
 
 
 def probe_group_gap(points_a, points_b, n_projections: int = 64, seed: int = 0) -> float:

@@ -63,6 +63,8 @@ class TrainConfig:
             raise DataError("epochs must be >= 0")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
+        if min(self.estimator_hidden, default=1) < 1:
+            raise DataError("estimator_hidden sizes must be >= 1")
         self.sampler.validate()
         return self
 
@@ -326,31 +328,22 @@ def _plan_batch(backbone, pools, domains, users, pos, groups_arr, tracker, cfg, 
     if np.any(tgt):
         t_users = users[tgt]
         fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
-        if cfg.use_fair_sampling:
-            if fair:
-                if cfg.use_alpha:
-                    taus = np.array(
-                        [
-                            temperature(tracker.alpha(G0), cfg.sampler.epsilon),
-                            temperature(tracker.alpha(G1), cfg.sampler.epsilon),
-                        ]
-                    )[groups_arr[t_users]]
-                else:
-                    taus = np.ones(len(t_users))
-                neg[tgt] = batch_sample_negatives(
-                    backbone, pools["target"], t_users, taus, cfg.sampler.candidate_size, rng
-                )
-                fair_draws = len(t_users)
+        taus = None
+        if fair:
+            if cfg.use_alpha:
+                taus = np.array(
+                    [
+                        temperature(tracker.alpha(G0), cfg.sampler.epsilon),
+                        temperature(tracker.alpha(G1), cfg.sampler.epsilon),
+                    ]
+                )[groups_arr[t_users]]
             else:
-                neg[tgt] = batch_sample_negatives(
-                    backbone, pools["target"], t_users, None,
-                    cfg.sampler.candidate_size, rng, uniform=True,
-                )
-        else:
-            neg[tgt] = batch_sample_negatives(
-                backbone, pools["target"], t_users, None,
-                cfg.sampler.candidate_size, rng, uniform=True,
-            )
+                taus = np.ones(len(t_users))
+            fair_draws = len(t_users)
+        neg[tgt] = batch_sample_negatives(
+            backbone, pools["target"], t_users, taus, cfg.sampler.candidate_size, rng,
+            uniform=not fair,
+        )
     if np.any(~tgt):
         s_users = users[~tgt]
         neg[~tgt] = batch_sample_negatives(
@@ -379,21 +372,18 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     the epoch-level gain report, and (if enabled) the estimator fit.
     """
     started = time.perf_counter()
-    groups_arr = ds.group_array()
+    groups_arr = ds.target_group
     snapshot = EpochSnapshot.take(backbone)
 
     tgt_pairs = split.target_train
-    src_pairs = split.source_train if cfg.include_source else []
+    src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
     n = len(tgt_pairs) + len(src_pairs)
     if n == 0:
         raise DataError("no training interactions")
     domains = np.concatenate(
         [np.ones(len(tgt_pairs), dtype=np.int64), np.zeros(len(src_pairs), dtype=np.int64)]
     )
-    users = np.fromiter(
-        (p[0] for p in tgt_pairs + src_pairs), dtype=np.int64, count=n
-    )
-    pos = np.fromiter((p[1] for p in tgt_pairs + src_pairs), dtype=np.int64, count=n)
+    users, pos = np.concatenate([tgt_pairs, src_pairs]).T
     k = cfg.sampler.negatives_per_positive
     if k > 1:
         # each positive is replicated; every copy draws its own candidate set
@@ -442,8 +432,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     alpha0 = tracker.alpha(G0)
 
     # Epoch-level gain report over every overlapping target training positive.
-    all_users = np.fromiter((p[0] for p in tgt_pairs), dtype=np.int64, count=len(tgt_pairs))
-    all_items = np.fromiter((p[1] for p in tgt_pairs), dtype=np.int64, count=len(tgt_pairs))
+    all_users, all_items = tgt_pairs.T
     report = estimate_gain(backbone, estimator, all_users, all_items, groups_arr[all_users])
 
     est_loss = None

@@ -6,20 +6,20 @@ from crossfair.data import CrossDomainDataset, SynthConfig, generate_synthetic, 
 
 def micro_dataset():
     """Hand-built 6-user/8-item two-domain dataset with 3 overlapping users."""
-    interactions_target = [
+    interactions_target = np.array([
         (0, 0), (0, 1), (0, 2),
         (1, 1), (1, 3), (1, 4),
         (2, 2), (2, 5), (2, 6),
         (3, 0), (3, 4), (3, 7),
         (4, 3), (4, 5), (4, 6),
         (5, 1), (5, 2), (5, 7),
-    ]
-    interactions_source = [
+    ])
+    interactions_source = np.array([
         (0, 0), (0, 3), (0, 5),
         (1, 1), (1, 2), (1, 6),
         (2, 4), (2, 5), (2, 7),
         (3, 0), (3, 1), (3, 2),
-    ]
+    ])
     ds = CrossDomainDataset(
         n_users_source=4,
         n_users_target=6,
@@ -27,8 +27,8 @@ def micro_dataset():
         n_items_target=8,
         interactions_source=interactions_source,
         interactions_target=interactions_target,
-        overlap={0: 0, 2: 1, 4: 3},
-        groups={0: 0, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1},
+        target_to_source=np.array([0, -1, 1, -1, 3, -1]),
+        target_group=np.array([0, 0, 1, 1, 0, 1]),
     )
     return ds.validate()
 

@@ -143,7 +143,7 @@ class TestCriterion1UnitOracles:
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
         bb.item_target[0] = [1.0, 0.0]
         bb.user_pool[bb.target_slot[0]] = [0.0, 0.0]
-        bb.user_pool[bb.source_slot[ds.overlap[0]]] = [math.log(0.6 / 0.4), 0.0]
+        bb.user_pool[bb.source_slot[ds.target_to_source[0]]] = [math.log(0.6 / 0.4), 0.0]
         est.weights[0][:] = 0.0
         est.biases[0][:] = [1.0, 0.0]
         est.weights[1][:] = 0.0
@@ -189,10 +189,9 @@ class TestCriterion2Gradients:
         est = GainEstimator(4, hidden=(8, 4), dropout=0.2, seed=3)
         est.weights[-1] = make_rng(7, "w").normal(0, 0.3, est.weights[-1].shape)
 
-        pairs = split.target_train[:8] + split.source_train[:4]
+        pairs = np.concatenate([split.target_train[:8], split.source_train[:4]])
         domains = np.array([1] * 8 + [0] * 4)
-        users = np.array([p[0] for p in pairs])
-        pos = np.array([p[1] for p in pairs])
+        users, pos = pairs.T
         neg = (pos + 3) % 8
         groups_arr = ds.group_array()
         mask = (domains == 1) & (bb.target_to_source[users] >= 0)

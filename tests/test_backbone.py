@@ -16,14 +16,15 @@ class TestInit:
 
     def test_shared_mode_aliases_overlap_rows(self, micro_ds):
         bb = init(micro_ds, 8, "shared", seed=0)
-        for t, s in micro_ds.overlap.items():
+        for t, s in zip(*micro_ds.overlap_arrays()):
             assert np.array_equal(bb.user_target_vector(t), bb.user_source_vector(t))
             assert bb.target_slot[t] == bb.source_slot[s]
 
     def test_gaussian_init_moments(self):
         ds = micro_dataset()
         ds.n_users_target = 1000
-        ds.groups = {u: u % 2 for u in range(1000)}
+        ds.target_to_source = np.pad(ds.target_to_source, (0, 994), constant_values=-1)
+        ds.target_group = np.arange(1000) % 2
         bb = init(ds, 64, "dual", seed=12)
         vals = bb.user_pool[bb.target_slot].ravel()
         assert abs(vals.mean()) < 0.01
@@ -71,7 +72,7 @@ class TestViews:
 
     def test_dual_views_diverge_after_asymmetric_step(self, micro_ds):
         bb = init(micro_ds, 4, "dual", seed=0)
-        s = micro_ds.overlap[2]
+        s = micro_ds.target_to_source[2]
         bb.user_pool[bb.source_slot[s]] += 1.0
         assert not np.allclose(bb.user_target_vector(2), bb.user_source_vector(2))
 
@@ -84,7 +85,7 @@ class TestViews:
         # perturb through the source view, observe the target view move identically
         bb = init(micro_ds, 4, "shared", seed=0)
         before = bb.user_target_vector(0).copy()
-        s = micro_ds.overlap[0]
+        s = micro_ds.target_to_source[0]
         bb.user_pool[bb.source_slot[s]] += 0.25
         after = bb.user_target_vector(0)
         assert np.allclose(after - before, 0.25)
@@ -95,7 +96,7 @@ class TestViews:
 
         bb = init(micro_ds, 4, "shared", seed=0)
         adam = Adam(lr=0.05)
-        t, s = 2, micro_ds.overlap[2]
+        t, s = 2, micro_ds.target_to_source[2]
         for step in range(5):
             before_t = bb.user_target_vector(t).copy()
             before_s = bb.user_source_vector(t).copy()

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crossfair.cli import main
+from crossfair.cli import SYNTH_KEYS, main, parse_config_file, resolve_config
+from crossfair.errors import CrossfairError
 
 SYNTH_CFG = """
 # small synthetic fixture
@@ -163,6 +166,19 @@ class TestEvalCommand:
         evaluated = json.loads((out_a / "report.json").read_text())
         assert trained["overall"] == pytest.approx(evaluated["overall"], abs=1e-6)
 
+    @pytest.mark.parametrize("key", ["n_items_target", "n_users_source"])
+    def test_dataset_of_another_size_refused(self, tmp_path, cfg_file, capsys, key):
+        run_dir = tmp_path / "run"
+        run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
+        other = tmp_path / "other.cfg"
+        other.write_text(SYNTH_CFG + f"{key} = 50\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("--config", other, "--out", tmp_path / "e", "--quiet", "eval",
+                   "--run", run_dir) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: snapshot table") and "\n" not in err
+        assert not (tmp_path / "e" / "report.json").exists()
+
     def test_untrained_model_near_random_expectation(self, tmp_path, cfg_file):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(SYNTH_CFG.replace("epochs = 3", "epochs = 0"), encoding="utf-8")
@@ -255,3 +271,64 @@ class TestUsageErrors:
         cfg.write_text("synth = true\nsource_interactions = x\n"
                        "target_interactions = y\nattributes = z\n", encoding="utf-8")
         assert run("--config", cfg, "--out", tmp_path / "o", "--quiet", "train") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("embedding_dim", "abc"),
+        ("epochs", "1.5"),
+        ("seed", "7x"),
+        ("learning_rate", "fast"),
+        ("candidate_size", "4.0"),
+        ("epsilon", "1,0"),
+        ("eval_ks", "10,twenty"),
+        ("eval_ks", "0,10"),
+        ("estimator_hidden", "64;32"),
+        ("n_users_target", "1e3"),
+        ("rng_seed", "3.0"),
+        ("overlap_fraction", "half"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, cfg_file, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+        assert not (out / "runlog.jsonl").exists()
+
+    def test_nonpositive_hidden_size_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + "estimator_hidden = 64,-5\n", encoding="utf-8")
+        assert run("--config", cfg, "--out", tmp_path / "run", "--quiet", "train") == 2
+        assert capsys.readouterr().err == "error: estimator_hidden sizes must be >= 1\n"
+
+    def test_bad_eval_cutoffs(self, tmp_path, cfg_file):
+        assert run("--config", cfg_file, "--out", tmp_path / "e", "--quiet", "eval",
+                   "--run", tmp_path / "none", "--k", "ten") == 1
+
+
+CONFIG_KEYS = SYNTH_KEYS + (
+    "synth", "source_interactions", "target_interactions", "attributes", "embedding_dim",
+    "sharing_mode", "seed", "learning_rate", "batch_size", "l2_reg", "epochs", "gamma",
+    "beta", "patience", "estimator_dropout", "estimator_lr", "snapshot_every",
+    "include_source", "use_alpha", "use_fair_sampling", "use_redistribution",
+    "use_estimator_loss", "partition_checks", "epsilon", "candidate_size",
+    "negatives_per_positive", "estimator_hidden", "eval_ks", "no_such_key",
+)
+CONFIG_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "true", "off", "1e3", "1.5", ",", "10,20", "8,", "-1", "0x10",
+                     "shared", "dual", "1_000", "9" * 5000]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=8))
+def test_config_fuzz_raises_only_package_errors(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
+    try:
+        resolve_config(parse_config_file(path)).validate()
+    except CrossfairError:
+        pass

@@ -15,7 +15,12 @@ from crossfair.data import (
 )
 from crossfair.errors import DataError
 
-from conftest import small_synth
+from conftest import micro_dataset, small_synth
+from oracles import split_per_user_loop
+
+
+def rows(pairs):
+    return [tuple(p) for p in pairs.tolist()]
 
 
 def write(path, text):
@@ -27,7 +32,7 @@ class TestLoadInteractions:
     def test_dedup_and_first_seen_densify(self, tmp_path):
         p = write(tmp_path / "x.tsv", "user_id\titem_id\nu1\ti1\nu1\ti1\nu2\ti3\n")
         loaded = load_interactions(p)
-        assert loaded.pairs == [(0, 0), (1, 1)]
+        assert loaded.pairs.tolist() == [[0, 0], [1, 1]]
         assert loaded.user_ids == ["u1", "u2"]
         assert loaded.item_ids == ["i1", "i3"]
 
@@ -42,7 +47,7 @@ class TestLoadInteractions:
             "user_id\titem_id\ttimestamp\na\tx\t111\nb\ty\t222\nc\tz\t333\n",
         )
         loaded = load_interactions(p)
-        assert loaded.pairs == [(0, 0), (1, 1), (2, 2)]
+        assert loaded.pairs.tolist() == [[0, 0], [1, 1], [2, 2]]
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = write(tmp_path / "x.tsv", "user_id\titem_id\na\tx\nbroken\n")
@@ -52,7 +57,7 @@ class TestLoadInteractions:
     def test_no_remap_requires_ints(self, tmp_path):
         p = write(tmp_path / "x.tsv", "user_id\titem_id\n3\t4\n")
         loaded = load_interactions(p, id_remap=False)
-        assert loaded.pairs == [(3, 4)]
+        assert loaded.pairs.tolist() == [[3, 4]]
         p2 = write(tmp_path / "y.tsv", "user_id\titem_id\nabc\t4\n")
         with pytest.raises(DataError):
             load_interactions(p2, id_remap=False)
@@ -61,7 +66,7 @@ class TestLoadInteractions:
         p = tmp_path / "t.tsv"
         write_interactions(p, synth_ds.interactions_target)
         loaded = load_interactions(p, id_remap=False)
-        assert loaded.pairs == synth_ds.interactions_target
+        np.testing.assert_array_equal(loaded.pairs, synth_ds.interactions_target)
 
     def test_roundtrip_through_raw_ids(self, tmp_path, synth_ds):
         p = tmp_path / "t.tsv"
@@ -74,7 +79,7 @@ class TestLoadInteractions:
              synth_ds.raw_ids["items_target"].index(loaded.item_ids[i]))
             for u, i in loaded.pairs
         ]
-        assert recovered == synth_ds.interactions_target
+        np.testing.assert_array_equal(recovered, synth_ds.interactions_target)
 
 
 class TestLoadAttributes:
@@ -117,8 +122,8 @@ class TestOverlapDerivation:
             load_interactions(src), load_interactions(tgt), load_attributes(attrs)[0]
         )
         # target dense: u3 -> 0, u1 -> 1; source dense: u1 -> 0
-        assert ds.overlap == {1: 0}
-        assert ds.groups == {0: 1, 1: 0}
+        assert ds.target_to_source.tolist() == [-1, 0]
+        assert ds.target_group.tolist() == [1, 0]
 
 
 class TestSplit:
@@ -159,22 +164,74 @@ class TestSplit:
     def test_partition_and_determinism(self, synth_ds):
         s1 = split_per_user(synth_ds, seed=9)
         s2 = split_per_user(synth_ds, seed=9)
-        assert s1.target_train == s2.target_train
-        assert s1.source_val == s2.source_val
-        whole = sorted(s1.target_train + s1.target_val + s1.target_test)
-        assert whole == sorted(synth_ds.interactions_target)
-        assert set(s1.target_train).isdisjoint(s1.target_val)
-        assert set(s1.target_train).isdisjoint(s1.target_test)
-        assert set(s1.target_val).isdisjoint(s1.target_test)
+        np.testing.assert_array_equal(s1.target_train, s2.target_train)
+        np.testing.assert_array_equal(s1.source_val, s2.source_val)
+        whole = np.concatenate([s1.target_train, s1.target_val, s1.target_test])
+        assert sorted(rows(whole)) == sorted(rows(synth_ds.interactions_target))
+        assert set(rows(s1.target_train)).isdisjoint(rows(s1.target_val))
+        assert set(rows(s1.target_train)).isdisjoint(rows(s1.target_test))
+        assert set(rows(s1.target_val)).isdisjoint(rows(s1.target_test))
+
+
+def ragged_synth(seed):
+    """small_synth with rows shuffled and about two thirds dropped, so users
+    hold from 0 to 10 pairs in no particular item order."""
+    ds = small_synth(seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in ("interactions_source", "interactions_target"):
+        pairs = rng.permutation(getattr(ds, name))
+        setattr(ds, name, pairs[rng.random(len(pairs)) < 0.35])
+    return ds.validate()
+
+
+class TestSplitMatchesLoopReference:
+    @pytest.mark.parametrize("make_ds, seed", [
+        (micro_dataset, 11),
+        (lambda: small_synth(seed=0), 0),
+        (lambda: small_synth(seed=1, interactions_per_user=13), 4),
+        (lambda: small_synth(seed=2, interactions_per_user=7, source_density_ratio=3), 9),
+        (lambda: ragged_synth(3), 3),
+        (lambda: ragged_synth(4), 8),
+    ])
+    def test_same_pairs_same_order(self, make_ds, seed):
+        ds = make_ds()
+        split = split_per_user(ds, seed)
+        fields = (split.source_train, split.source_val, split.target_train,
+                  split.target_val, split.target_test)
+        for got, want in zip(fields, split_per_user_loop(ds, seed)):
+            assert got.dtype == np.int64 and got.shape == (len(want), 2)
+            assert rows(got) == want
+
+
+def _set(ds, **changes):
+    for name, value in changes.items():
+        setattr(ds, name, np.array(value))
+    return ds
+
+
+class TestValidateRejects:
+    @pytest.mark.parametrize("changes, message", [
+        (dict(interactions_source=[(0, 0), (4, 1)]), r"source interaction \(4,1\) out of range"),
+        (dict(interactions_target=[(0, 8)]), r"target interaction \(0,8\) out of range"),
+        (dict(interactions_target=[(0, 0), (1, 1), (0, 0)]), "duplicate"),
+        (dict(target_to_source=[0, -1, 0, -1, 3, -1]), "not injective"),
+        (dict(target_to_source=[0, -1, 1, -1, 4, -1]), "overlap value 4 not a source user"),
+        (dict(target_group=[0, 0, 1, -1, 0, 1]), r"1 target users lack a group label \(first: 3\)"),
+        (dict(target_group=[0, 0, 0, 0, 0, 0]), "two distinct group labels"),
+    ], ids=["source-range", "target-range", "duplicate", "non-injective",
+            "overlap-range", "unlabelled", "single-group"])
+    def test_bad_input(self, changes, message):
+        with pytest.raises(DataError, match=message):
+            _set(micro_dataset(), **changes).validate()
 
 
 class TestSynthetic:
     def test_determinism(self):
         a = small_synth(seed=7)
         b = small_synth(seed=7)
-        assert a.interactions_source == b.interactions_source
-        assert a.interactions_target == b.interactions_target
-        assert a.groups == b.groups
+        np.testing.assert_array_equal(a.interactions_source, b.interactions_source)
+        np.testing.assert_array_equal(a.interactions_target, b.interactions_target)
+        np.testing.assert_array_equal(a.target_group, b.target_group)
 
     def test_capacity_error(self):
         with pytest.raises(DataError):
@@ -228,9 +285,9 @@ class TestSynthetic:
 class TestWriters:
     def test_attribute_roundtrip(self, tmp_path, synth_ds):
         p = tmp_path / "a.tsv"
-        write_attributes(p, synth_ds.groups, synth_ds.raw_ids["users_target"],
+        write_attributes(p, synth_ds.target_group, synth_ds.raw_ids["users_target"],
                          synth_ds.group_labels)
         mapping, labels = load_attributes(p)
         assert labels == synth_ds.group_labels
-        for u, g in synth_ds.groups.items():
+        for u, g in enumerate(synth_ds.target_group):
             assert mapping[synth_ds.raw_ids["users_target"][u]] == g

@@ -64,7 +64,7 @@ class TestProbHeads:
 
     def test_shared_mode_source_equals_target(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=2)
-        for t in micro_ds.overlap:
+        for t in micro_ds.overlap_arrays()[0].tolist():
             for item in range(4):
                 assert prob_source(bb, t, item) == pytest.approx(
                     prob_target(bb, t, item), abs=1e-15
@@ -75,7 +75,7 @@ class TestJointHead:
     def test_zero_final_layer_gives_half(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=1)
         est = zeroed_estimator(4, seed=1)  # final layer zero at init
-        for t in micro_ds.overlap:
+        for t in micro_ds.overlap_arrays()[0].tolist():
             for item in range(3):
                 assert prob_joint(bb, est, t, item) == pytest.approx(0.5, abs=1e-12)
 
@@ -83,7 +83,7 @@ class TestJointHead:
         # d=2, one hidden layer of width 2, weights set by hand
         bb = init(micro_ds, 2, "shared", seed=0)
         bb.user_pool[bb.target_slot[0]] = [1.0, 2.0]  # overlap user 0
-        s_slot = bb.source_slot[micro_ds.overlap[0]]
+        s_slot = bb.source_slot[micro_ds.target_to_source[0]]
         assert s_slot == bb.target_slot[0]  # shared mode aliases
         bb.item_target[5] = [1.0, -1.0]
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
@@ -120,7 +120,7 @@ class TestEstimateGain:
         bb = self.manual_backbone(micro_ds, d=2)
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
         u = 0
-        s = micro_ds.overlap[u]
+        s = micro_ds.target_to_source[u]
         bb.item_target[0] = [1.0, 0.0]
         bb.user_pool[bb.target_slot[u]] = [0.0, 0.0]  # p_t = 0.5
         logit_s = math.log(0.6 / 0.4)
@@ -145,10 +145,10 @@ class TestEstimateGain:
         # head that outputs logit(1/4).
         bb = self.manual_backbone(micro_ds, d=2)
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
-        users = sorted(micro_ds.overlap)
+        users = micro_ds.overlap_arrays()[0].tolist()
         for u in users:
             bb.user_pool[bb.target_slot[u]] = [0.0, 0.0]
-            bb.user_pool[bb.source_slot[micro_ds.overlap[u]]] = [0.0, 0.0]
+            bb.user_pool[bb.source_slot[micro_ds.target_to_source[u]]] = [0.0, 0.0]
         bb.item_target[:] = 0.0
         bb.item_target[:, 0] = 1.0
         logit_quarter = math.log(0.25 / 0.75)
@@ -157,7 +157,7 @@ class TestEstimateGain:
         est.weights[1][:] = 0.0
         est.weights[1][0, 0] = logit_quarter
         est.biases[1][:] = 0.0
-        groups = [micro_ds.groups[u] for u in users]
+        groups = [micro_ds.target_group[u] for u in users]
         report = estimate_gain(bb, est, users, [0] * len(users), groups)
         assert report.delta_i[G0] == pytest.approx(0.0, abs=1e-9)
         assert report.delta_i[G1] == pytest.approx(0.0, abs=1e-9)
@@ -166,8 +166,8 @@ class TestEstimateGain:
     def test_equal_gains_zero_penalty(self, micro_ds):
         bb = self.manual_backbone(micro_ds)
         est = zeroed_estimator(4, seed=0)
-        users = sorted(micro_ds.overlap)
-        groups = [micro_ds.groups[u] for u in users]
+        users = micro_ds.overlap_arrays()[0].tolist()
+        groups = [micro_ds.target_group[u] for u in users]
         report = estimate_gain(bb, est, users, [1] * len(users), groups)
         gap = report.delta_i[G0] - report.delta_i[G1]
         assert report.redistribution_loss == pytest.approx(gap * gap, abs=1e-15)
@@ -176,7 +176,7 @@ class TestEstimateGain:
         bb = self.manual_backbone(micro_ds)
         est = zeroed_estimator(4)
         report = estimate_gain(bb, est, [1, 2, 5], [0, 0, 0],
-                               [micro_ds.groups[u] for u in [1, 2, 5]])
+                               [micro_ds.target_group[u] for u in [1, 2, 5]])
         # users 1 and 5 are non-overlapping; 2 is overlapping with group 1
         assert report.n_samples[G0] == 0
         assert report.n_samples[G1] == 1
@@ -187,9 +187,9 @@ class TestEstimateGain:
         bb.item_target[:] = 100.0
         est = zeroed_estimator(4)
         est.weights[-1][:] = 50.0
-        users = sorted(micro_ds.overlap)
+        users = micro_ds.overlap_arrays()[0].tolist()
         report = estimate_gain(bb, est, users, [0] * len(users),
-                               [micro_ds.groups[u] for u in users])
+                               [micro_ds.target_group[u] for u in users])
         assert math.isfinite(report.delta_i[G0])
         assert math.isfinite(report.redistribution_loss)
 
@@ -199,9 +199,9 @@ class TestRedistributionGradient:
         bb = init(micro_ds, 4, "dual", seed=9)
         est = GainEstimator(4, hidden=(8, 4), dropout=0.2, seed=9)
         est.weights[-1] = make_rng(1, "w").normal(0, 0.3, est.weights[-1].shape)
-        users = sorted(micro_ds.overlap)
+        users = micro_ds.overlap_arrays()[0].tolist()
         items = [1, 4, 6]
-        groups = [micro_ds.groups[u] for u in users]
+        groups = [micro_ds.target_group[u] for u in users]
 
         value, grads = redistribution_grads(bb, est, users, items, groups)
         assert value > 0
@@ -244,9 +244,9 @@ class TestRedistributionGradient:
         bb = init(micro_ds, 4, "shared", seed=9)
         est = GainEstimator(4, hidden=(8, 4), dropout=0.0, seed=9)
         est.weights[-1] += 0.1
-        users = sorted(micro_ds.overlap)
+        users = micro_ds.overlap_arrays()[0].tolist()
         value, grads = redistribution_grads(
-            bb, est, users, [0] * len(users), [micro_ds.groups[u] for u in users]
+            bb, est, users, [0] * len(users), [micro_ds.target_group[u] for u in users]
         )
         assert math.isfinite(value)
         for _, _, g in grads:

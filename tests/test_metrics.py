@@ -195,6 +195,15 @@ class TestEvaluate:
         for name in compared.metric_names():
             assert compared.p_values[name] == 1.0
 
+    def test_cutoff_beyond_catalogue(self):
+        from crossfair.data import split_per_user
+
+        ds = small_synth(n_items_target=12, interactions_per_user=10)
+        report = evaluate(init(ds, 8, "shared", seed=0), split_per_user(ds, 0), ds, ks=(5, 20))
+        # every item is ranked inside the top 20, so each test positive is a hit
+        assert report.overall["recall@20"] == 1.0
+        assert 0.0 < report.overall["ndcg@20"] <= 1.0
+
     def test_csv_layout(self, tmp_path):
         ds, model = self.trained()
         report = evaluate(model.backbone, model.split, ds, ks=(10, 20))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossfair.backbone import init
-from crossfair.data import G0, G1
+from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import DataError, NumericalError
 from crossfair.sampler import (
     GroupLossTracker,
@@ -20,6 +20,9 @@ from crossfair.sampler import (
     temperature,
 )
 from crossfair.seeding import make_rng
+
+from conftest import micro_dataset, small_synth
+from oracles import negative_pool_loop
 
 
 class TestTracker:
@@ -159,7 +162,29 @@ class TestTemperature:
 
 
 def make_pool(n_items, train_pairs, n_users):
-    return NegativePool(n_items, train_pairs, n_users)
+    return NegativePool(n_items, np.array(train_pairs, dtype=np.int64).reshape(-1, 2), n_users)
+
+
+class TestPoolMatchesLoopReference:
+    @pytest.mark.parametrize("make_ds, seed", [
+        (micro_dataset, 11),
+        (lambda: small_synth(seed=0), 0),
+        (lambda: small_synth(seed=1, interactions_per_user=13), 1),
+        (lambda: small_synth(seed=2, n_items_target=12, interactions_per_user=11), 2),
+    ])
+    def test_same_arrays(self, make_ds, seed):
+        ds = make_ds()
+        split = split_per_user(ds, seed)
+        for pairs, n_items, n_users in (
+            (split.target_train, ds.n_items_target, ds.n_users_target),
+            (split.source_train, ds.n_items_source, ds.n_users_source),
+        ):
+            # one extra user without positives
+            pool = NegativePool(n_items, pairs, n_users + 1)
+            want = negative_pool_loop(n_items, pairs.tolist(), n_users + 1)
+            for got, ref in zip((pool.lengths, pool.starts, pool.flat), want):
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, ref)
 
 
 class TestCandidates:

@@ -258,10 +258,10 @@ class TestCloudFromSnapshot:
                 "user_emb_target": bb.user_emb_target(),
                 "user_emb_source": bb.user_emb_source(),
             },
-            micro_ds.groups,
-            micro_ds.overlap,
+            dict(enumerate(micro_ds.target_group.tolist())),
+            dict(zip(*(ids.tolist() for ids in micro_ds.overlap_arrays()))),
         )
-        assert len(cloud.points) == micro_ds.n_users_target + len(micro_ds.overlap)
+        assert len(cloud.points) == micro_ds.n_users_target + 3
         assert (cloud.domain == "t").sum() == micro_ds.n_users_target
         np.testing.assert_allclose(
             cloud.select(domain="s"),

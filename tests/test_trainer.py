@@ -204,10 +204,9 @@ class TestFullObjectiveGradient:
         est = GainEstimator(4, hidden=(8, 4), dropout=0.2, seed=3)
         est.weights[-1] = make_rng(7, "w").normal(0, 0.3, est.weights[-1].shape)
 
-        pairs = micro_split.target_train[:8] + micro_split.source_train[:4]
+        pairs = np.concatenate([micro_split.target_train[:8], micro_split.source_train[:4]])
         domains = np.array([1] * 8 + [0] * 4)
-        users = np.array([p[0] for p in pairs])
-        pos = np.array([p[1] for p in pairs])
+        users, pos = pairs.T
         neg = (pos + 3) % 8
         groups_arr = micro_ds.group_array()
         overlap_mask = (domains == 1) & (bb.target_to_source[users] >= 0)
@@ -285,7 +284,7 @@ class TestTrainRuns:
         model = train(synth_ds, cfg, d=8, mode="shared")
         ref = init(synth_ds, 8, "shared", cfg.seed)
         # source-only user rows never touched
-        overlap_sources = set(synth_ds.overlap.values())
+        overlap_sources = set(synth_ds.overlap_arrays()[1].tolist())
         for s in range(synth_ds.n_users_source):
             if s not in overlap_sources:
                 slot = model.backbone.source_slot[s]
@@ -336,8 +335,8 @@ class TestTrainRuns:
         assert len(model.log) == 3
         assert all(np.isfinite(s.loss_total) for s in model.log)
         # overlap views stay independent storage in dual mode
-        t = next(iter(synth_ds.overlap))
-        s = synth_ds.overlap[t]
+        t = synth_ds.overlap_arrays()[0][0]
+        s = synth_ds.target_to_source[t]
         assert model.backbone.target_slot[t] != model.backbone.source_slot[s]
 
     def test_run_log_schema(self, synth_ds, tmp_path):
