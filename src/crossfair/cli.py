@@ -344,6 +344,7 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
         "sharing_mode": run_cfg.sharing_mode,
         "seed": run_cfg.seed,
         "epochs_run": len(model.log),
+        "dataset_sha256": ds.sha256(),
     }
     with open(out / "state.json", "w", encoding="utf-8") as fh:
         json.dump(state, fh, sort_keys=True, indent=2)
@@ -394,6 +395,11 @@ def cmd_eval(args) -> int:
                 f"snapshot table {name} has shape {snapshot[name].shape} but the dataset "
                 f"needs {(rows, d)}: evaluate with the dataset the run was trained on"
             )
+    # runs written before the fingerprint existed get the shape check only
+    stored = state.get("dataset_sha256")
+    if stored is not None and stored != ds.sha256():
+        raise DataError("the dataset differs from the one the run was trained on "
+                        "(dataset_sha256 mismatch): evaluate with that dataset")
     bb = backbone_mod.init(ds, d, state["sharing_mode"], state["seed"])
     # Restore from the stored tables; dual slots first, shared pool rebuilt
     # from the target table plus non-overlapping source rows.

@@ -12,6 +12,7 @@ overlapping users.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +195,16 @@ class CrossDomainDataset:
         """Overlap as parallel (target ids, source ids) arrays, sorted by target id."""
         t = np.flatnonzero(self.target_to_source >= 0)
         return t, self.target_to_source[t]
+
+    def sha256(self) -> str:
+        """Hex digest over the shapes and little-endian int64 bytes of the
+        interaction, overlap and group arrays, in that order."""
+        h = hashlib.sha256()
+        for arr in (self.interactions_source, self.interactions_target,
+                    self.target_to_source, self.target_group):
+            h.update(repr(tuple(arr.shape)).encode("ascii"))
+            h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        return h.hexdigest()
 
 
 def build_dataset(source: LoadedInteractions, target: LoadedInteractions,

@@ -140,6 +140,28 @@ class EvaluationReport:
                 writer.writerow([name, "ugf", repr(self.ugf[name])])
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's column ids of the min(k, n_cols) highest scores, by
+    descending score with ties broken by ascending id: the first columns of
+    a stable argsort of ``-scores``.
+
+    Rows are partitioned first and only the kept columns are sorted. A row
+    whose k-th score is shared by columns the partition left out (or is
+    NaN) could have kept the wrong tied ids, so it is sorted in full.
+    """
+    neg = -scores
+    k = min(k, scores.shape[1])
+    part = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(neg, part, axis=1)
+    order = np.lexsort((part, vals), axis=1)
+    top = np.take_along_axis(part, order, axis=1)
+    kth = np.take_along_axis(vals, order[:, -1:], axis=1)
+    redo = ((neg == kth).sum(axis=1) > (vals == kth).sum(axis=1)) | np.isnan(kth[:, 0])
+    if np.any(redo):
+        top[redo] = np.argsort(neg[redo], axis=1, kind="stable")[:, :k]
+    return top
+
+
 def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> EvaluationReport:
     """Full-ranking evaluation over every user with relevant items in the
     requested phase. During validation only training positives are excluded
@@ -167,8 +189,7 @@ def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> Evaluat
         scores[rows[kept], pairs[kept, 1]] = -np.inf
 
     kmax = max(ks)
-    # argsort is stable on the negated scores, so ties resolve by ascending id
-    top = np.argsort(-scores, axis=1, kind="stable")[:, :kmax]
+    top = top_k(scores, kmax)
 
     rel_rows = row_of[relevant[:, 0]]
     rel_mask = np.zeros((len(users), ds.n_items_target), dtype=bool)

@@ -70,13 +70,13 @@ class GroupLossTracker:
         losses = np.asarray(losses, dtype=np.float64)
         if not np.all(np.isfinite(losses)):
             raise NumericalError("non-finite loss in batch")
+        known = np.isin(groups, self.groups)
+        if not np.all(known):
+            raise DataError(f"unknown group {groups[~known][0].item()!r}")
         for g in self.groups:
             mask = groups == g
             self._sums[g] += float(losses[mask].sum())
             self._counts[g] += int(mask.sum())
-        known = np.isin(groups, self.groups)
-        if not np.all(known):
-            raise DataError(f"unknown group {groups[~known][0]!r}")
 
     def end_epoch(self) -> dict:
         emas = {}
@@ -175,9 +175,19 @@ def batch_candidates(pool: NegativePool, users: np.ndarray, size: int, rng):
     """Vectorized candidate draw for a batch of users.
 
     Returns (items, counts): an (n, size) matrix of item ids (-1 padding for
-    shrunk rows) and the per-row candidate count. Rows draw index tuples
-    uniformly and reject duplicates, which is equivalent to sampling without
-    replacement.
+    shrunk rows) and the per-row candidate count. Each row is a uniform
+    subset without replacement of the user's eligible items; the order
+    within a row carries no meaning. Rows fall in three bands by their
+    eligible count L:
+
+    - L <= size: every eligible item, in ascending order;
+    - L > size * (size - 1): index tuples drawn uniformly, and rows holding
+      a duplicate redrawn whole; by the union bound a row has a duplicate
+      with chance below 1/2, so fewer than two rounds are expected;
+    - otherwise: Floyd's subset algorithm (Bentley & Floyd, CACM 1987), one
+      column at a time for all rows at once. Column c draws t uniformly
+      from [0, j] with j = L - size + c and keeps j instead when t is
+      already taken, so every row gets exactly ``size`` distinct indices.
     """
     users = np.asarray(users, dtype=np.int64)
     lens = pool.lengths[users]
@@ -189,25 +199,38 @@ def batch_candidates(pool: NegativePool, users: np.ndarray, size: int, rng):
     counts = np.minimum(lens, size)
 
     take_all = lens <= size
-    fast = lens >= 2 * size  # rejection redraws stay cheap
-    slow = ~take_all & ~fast
+    redraw = lens > size * (size - 1)
+    floyd = ~take_all & ~redraw
 
-    if np.any(fast):
-        highs = lens[fast][:, None]
-        idx = rng.integers(0, highs, size=(int(fast.sum()), size))
+    if np.any(redraw):
+        highs = lens[redraw][:, None]
+        idx = rng.integers(0, highs, size=(int(redraw.sum()), size))
         bad = _rows_with_duplicates(idx)
         while np.any(bad):
             idx[bad] = rng.integers(0, highs[bad], size=(int(bad.sum()), size))
             bad = _rows_with_duplicates(idx)
-        items[fast] = pool.flat[pool.starts[users[fast]][:, None] + idx]
+        items[redraw] = pool.flat[pool.starts[users[redraw]][:, None] + idx]
 
     if np.any(take_all):
         cols = np.arange(size)
         short = lens[take_all][:, None]
         idx = pool.starts[users[take_all]][:, None] + np.minimum(cols, short - 1)
         items[take_all] = np.where(cols < short, pool.flat[idx], -1)
-    for row in np.nonzero(slow)[0]:
-        items[row] = rng.choice(pool.eligible(users[row]), size=size, replace=False)
+
+    if np.any(floyd):
+        band = lens[floyd]
+        m, width = len(band), int(band.max())
+        # column c draws from [0, j_c]: one call, consumed column by column
+        j = band - size + np.arange(size)[:, None]
+        t = rng.integers(0, j + 1)
+        # taken[r * width + i]: index i is already in row r; width <= size * (size - 1)
+        taken = np.zeros(m * width, dtype=bool)
+        base = np.arange(m) * width
+        for c in range(size):
+            # every earlier pick in the row is below j_c, so j_c is always free
+            np.copyto(t[c], j[c], where=taken[base + t[c]])
+            taken[base + t[c]] = True
+        items[floyd] = pool.flat[pool.starts[users[floyd]][:, None] + t.T]
     return items, counts
 
 

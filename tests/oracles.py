@@ -1,8 +1,10 @@
-"""Loop references for the vectorized data paths.
+"""References for the vectorized data and sampling paths.
 
-Each function is the per-pair Python loop the package used before its
-interactions became arrays; the tests require the array code to reproduce
-these outputs exactly, order included.
+The split and pool functions are the per-pair Python loops the package used
+before its interactions became arrays; ``batch_candidates_before_floyd`` is
+the candidate draw used before the Floyd band existed. The tests require
+the current code to reproduce these outputs exactly, order included, where
+the two are meant to agree.
 """
 
 import numpy as np
@@ -57,3 +59,41 @@ def negative_pool_loop(n_items, train_pairs, n_users):
     starts = np.zeros(n_users, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     return lengths, starts, np.concatenate(chunks)
+
+
+def batch_candidates_before_floyd(pool, users, size, rng):
+    """Candidate draw with whole-row redraws for rows of at least
+    ``2 * size`` eligible items and one ``rng.choice`` per row between
+    ``size`` and that."""
+    users = np.asarray(users, dtype=np.int64)
+    lens = pool.lengths[users]
+    n = len(users)
+    items = np.full((n, size), -1, dtype=np.int64)
+    counts = np.minimum(lens, size)
+
+    take_all = lens <= size
+    fast = lens >= 2 * size
+    slow = ~take_all & ~fast
+
+    if np.any(fast):
+        highs = lens[fast][:, None]
+        idx = rng.integers(0, highs, size=(int(fast.sum()), size))
+        bad = _rows_with_duplicates(idx)
+        while np.any(bad):
+            idx[bad] = rng.integers(0, highs[bad], size=(int(bad.sum()), size))
+            bad = _rows_with_duplicates(idx)
+        items[fast] = pool.flat[pool.starts[users[fast]][:, None] + idx]
+
+    if np.any(take_all):
+        cols = np.arange(size)
+        short = lens[take_all][:, None]
+        idx = pool.starts[users[take_all]][:, None] + np.minimum(cols, short - 1)
+        items[take_all] = np.where(cols < short, pool.flat[idx], -1)
+    for row in np.nonzero(slow)[0]:
+        items[row] = rng.choice(pool.eligible(users[row]), size=size, replace=False)
+    return items, counts
+
+
+def _rows_with_duplicates(idx):
+    s = np.sort(idx, axis=1)
+    return (s[:, 1:] == s[:, :-1]).any(axis=1)

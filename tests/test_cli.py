@@ -179,6 +179,30 @@ class TestEvalCommand:
         assert err.startswith("error: snapshot table") and "\n" not in err
         assert not (tmp_path / "e" / "report.json").exists()
 
+    def test_same_size_other_dataset_refused(self, tmp_path, cfg_file, capsys):
+        run_dir = tmp_path / "run"
+        run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
+        state = json.loads((run_dir / "state.json").read_text())
+        assert len(state["dataset_sha256"]) == 64
+        other = tmp_path / "other.cfg"
+        other.write_text(SYNTH_CFG + "rng_seed = 4\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("--config", other, "--out", tmp_path / "e", "--quiet", "eval",
+                   "--run", run_dir) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: the dataset differs") and "\n" not in err
+        assert not (tmp_path / "e" / "report.json").exists()
+
+    def test_state_without_fingerprint_still_evaluates(self, tmp_path, cfg_file):
+        run_dir = tmp_path / "run"
+        run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
+        state = json.loads((run_dir / "state.json").read_text())
+        del state["dataset_sha256"]
+        (run_dir / "state.json").write_text(json.dumps(state), encoding="utf-8")
+        out = tmp_path / "e"
+        assert run("--config", cfg_file, "--out", out, "--quiet", "eval", "--run", run_dir) == 0
+        assert (out / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
+
     def test_untrained_model_near_random_expectation(self, tmp_path, cfg_file):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(SYNTH_CFG.replace("epochs = 3", "epochs = 0"), encoding="utf-8")

@@ -16,6 +16,7 @@ from crossfair.metrics import (
     paired_ttest,
     rank_items,
     recall_at_k,
+    top_k,
     ugf,
 )
 from crossfair.trainer import TrainConfig, train
@@ -48,6 +49,36 @@ class TestRankItems:
         order = rank_items(bb, 0)
         tied = [i for i in order if bb.item_target[i, 0] == 0.3]
         assert tied == sorted(tied)
+
+
+def stable_argsort_top(scores, k):
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+class TestTopK:
+    """``top_k`` must give exactly the first columns of the stable argsort."""
+
+    def test_ties_at_cutoff(self):
+        rng = np.random.default_rng(0)
+        scores = np.round(rng.normal(size=(300, 200)), 1)
+        for k in (1, 10, 50, 199):
+            np.testing.assert_array_equal(top_k(scores, k), stable_argsort_top(scores, k))
+        # the k-th score shared inside and outside the kept columns
+        row = np.array([[3.0, 1.0, 2.0, 1.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(top_k(row, 3), [[0, 2, 1]])
+
+    def test_all_scores_tied(self):
+        scores = np.full((7, 40), 0.25)
+        np.testing.assert_array_equal(top_k(scores, 10), np.tile(np.arange(10), (7, 1)))
+
+    def test_cutoff_beyond_non_excluded_items(self):
+        rng = np.random.default_rng(1)
+        scores = rng.normal(size=(50, 30))
+        scores[rng.random(scores.shape) < 0.8] = -np.inf
+        scores[0] = -np.inf
+        for k in (5, 20, 30, 45):
+            np.testing.assert_array_equal(top_k(scores, k),
+                                          stable_argsort_top(scores, k))
 
 
 class TestRecall:

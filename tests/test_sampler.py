@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
@@ -22,7 +24,7 @@ from crossfair.sampler import (
 from crossfair.seeding import make_rng
 
 from conftest import micro_dataset, small_synth
-from oracles import negative_pool_loop
+from oracles import batch_candidates_before_floyd, negative_pool_loop
 
 
 class TestTracker:
@@ -66,6 +68,16 @@ class TestTracker:
         tr = GroupLossTracker()
         with pytest.raises(DataError):
             tr.accumulate_sample_loss(7, 1.0)
+
+    def test_unknown_group_in_batch_leaves_tracker_unchanged(self):
+        tr = GroupLossTracker(beta=0.9)
+        tr.accumulate_many([G0, G1], [1.0, 2.0])
+        tr.end_epoch()
+        tr.accumulate_many([G0, G1, G1], [0.5, 1.5, 2.5])
+        before = (tr.state(), dict(tr._sums), dict(tr._counts))
+        with pytest.raises(DataError, match="unknown group 7"):
+            tr.accumulate_many([G0, 7, G1], [3.0, 4.0, 5.0])
+        assert (tr.state(), tr._sums, tr._counts) == before
 
     def test_first_epoch_empty_group_errors(self):
         tr = GroupLossTracker()
@@ -232,6 +244,65 @@ class TestCandidates:
         items, counts = batch_candidates(pool, users, 5, make_rng(4, "ex"))
         assert np.all(counts == 5)
         assert items.min() >= 15
+
+
+def mixed_band_pool(size, rng):
+    """Users whose eligible counts span the take-all, Floyd and redraw bands,
+    band edges included; returns the pool and a users x items positive mask."""
+    edge = size * (size - 1)
+    n_items = edge + 8
+    lengths = sorted({1, size, size + 1, 2 * size, edge, edge + 1, n_items,
+                      *rng.integers(1, n_items + 1, 12).tolist()})
+    positive = np.zeros((len(lengths), n_items), dtype=bool)
+    for u, n_elig in enumerate(lengths):
+        positive[u, rng.permutation(n_items)[: n_items - n_elig]] = True
+    pool = NegativePool(n_items, np.argwhere(positive), len(lengths))
+    np.testing.assert_array_equal(pool.lengths, lengths)
+    return pool, positive
+
+
+class TestCandidateBands:
+    @pytest.mark.parametrize("n_items", [4, 5, 6])
+    def test_floyd_subsets_uniform(self, n_items):
+        # 3 of 4..6 eligible items lies in the Floyd band (size < L <= 6)
+        pool = make_pool(n_items, [], 1)
+        n = 30_000
+        items, counts = batch_candidates(pool, np.zeros(n, dtype=np.int64), 3,
+                                         make_rng(n_items, "floyd-chi2"))
+        assert np.all(counts == 3)
+        subsets = {s: k for k, s in enumerate(combinations(range(n_items), 3))}
+        codes = np.array([subsets[tuple(sorted(row))] for row in items.tolist()])
+        observed = np.bincount(codes, minlength=len(subsets))
+        assert chisquare(observed).pvalue > 0.001
+
+    @pytest.mark.parametrize("size", [2, 8, 32, 64])
+    def test_mixed_bands_distinct_and_eligible(self, size):
+        rng = make_rng(size, "bands")
+        pool, positive = mixed_band_pool(size, rng)
+        users = rng.integers(0, len(positive), 2000)
+        items, counts = batch_candidates(pool, users, size, rng)
+        np.testing.assert_array_equal(counts, np.minimum(pool.lengths[users], size))
+        cols = np.arange(size)
+        drawn = cols < counts[:, None]
+        assert np.all(items[~drawn] == -1)
+        assert np.all(items[drawn] >= 0)
+        assert not np.any(positive[users[:, None], np.maximum(items, 0)] & drawn)
+        s = np.sort(np.where(drawn, items, -1 - cols), axis=1)
+        assert not np.any(s[:, 1:] == s[:, :-1])
+
+    @pytest.mark.parametrize("size, n_items, per_user", [(1, 5, 3), (2, 9, 5), (8, 120, 40),
+                                                         (8, 1000, 16)])
+    def test_redraw_band_matches_previous_draw(self, size, n_items, per_user):
+        rng = make_rng(size, "redraw")
+        pairs = [(u, int(i)) for u in range(50)
+                 for i in rng.choice(n_items, per_user, replace=False)]
+        pool = make_pool(n_items, pairs, 50)
+        assert np.all(pool.lengths > size * (size - 1))
+        users = rng.integers(0, 50, 500)
+        got = batch_candidates(pool, users, size, make_rng(0, "same"))
+        want = batch_candidates_before_floyd(pool, users, size, make_rng(0, "same"))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDistribution:
