@@ -14,14 +14,13 @@ from .data import (
 from .backbone import Backbone, init, load_snapshot, save_snapshot
 from .sampler import GroupLossTracker, SamplerConfig, temperature
 from .gain import EpochSnapshot, GainEstimator, GainReport, estimate_gain
-from .trainer import Adam, TrainConfig, TrainedModel, bpr_loss, train
-from .metrics import EvaluationReport, evaluate, ndcg_at_k, paired_ttest, recall_at_k, ugf
+from .trainer import Adam, TrainConfig, TrainedModel, train
+from .metrics import EvaluationReport, evaluate, paired_ttest, ugf
 from .theory import (
     BoundReport,
     EmbeddingCloud,
     deviation_bound,
     lipschitz_estimate,
-    preservation_check,
     rademacher_estimate,
     theorem1_bound,
     wasserstein1,
@@ -45,7 +44,6 @@ __all__ = [
     "SynthConfig",
     "TrainConfig",
     "TrainedModel",
-    "bpr_loss",
     "deviation_bound",
     "estimate_gain",
     "evaluate",
@@ -56,11 +54,8 @@ __all__ = [
     "load_dataset",
     "load_interactions",
     "load_snapshot",
-    "ndcg_at_k",
     "paired_ttest",
-    "preservation_check",
     "rademacher_estimate",
-    "recall_at_k",
     "save_snapshot",
     "split_per_user",
     "temperature",

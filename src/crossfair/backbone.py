@@ -58,18 +58,6 @@ class Backbone:
 
     # -- views ---------------------------------------------------------------
 
-    def user_target_vector(self, user: int) -> np.ndarray:
-        self._check_target_user(user)
-        return self.user_pool[self.target_slot[user]]
-
-    def user_source_vector(self, target_user: int) -> np.ndarray:
-        """Source-domain view of an overlapping target user."""
-        self._check_target_user(target_user)
-        s = self.target_to_source[target_user]
-        if s < 0:
-            raise DataError(f"target user {target_user} has no source identity")
-        return self.user_pool[self.source_slot[s]]
-
     def user_target_vectors(self, users) -> np.ndarray:
         return self.user_pool[self.target_slot[np.asarray(users, dtype=np.int64)]]
 
@@ -81,18 +69,6 @@ class Backbone:
         if np.any(s < 0):
             raise DataError("source view requested for a non-overlapping user")
         return self.source_slot[s]
-
-    # -- scoring -------------------------------------------------------------
-
-    def score(self, user: int, item: int) -> float:
-        self._check_target_user(user)
-        if not 0 <= item < self.n_items_target:
-            raise DataError(f"target item {item} out of range")
-        return float(self.user_pool[self.target_slot[user]] @ self.item_target[item])
-
-    def _check_target_user(self, user: int):
-        if not 0 <= user < self.n_users_target:
-            raise DataError(f"target user {user} out of range")
 
     # -- materialized tables ---------------------------------------------------
 
@@ -163,8 +139,11 @@ def save_snapshot(backbone: Backbone, path):
 
 def load_snapshot(path) -> dict:
     """Read a snapshot file back into float64 arrays."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != SNAPSHOT_MAGIC:
         raise DataError(f"{path}: bad snapshot magic")
     (version,) = struct.unpack_from("<I", blob, 4)

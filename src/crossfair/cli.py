@@ -24,6 +24,7 @@ from . import theory as theory_mod
 from .data import (
     CrossDomainDataset,
     SynthConfig,
+    _read_tsv_rows,
     generate_synthetic,
     load_attributes,
     load_dataset,
@@ -495,39 +496,34 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_two_column_tsv(path, a_col, b_col):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    try:
-        ai, bi = header.index(a_col), header.index(b_col)
-    except ValueError:
-        raise DataError(f"{path}: header must name {a_col} and {b_col}")
-    out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
+def _int_ids(path, values) -> np.ndarray:
+    """Dense integer user ids from TSV cells."""
+    out = np.empty(len(values), dtype=np.int64)
+    for k, value in enumerate(values):
         try:
-            out[int(cols[ai])] = cols[bi]
-        except (ValueError, IndexError):
-            raise DataError(f"{path}:{lineno}: malformed row")
+            out[k] = int(value)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: user id {value!r} is not a dense integer id") from None
     return out
+
+
+def _read_overlap(path):
+    """(target ids, source ids) from an overlap TSV."""
+    header, rows = _read_tsv_rows(path)
+    try:
+        cols = header.index("target_user_id"), header.index("source_user_id")
+    except ValueError:
+        raise DataError(f"{path}: header must name target_user_id and source_user_id")
+    return tuple(_int_ids(path, [row[c] for _, row in rows]) for c in cols)
 
 
 def cmd_theory(args) -> int:
     snapshot = backbone_mod.load_snapshot(args.snapshot)
     attr_map, _labels = load_attributes(args.attrs)
-    groups = {}
-    for raw, g in attr_map.items():
-        try:
-            groups[int(raw)] = g
-        except ValueError:
-            raise DataError("theory attrs must use dense integer target user ids")
-    overlap = {t: int(s) for t, s in _read_two_column_tsv(
-        args.overlap, "target_user_id", "source_user_id").items()}
-    cloud = theory_mod.cloud_from_snapshot(snapshot, groups, overlap)
+    cloud = theory_mod.cloud_from_snapshot(
+        snapshot, _int_ids(args.attrs, list(attr_map)), list(attr_map.values()),
+        *_read_overlap(args.overlap),
+    )
     if args.lf == "auto":
         items = snapshot["item_emb_target"]
         rng_items = min(64, len(items))

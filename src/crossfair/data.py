@@ -60,12 +60,11 @@ def _read_tsv_rows(path):
     return header, rows
 
 
-def load_interactions(path, id_remap: bool = True) -> LoadedInteractions:
+def load_interactions(path) -> LoadedInteractions:
     """Parse an interactions TSV into deduplicated dense (user, item) pairs.
 
-    With ``id_remap`` raw ids are densified in first-seen order; otherwise
-    the raw ids must already be integers and are used as-is. Duplicate pairs
-    keep their first occurrence.
+    Raw ids are densified in first-seen order. Duplicate pairs keep their
+    first occurrence.
     """
     header, rows = _read_tsv_rows(path)
     try:
@@ -78,30 +77,12 @@ def load_interactions(path, id_remap: bool = True) -> LoadedInteractions:
 
     user_map: dict = {}
     item_map: dict = {}
-    users, items = [], []
-    for lineno, cols in rows:
-        ru, ri = cols[ucol], cols[icol]
-        if id_remap:
-            users.append(user_map.setdefault(ru, len(user_map)))
-            items.append(item_map.setdefault(ri, len(item_map)))
-        else:
-            try:
-                users.append(int(ru))
-                items.append(int(ri))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer id with id_remap off")
+    users = [user_map.setdefault(cols[ucol], len(user_map)) for _, cols in rows]
+    items = [item_map.setdefault(cols[icol], len(item_map)) for _, cols in rows]
     pairs = np.array([users, items], dtype=np.int64).T
-    negative = np.flatnonzero((pairs < 0).any(axis=1))
-    if len(negative):
-        raise DataError(f"{path}:{rows[negative[0]][0]}: negative id")
     _, first = np.unique(pairs, axis=0, return_index=True)
-    pairs = pairs[np.sort(first)]
-    if id_remap:
-        user_ids, item_ids = list(user_map), list(item_map)
-    else:
-        user_ids = [str(u) for u in range(pairs[:, 0].max() + 1)]
-        item_ids = [str(i) for i in range(pairs[:, 1].max() + 1)]
-    return LoadedInteractions(pairs=pairs, user_ids=user_ids, item_ids=item_ids)
+    return LoadedInteractions(pairs=pairs[np.sort(first)], user_ids=list(user_map),
+                              item_ids=list(item_map))
 
 
 def load_attributes(path):

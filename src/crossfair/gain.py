@@ -78,13 +78,6 @@ class GainEstimator:
         out = h @ self.weights[-1].T + self.biases[-1]
         return out, {"acts": acts, "masks": masks}
 
-    def fuse(self, user_target_vecs, user_source_vecs) -> np.ndarray:
-        x = np.concatenate(
-            [np.atleast_2d(user_target_vecs), np.atleast_2d(user_source_vecs)], axis=1
-        )
-        out, _ = self.forward(x)
-        return out
-
     def input_gradient(self, cache, upstream: np.ndarray) -> np.ndarray:
         """Gradient of (output . upstream) with respect to the input rows."""
         g = np.atleast_2d(upstream) @ self.weights[-1]
@@ -156,38 +149,14 @@ class GainReport:
     redistribution_loss: float
     n_samples: dict
 
-    def gap(self) -> float:
-        return self.delta_i[G0] - self.delta_i[G1]
-
 
 # -- probability heads --------------------------------------------------------
-
-
-def prob_source(backbone, target_user: int, target_item: int) -> float:
-    """sigmoid(score of the user's source view against the target item)."""
-    u = backbone.user_source_vector(target_user)
-    return float(clamp_prob(sigmoid(float(u @ backbone.item_target[target_item]))))
-
-
-def prob_target(backbone, target_user: int, target_item: int) -> float:
-    u = backbone.user_target_vector(target_user)
-    return float(clamp_prob(sigmoid(float(u @ backbone.item_target[target_item]))))
-
-
-def prob_joint(backbone, estimator: GainEstimator, target_user: int, target_item: int) -> float:
-    """sigmoid(fused(target view, source view) . target item), dropout off."""
-    u_t = backbone.user_target_vector(target_user)
-    u_s = backbone.user_source_vector(target_user)
-    fused = estimator.fuse(u_t, u_s)[0]
-    return float(clamp_prob(sigmoid(float(fused @ backbone.item_target[target_item]))))
 
 
 def _batch_heads(backbone, estimator, users, items):
     """Vectorized heads for overlapping target users. Returns logits,
     clamped probabilities, and the forward cache needed for gradients.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
     u_t = backbone.user_target_vectors(users)
     s_slots = backbone.source_slots_of_targets(users)
     u_s = backbone.user_pool[s_slots]
@@ -209,8 +178,14 @@ def _batch_heads(backbone, estimator, users, items):
     }
 
 
-def _overlap_mask(backbone, users) -> np.ndarray:
-    return backbone.target_to_source[np.asarray(users, dtype=np.int64)] >= 0
+def _gain_terms(backbone, estimator, users, items, groups):
+    """Heads over the overlapping-user samples of a batch, their per-sample
+    log(p_joint / (p_source * p_target)) terms, and their groups."""
+    users = np.asarray(users, dtype=np.int64)
+    mask = backbone.target_to_source[users] >= 0
+    heads = _batch_heads(backbone, estimator, users[mask], np.asarray(items, dtype=np.int64)[mask])
+    terms = np.log(heads["p_j"]) - np.log(heads["p_s"]) - np.log(heads["p_t"])
+    return heads, terms, np.asarray(groups)[mask]
 
 
 def estimate_gain(backbone, estimator: GainEstimator, users, items, groups) -> GainReport:
@@ -218,22 +193,16 @@ def estimate_gain(backbone, estimator: GainEstimator, users, items, groups) -> G
     overlapping-user positives in the batch. A group without qualifying
     samples contributes gain 0 and is flagged by n_samples.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    if users.size == 0:
+    if np.size(users) == 0:
         raise DataError("empty batch")
-    mask = _overlap_mask(backbone, users)
+    _, terms, sample_groups = _gain_terms(backbone, estimator, users, items, groups)
     delta = {G0: 0.0, G1: 0.0}
     counts = {G0: 0, G1: 0}
-    if np.any(mask):
-        heads = _batch_heads(backbone, estimator, users[mask], items[mask])
-        terms = np.log(heads["p_j"]) - np.log(heads["p_s"]) - np.log(heads["p_t"])
-        sample_groups = np.asarray(groups)[mask]
-        for g in (G0, G1):
-            sel = sample_groups == g
-            counts[g] = int(sel.sum())
-            if counts[g] > 0:
-                delta[g] = float(terms[sel].mean())
+    for g in (G0, G1):
+        sel = sample_groups == g
+        counts[g] = int(sel.sum())
+        if counts[g] > 0:
+            delta[g] = float(terms[sel].mean())
     gap = delta[G0] - delta[G1]
     return GainReport(delta_i=delta, redistribution_loss=float(gap * gap), n_samples=counts)
 
@@ -247,20 +216,11 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
     contributions for the pool and target item table. Batches where fewer
     than two groups are represented contribute zero.
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    mask = _overlap_mask(backbone, users)
-    if not np.any(mask):
-        return 0.0, []
-    users, items = users[mask], items[mask]
-    sample_groups = np.asarray(groups)[mask]
+    heads, terms, sample_groups = _gain_terms(backbone, estimator, users, items, groups)
     n0 = int((sample_groups == G0).sum())
     n1 = int((sample_groups == G1).sum())
     if n0 == 0 or n1 == 0:
         return 0.0, []
-
-    heads = _batch_heads(backbone, estimator, users, items)
-    terms = np.log(heads["p_j"]) - np.log(heads["p_s"]) - np.log(heads["p_t"])
     gap = float(terms[sample_groups == G0].mean() - terms[sample_groups == G1].mean())
     value = gap * gap
 
@@ -283,12 +243,10 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
     g_us = c_s[:, None] * i_t + d_x[:, d:]
     g_it = c_j[:, None] * fused + c_s[:, None] * u_s + c_t[:, None] * u_t
 
-    target_slots = backbone.target_slot[users]
-    source_slots = heads["s_slots"]
     grads = [
-        ("user_pool", target_slots, g_ut),
-        ("user_pool", source_slots, g_us),
-        ("item_target", items, g_it),
+        ("user_pool", backbone.target_slot[heads["users"]], g_ut),
+        ("user_pool", heads["s_slots"], g_us),
+        ("item_target", heads["items"], g_it),
     ]
     return value, grads
 

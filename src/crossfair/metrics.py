@@ -23,42 +23,6 @@ from .errors import DataError
 DEFAULT_KS = (10, 20)
 
 
-def rank_items(backbone, user: int, exclude=()) -> np.ndarray:
-    """All target items sorted by descending score, excluded ids dropped;
-    ties break by ascending item id."""
-    scores = backbone.item_target @ backbone.user_target_vector(user)
-    order = np.argsort(-scores, kind="stable")
-    if len(exclude) == 0:
-        return order
-    mask = np.ones(len(scores), dtype=bool)
-    mask[np.asarray(list(exclude), dtype=np.int64)] = False
-    return order[mask[order]]
-
-
-def recall_at_k(ranked, relevant, k: int) -> float:
-    if k < 1:
-        raise DataError("k must be >= 1")
-    if len(relevant) == 0:
-        raise DataError("relevant set must be nonempty")
-    rel = set(relevant)
-    hits = sum(1 for item in list(ranked)[:k] if item in rel)
-    return hits / len(rel)
-
-
-def ndcg_at_k(ranked, relevant, k: int) -> float:
-    if k < 1:
-        raise DataError("k must be >= 1")
-    if len(relevant) == 0:
-        raise DataError("relevant set must be nonempty")
-    rel = set(relevant)
-    dcg = 0.0
-    for rank, item in enumerate(list(ranked)[:k], start=1):
-        if item in rel:
-            dcg += 1.0 / math.log2(rank + 1)
-    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, len(rel)) + 1))
-    return dcg / ideal
-
-
 def ugf(group_means) -> float:
     """Absolute gap between the two group-mean metric values."""
     if G0 not in group_means or G1 not in group_means:

@@ -57,14 +57,6 @@ class GroupLossTracker:
         self._counts = {g: 0 for g in self.groups}
         self.epochs_completed = 0
 
-    def accumulate_sample_loss(self, group, loss: float):
-        if group not in self._sums:
-            raise DataError(f"unknown group {group!r}")
-        if not math.isfinite(loss):
-            raise NumericalError(f"non-finite loss {loss!r} for group {group!r}")
-        self._sums[group] += float(loss)
-        self._counts[group] += 1
-
     def accumulate_many(self, groups, losses):
         groups = np.asarray(groups)
         losses = np.asarray(losses, dtype=np.float64)
@@ -115,13 +107,6 @@ class GroupLossTracker:
             "epochs_completed": self.epochs_completed,
         }
 
-    @classmethod
-    def from_state(cls, state: dict) -> "GroupLossTracker":
-        tracker = cls(beta=state["beta"], groups=tuple(int(g) for g in state["ema"]))
-        tracker.ema = {int(g): v for g, v in state["ema"].items()}
-        tracker.epochs_completed = int(state["epochs_completed"])
-        return tracker
-
 
 def temperature(alpha: float, epsilon: float) -> float:
     """Softmax temperature exp(-epsilon * alpha); 1 when epsilon is 0."""
@@ -148,22 +133,6 @@ class NegativePool:
         # row-major flat indices u * n_items + i, reduced to item ids
         self.flat = np.flatnonzero(eligible)
         self.flat %= n_items
-
-    def eligible(self, user: int) -> np.ndarray:
-        s = self.starts[user]
-        return self.flat[s: s + self.lengths[user]]
-
-
-def build_candidates(pool: NegativePool, user: int, size: int, rng) -> np.ndarray:
-    """Uniform sample without replacement from the user's eligible items;
-    shrinks to all eligible items when fewer than ``size`` remain.
-    """
-    elig = pool.eligible(user)
-    if len(elig) == 0:
-        raise DataError(f"user {user} has no eligible negative items")
-    if len(elig) <= size:
-        return elig.copy()
-    return rng.choice(elig, size=size, replace=False)
 
 
 def _rows_with_duplicates(idx: np.ndarray) -> np.ndarray:
@@ -232,33 +201,6 @@ def batch_candidates(pool: NegativePool, users: np.ndarray, size: int, rng):
             taken[base + t[c]] = True
         items[floyd] = pool.flat[pool.starts[users[floyd]][:, None] + t.T]
     return items, counts
-
-
-def sampling_distribution(backbone, user: int, candidates, tau: float) -> np.ndarray:
-    """Softmax over the candidate scores at temperature tau."""
-    if tau <= 0:
-        raise NumericalError("temperature must be positive")
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
-        raise DataError("empty candidate set")
-    scores = backbone.item_target[candidates] @ backbone.user_target_vector(user)
-    return softmax(scores / tau)
-
-
-def sample_negative(backbone, tracker: GroupLossTracker, cfg: SamplerConfig,
-                    pool: NegativePool, user: int, group, rng) -> int:
-    """Draw one negative for the user.
-
-    Before the first completed epoch the draw is uniform over the candidate
-    set; afterwards candidates are weighted by exp(score / tau) with tau set
-    by the user's group gap.
-    """
-    candidates = build_candidates(pool, user, cfg.candidate_size, rng)
-    if tracker.epochs_completed < 1:
-        return int(candidates[rng.integers(0, len(candidates))])
-    tau = temperature(tracker.alpha(group), cfg.epsilon)
-    probs = sampling_distribution(backbone, user, candidates, tau)
-    return int(candidates[_draw_rows(probs[None, :], rng)[0]])
 
 
 def _draw_rows(probs: np.ndarray, rng) -> np.ndarray:

@@ -11,7 +11,6 @@ Rademacher complexity estimate over a finite probe function class.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -67,6 +66,8 @@ def wasserstein1(cloud_a, cloud_b, subsample_n: int = DEFAULT_SUBSAMPLE,
     b = np.atleast_2d(np.asarray(cloud_b, dtype=np.float64))
     if len(a) == 0 or len(b) == 0:
         raise DataError("empty cloud")
+    if subsample_n < 1 or repetitions < 1:
+        raise DataError("W1 subsample size and repetitions must be >= 1")
     n = min(len(a), len(b), subsample_n)
     if n == len(a) == len(b):
         return _matching_cost(a, b) / n
@@ -77,22 +78,6 @@ def wasserstein1(cloud_a, cloud_b, subsample_n: int = DEFAULT_SUBSAMPLE,
         sb = b if len(b) == n else b[rng.choice(len(b), size=n, replace=False)]
         total += _matching_cost(sa, sb) / n
     return total / repetitions
-
-
-def wasserstein1_exhaustive(cloud_a, cloud_b) -> float:
-    """Brute-force matching over all permutations; oracle for tiny sets."""
-    a = np.atleast_2d(np.asarray(cloud_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(cloud_b, dtype=np.float64))
-    if len(a) != len(b):
-        raise DataError("exhaustive matching needs equal sizes")
-    if len(a) > 8:
-        raise DataError("exhaustive matching is factorial; use <= 8 points")
-    d = cdist(a, b)
-    best = np.inf
-    for perm in itertools.permutations(range(len(b))):
-        cost = sum(d[i, j] for i, j in enumerate(perm))
-        best = min(best, cost)
-    return best / len(a)
 
 
 @dataclass
@@ -128,8 +113,8 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
     """Assemble the upper bound L_o*L_f*(source group gap + four shift terms
     + 2*domain shift) from empirical transport distances, alongside the
     directly-computed target group gap for the chain check."""
-    if l_o <= 0 or l_f <= 0:
-        raise DataError("Lipschitz constants must be positive")
+    if not (0 < l_o < np.inf and 0 < l_f < np.inf):
+        raise DataError("Lipschitz constants must be positive and finite")
     cells = {}
     for dom in ("s", "t"):
         for g in (G0, G1):
@@ -153,7 +138,7 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
     w1_target_gap = w1(cells[("t", G0)], cells[("t", G1)], "tgap")
     probe = probe_group_gap(cells[("t", G0)], cells[("t", G1)], seed=seed)
 
-    report = BoundReport(
+    return BoundReport(
         w1_source_gap=w1_source_gap,
         delta_t_g0=delta_t0,
         delta_t_g1=delta_t1,
@@ -167,21 +152,11 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
         probe_gap_target=probe,
         measured_ugf=measured_ugf,
         baseline_ugf=baseline_ugf,
-        preserved=None,
-        margin=None,
+        preserved=None if baseline_ugf is None else bool(rhs <= baseline_ugf),
+        margin=None if baseline_ugf is None else float(baseline_ugf - rhs),
         subsample_n=subsample_n,
         repetitions=repetitions,
     )
-    if baseline_ugf is not None:
-        report.preserved, report.margin = preservation_check(report, baseline_ugf)
-    return report
-
-
-def preservation_check(bound: BoundReport, gamma_ugf_baseline: float):
-    """True when the bound's right-hand side does not exceed the baseline
-    group gap; returns (verdict, margin)."""
-    margin = float(gamma_ugf_baseline - bound.rhs)
-    return bool(bound.rhs <= gamma_ugf_baseline), margin
 
 
 def probe_group_gap(points_a, points_b, n_projections: int = 64, seed: int = 0) -> float:
@@ -199,35 +174,24 @@ def probe_group_gap(points_a, points_b, n_projections: int = 64, seed: int = 0) 
     return float(gaps.max())
 
 
-def rademacher_estimate(sample_values, n_sign_draws: int = 200, seed: int = 0,
-                        exhaustive: bool = False):
+def rademacher_estimate(sample_values, n_sign_draws: int = 200, seed: int = 0):
     """Empirical Rademacher complexity of a finite function class given its
     evaluations (one row per function, one column per sample point).
 
     Returns (estimate, difference_class_estimate); the latter applies the
-    factor-2 closure bound for classes of pairwise differences. Exhaustive
-    mode enumerates all sign vectors (n <= 20 enforced).
+    factor-2 closure bound for classes of pairwise differences. The
+    expectation over sign vectors is estimated from ``n_sign_draws`` draws.
     """
     values = np.atleast_2d(np.asarray(sample_values, dtype=np.float64))
     n_funcs, n = values.shape
     if n_funcs < 1 or n < 1:
         raise DataError("need at least one function and one sample")
-    if exhaustive:
-        if n > 20:
-            raise DataError("exhaustive sign enumeration limited to n <= 20")
-        total = 0.0
-        for bits in range(2 ** n):
-            signs = np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n)])
-            total += np.max(values @ signs) / n
-        estimate = total / (2 ** n)
-    else:
-        if n_sign_draws < 1:
-            raise DataError("n_sign_draws must be >= 1")
-        rng = make_rng(seed, "rademacher-signs")
-        signs = rng.choice([-1.0, 1.0], size=(n_sign_draws, n))
-        sups = np.max(signs @ values.T, axis=1) / n
-        estimate = float(sups.mean())
-    return float(estimate), float(2.0 * estimate)
+    if n_sign_draws < 1:
+        raise DataError("n_sign_draws must be >= 1")
+    rng = make_rng(seed, "rademacher-signs")
+    signs = rng.choice([-1.0, 1.0], size=(n_sign_draws, n))
+    estimate = float((np.max(signs @ values.T, axis=1) / n).mean())
+    return estimate, 2.0 * estimate
 
 
 def deviation_bound(rademacher: float, b: float, n: int, delta: float) -> float:
@@ -263,26 +227,38 @@ def lipschitz_estimate(fn, points, n_pairs: int = 10000, seed: int = 0) -> float
     return float(np.max(num / denom[keep]))
 
 
-def cloud_from_snapshot(snapshot: dict, groups: dict, overlap: dict) -> EmbeddingCloud:
+def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
+                        overlap_targets, overlap_sources) -> EmbeddingCloud:
     """Build the labeled two-domain cloud used by the bound report.
 
-    Target points are all labeled target users; source points are the
-    source-view rows of overlapping users, labeled via their target identity.
+    Target points are the listed target users' rows, by ascending id, with
+    their groups; source points are the source-view rows of the overlapping
+    (target, source) pairs, by ascending target id, labeled with the target
+    user's group. Every id must index the snapshot's user tables, and every
+    overlap target must be a listed target user.
     """
-    emb_t = snapshot["user_emb_target"]
-    emb_s = snapshot["user_emb_source"]
-    t_ids = sorted(groups)
-    points = [emb_t[t_ids]]
-    domain = ["t"] * len(t_ids)
-    group = [groups[t] for t in t_ids]
-    o_ts = sorted(overlap.items())
-    if o_ts:
-        s_rows = np.array([s for _, s in o_ts], dtype=np.int64)
-        points.append(emb_s[s_rows])
-        domain += ["s"] * len(o_ts)
-        group += [groups[t] for t, _ in o_ts]
+    emb_t, emb_s = snapshot["user_emb_target"], snapshot["user_emb_source"]
+    t_ids = np.asarray(target_ids, dtype=np.int64)
+    o_t = np.asarray(overlap_targets, dtype=np.int64)
+    o_s = np.asarray(overlap_sources, dtype=np.int64)
+    for name, ids, n_rows in (("target", t_ids, len(emb_t)),
+                              ("overlap target", o_t, len(emb_t)),
+                              ("overlap source", o_s, len(emb_s))):
+        bad = (ids < 0) | (ids >= n_rows)
+        if np.any(bad):
+            raise DataError(f"{name} user id {ids[bad][0]} is not a row of the "
+                            f"snapshot's {n_rows}-row user table")
+    order = np.argsort(t_ids)
+    t_ids, groups = t_ids[order], np.asarray(target_groups, dtype=np.int64)[order]
+    order = np.argsort(o_t)
+    o_t, o_s = o_t[order], o_s[order]
+    if np.any(t_ids[1:] == t_ids[:-1]) or np.any(o_t[1:] == o_t[:-1]):
+        raise DataError("a target user id is listed twice")
+    listed = np.isin(o_t, t_ids)
+    if not np.all(listed):
+        raise DataError(f"overlap target user {o_t[~listed][0]} has no group attribute")
     return EmbeddingCloud(
-        points=np.concatenate(points, axis=0),
-        domain=np.array(domain),
-        group=np.array(group, dtype=np.int64),
+        points=np.concatenate([emb_t[t_ids], emb_s[o_s]], axis=0),
+        domain=np.repeat(["t", "s"], [len(t_ids), len(o_t)]),
+        group=np.concatenate([groups, groups[np.searchsorted(t_ids, o_t)]]),
     )

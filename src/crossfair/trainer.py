@@ -97,31 +97,24 @@ class Adam:
         if rows is None:
             if grad.shape != param.shape:
                 raise DataError(f"gradient shape {grad.shape} != parameter shape {param.shape}")
-            self.t[name] += 1
-            t = self.t[name]
-            m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * grad * grad
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # every row, updated in place without a gather or scatter
+            rows = slice(None)
         else:
             rows = np.asarray(rows, dtype=np.int64)
             if grad.shape != (len(rows),) + param.shape[1:]:
                 raise DataError("sparse gradient shape mismatch")
-            uniq, inv = np.unique(rows, return_inverse=True)
-            agg = np.zeros((len(uniq),) + param.shape[1:])
+            rows, inv = np.unique(rows, return_inverse=True)
+            agg = np.zeros((len(rows),) + param.shape[1:])
             np.add.at(agg, inv, grad)
-            self.t[name] += 1
-            t = self.t[name]
-            m, v = self.m[name], self.v[name]
-            m[uniq] = self.beta1 * m[uniq] + (1 - self.beta1) * agg
-            v[uniq] = self.beta2 * v[uniq] + (1 - self.beta2) * agg * agg
-            m_hat = m[uniq] / (1 - self.beta1 ** t)
-            v_hat = v[uniq] / (1 - self.beta2 ** t)
-            param[uniq] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            grad = agg
+        self.t[name] += 1
+        t = self.t[name]
+        m, v = self.m[name], self.v[name]
+        m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * grad
+        v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * grad * grad
+        m_hat = m[rows] / (1 - self.beta1 ** t)
+        v_hat = v[rows] / (1 - self.beta2 ** t)
+        param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_arrays(self) -> dict:
         out = {}
@@ -129,11 +122,6 @@ class Adam:
             out[f"m:{name}"] = self.m[name]
             out[f"v:{name}"] = self.v[name]
         return out
-
-
-def adam_step(state: Adam, name: str, param: np.ndarray, grad: np.ndarray, rows=None):
-    """Apply one Adam update in place; see Adam.step."""
-    state.step(name, param, grad, rows=rows)
 
 
 def bpr_terms(user_vecs, pos_vecs, neg_vecs, l2_reg: float):
@@ -155,40 +143,6 @@ def bpr_terms(user_vecs, pos_vecs, neg_vecs, l2_reg: float):
         + np.einsum("bd,bd->b", neg_vecs, neg_vecs)
     )
     return loss, rank_loss, g_user, g_pos, g_neg
-
-
-def bpr_loss(backbone: Backbone, user: int, pos_item: int, neg_item: int,
-             l2_reg: float = 0.0, domain: str = "target"):
-    """Single-triple BPR loss and gradients (target or source domain).
-
-    Returns (loss, grads) with grads keyed by (table, row).
-    """
-    if domain == "target":
-        u = backbone.user_target_vectors([user])
-        slot = backbone.target_slot[user]
-        table = backbone.item_target
-        item_name = "item_target"
-        for item in (pos_item, neg_item):
-            if not 0 <= item < backbone.n_items_target:
-                raise DataError(f"target item {item} out of range")
-    elif domain == "source":
-        u = backbone.source_user_vectors([user])
-        slot = backbone.source_slot[user]
-        table = backbone.item_source
-        item_name = "item_source"
-        for item in (pos_item, neg_item):
-            if not 0 <= item < backbone.n_items_source:
-                raise DataError(f"source item {item} out of range")
-    else:
-        raise DataError(f"unknown domain {domain!r}")
-    loss, _, g_u, g_i, g_j = bpr_terms(u, table[[pos_item]], table[[neg_item]], l2_reg)
-    grads = {
-        ("user_pool", int(slot)): g_u[0],
-        (item_name, int(pos_item)): g_i[0],
-    }
-    key = (item_name, int(neg_item))
-    grads[key] = grads.get(key, 0.0) + g_j[0]
-    return float(loss[0]), grads
 
 
 @dataclass
@@ -256,45 +210,33 @@ class _BatchPlan:
 
 
 def batch_objective(backbone: Backbone, estimator: GainEstimator, plan: _BatchPlan,
-                    cfg: TrainConfig, want_grads: bool = True):
+                    cfg: TrainConfig):
     """Objective value (sum of per-sample BPR losses plus gamma times the
-    redistribution penalty) with optional analytic gradients.
+    redistribution penalty) and its analytic gradients.
 
-    Returns (total, rec_sum, penalty, rank_losses_target, grads).
+    Returns (total, rec_sum, penalty, rank_losses_target, grads), where grads
+    lists (table, rows, grad_rows) contributions, target domain first.
     """
     tgt = plan.domains == 1
-    src = ~tgt
     grads = []
     rec_sum = 0.0
     rank_target = np.empty(int(tgt.sum()))
-
-    if np.any(tgt):
-        users = plan.users[tgt]
-        u = backbone.user_target_vectors(users)
-        pos, neg = plan.pos[tgt], plan.neg[tgt]
+    for mask, user_vectors, slot_of, item_name in (
+        (tgt, backbone.user_target_vectors, backbone.target_slot, "item_target"),
+        (~tgt, backbone.source_user_vectors, backbone.source_slot, "item_source"),
+    ):
+        if not np.any(mask):
+            continue
+        users, pos, neg = plan.users[mask], plan.pos[mask], plan.neg[mask]
+        table = backbone.parameters()[item_name]
         loss, rank, g_u, g_i, g_j = bpr_terms(
-            u, backbone.item_target[pos], backbone.item_target[neg], cfg.l2_reg
+            user_vectors(users), table[pos], table[neg], cfg.l2_reg
         )
         rec_sum += float(loss.sum())
-        rank_target = rank
-        if want_grads:
-            slots = backbone.target_slot[users]
-            grads.append(("user_pool", slots, g_u))
-            grads.append(("item_target", pos, g_i))
-            grads.append(("item_target", neg, g_j))
-    if np.any(src):
-        users = plan.users[src]
-        u = backbone.source_user_vectors(users)
-        pos, neg = plan.pos[src], plan.neg[src]
-        loss, _, g_u, g_i, g_j = bpr_terms(
-            u, backbone.item_source[pos], backbone.item_source[neg], cfg.l2_reg
-        )
-        rec_sum += float(loss.sum())
-        if want_grads:
-            slots = backbone.source_slot[users]
-            grads.append(("user_pool", slots, g_u))
-            grads.append(("item_source", pos, g_i))
-            grads.append(("item_source", neg, g_j))
+        if item_name == "item_target":
+            rank_target = rank
+        grads += [("user_pool", slot_of[users], g_u), (item_name, pos, g_i),
+                  (item_name, neg, g_j)]
 
     # The recommendation part sums per-sample losses, so the squared gain gap
     # is weighted by the batch sample count to keep gamma on the scale of the
@@ -302,19 +244,12 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, plan: _BatchPl
     penalty = 0.0
     scale = float(len(plan.users))
     if cfg.use_redistribution and cfg.gamma > 0 and len(plan.penalty_users) > 0:
-        if want_grads:
-            raw, pgrads = redistribution_grads(
-                backbone, estimator, plan.penalty_users, plan.penalty_items, plan.penalty_groups
-            )
-            penalty = scale * raw
-            for table, rows, g in pgrads:
-                grads.append((table, rows, cfg.gamma * scale * g))
-        else:
-            report = estimate_gain(
-                backbone, estimator, plan.penalty_users, plan.penalty_items, plan.penalty_groups
-            )
-            if report.n_samples[G0] > 0 and report.n_samples[G1] > 0:
-                penalty = scale * report.redistribution_loss
+        raw, pgrads = redistribution_grads(
+            backbone, estimator, plan.penalty_users, plan.penalty_items, plan.penalty_groups
+        )
+        penalty = scale * raw
+        for table, rows, g in pgrads:
+            grads.append((table, rows, cfg.gamma * scale * g))
 
     total = rec_sum + cfg.gamma * penalty
     return total, rec_sum, penalty, rank_target, grads
@@ -406,9 +341,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
             groups_arr, tracker, cfg, rng,
         )
         fair_draws += drew
-        total, rec, penalty, rank_target, grads = batch_objective(
-            backbone, estimator, plan, cfg, want_grads=True
-        )
+        total, rec, penalty, rank_target, grads = batch_objective(backbone, estimator, plan, cfg)
         if not np.isfinite(total):
             raise NumericalError(f"non-finite batch loss at epoch {epoch}")
         sum_rec += rec

@@ -1,15 +1,29 @@
-"""References for the vectorized data and sampling paths.
+"""Scalar references for the package's batched code paths.
 
 The split and pool functions are the per-pair Python loops the package used
 before its interactions became arrays; ``batch_candidates_before_floyd`` is
 the candidate draw used before the Floyd band existed. The tests require
 the current code to reproduce these outputs exactly, order included, where
 the two are meant to agree.
+
+The per-user functions (one BPR triple, one candidate set, one softmax
+draw, one probability head, one ranking) and the brute-force enumerations
+(W1 over all matchings, Rademacher complexity over all sign vectors) are
+the per-sample definitions the batched trainer, sampler, gain heads,
+evaluator and bound code must agree with.
 """
 
-import numpy as np
+import itertools
+import math
 
+import numpy as np
+from scipy.spatial.distance import cdist
+
+from crossfair.errors import DataError, NumericalError
+from crossfair.numerics import clamp_prob, sigmoid, softmax
+from crossfair.sampler import temperature
 from crossfair.seeding import make_rng
+from crossfair.trainer import bpr_terms
 
 
 def _per_user_lists(pairs):
@@ -90,10 +104,189 @@ def batch_candidates_before_floyd(pool, users, size, rng):
         idx = pool.starts[users[take_all]][:, None] + np.minimum(cols, short - 1)
         items[take_all] = np.where(cols < short, pool.flat[idx], -1)
     for row in np.nonzero(slow)[0]:
-        items[row] = rng.choice(pool.eligible(users[row]), size=size, replace=False)
+        items[row] = rng.choice(eligible(pool, users[row]), size=size, replace=False)
     return items, counts
 
 
 def _rows_with_duplicates(idx):
     s = np.sort(idx, axis=1)
     return (s[:, 1:] == s[:, :-1]).any(axis=1)
+
+
+# -- trainer -------------------------------------------------------------------
+
+
+def bpr_loss(backbone, user, pos_item, neg_item, l2_reg=0.0, domain="target"):
+    """Single-triple BPR loss and gradients (target or source domain).
+
+    Returns (loss, grads) with grads keyed by (table, row).
+    """
+    if domain == "target":
+        u = backbone.user_target_vectors([user])
+        slot = backbone.target_slot[user]
+        table, item_name = backbone.item_target, "item_target"
+    elif domain == "source":
+        u = backbone.source_user_vectors([user])
+        slot = backbone.source_slot[user]
+        table, item_name = backbone.item_source, "item_source"
+    else:
+        raise DataError(f"unknown domain {domain!r}")
+    for item in (pos_item, neg_item):
+        if not 0 <= item < len(table):
+            raise DataError(f"{domain} item {item} out of range")
+    loss, _, g_u, g_i, g_j = bpr_terms(u, table[[pos_item]], table[[neg_item]], l2_reg)
+    grads = {
+        ("user_pool", int(slot)): g_u[0],
+        (item_name, int(pos_item)): g_i[0],
+    }
+    key = (item_name, int(neg_item))
+    grads[key] = grads.get(key, 0.0) + g_j[0]
+    return float(loss[0]), grads
+
+
+# -- sampler -------------------------------------------------------------------
+
+
+def eligible(pool, user):
+    """The user's eligible negative items, ascending."""
+    s = pool.starts[user]
+    return pool.flat[s: s + pool.lengths[user]]
+
+
+def build_candidates(pool, user, size, rng):
+    """Uniform sample without replacement from the user's eligible items;
+    shrinks to all eligible items when fewer than ``size`` remain.
+    """
+    elig = eligible(pool, user)
+    if len(elig) == 0:
+        raise DataError(f"user {user} has no eligible negative items")
+    if len(elig) <= size:
+        return elig.copy()
+    return rng.choice(elig, size=size, replace=False)
+
+
+def sampling_distribution(backbone, user, candidates, tau):
+    """Softmax over the candidate scores at temperature tau."""
+    if tau <= 0:
+        raise NumericalError("temperature must be positive")
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if candidates.size == 0:
+        raise DataError("empty candidate set")
+    scores = backbone.item_target[candidates] @ backbone.user_target_vectors([user])[0]
+    return softmax(scores / tau)
+
+
+def sample_negative(backbone, tracker, cfg, pool, user, group, rng):
+    """Draw one negative for the user.
+
+    Before the first completed epoch the draw is uniform over the candidate
+    set; afterwards candidates are weighted by exp(score / tau) with tau set
+    by the user's group gap.
+    """
+    candidates = build_candidates(pool, user, cfg.candidate_size, rng)
+    if tracker.epochs_completed < 1:
+        return int(candidates[rng.integers(0, len(candidates))])
+    tau = temperature(tracker.alpha(group), cfg.epsilon)
+    probs = sampling_distribution(backbone, user, candidates, tau)
+    j = int((np.cumsum(probs) < rng.random()).sum())
+    return int(candidates[min(j, len(candidates) - 1)])
+
+
+# -- gain heads ----------------------------------------------------------------
+
+
+def _source_view(backbone, target_user):
+    return backbone.user_pool[backbone.source_slots_of_targets([target_user])[0]]
+
+
+def prob_source(backbone, target_user, target_item):
+    """sigmoid(score of the user's source view against the target item)."""
+    u = _source_view(backbone, target_user)
+    return float(clamp_prob(sigmoid(float(u @ backbone.item_target[target_item]))))
+
+
+def prob_target(backbone, target_user, target_item):
+    u = backbone.user_target_vectors([target_user])[0]
+    return float(clamp_prob(sigmoid(float(u @ backbone.item_target[target_item]))))
+
+
+def prob_joint(backbone, estimator, target_user, target_item):
+    """sigmoid(fused(target view, source view) . target item), dropout off."""
+    x = np.concatenate([backbone.user_target_vectors([target_user])[0],
+                        _source_view(backbone, target_user)])
+    fused = estimator.forward(x)[0][0]
+    return float(clamp_prob(sigmoid(float(fused @ backbone.item_target[target_item]))))
+
+
+# -- metrics -------------------------------------------------------------------
+
+
+def rank_items(backbone, user, exclude=()):
+    """All target items sorted by descending score, excluded ids dropped;
+    ties break by ascending item id."""
+    scores = backbone.item_target @ backbone.user_target_vectors([user])[0]
+    order = np.argsort(-scores, kind="stable")
+    if len(exclude) == 0:
+        return order
+    mask = np.ones(len(scores), dtype=bool)
+    mask[np.asarray(list(exclude), dtype=np.int64)] = False
+    return order[mask[order]]
+
+
+def recall_at_k(ranked, relevant, k):
+    if k < 1:
+        raise DataError("k must be >= 1")
+    if len(relevant) == 0:
+        raise DataError("relevant set must be nonempty")
+    rel = set(relevant)
+    hits = sum(1 for item in list(ranked)[:k] if item in rel)
+    return hits / len(rel)
+
+
+def ndcg_at_k(ranked, relevant, k):
+    if k < 1:
+        raise DataError("k must be >= 1")
+    if len(relevant) == 0:
+        raise DataError("relevant set must be nonempty")
+    rel = set(relevant)
+    dcg = 0.0
+    for rank, item in enumerate(list(ranked)[:k], start=1):
+        if item in rel:
+            dcg += 1.0 / math.log2(rank + 1)
+    ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, len(rel)) + 1))
+    return dcg / ideal
+
+
+# -- theory --------------------------------------------------------------------
+
+
+def wasserstein1_exhaustive(cloud_a, cloud_b):
+    """Brute-force matching over all permutations; for tiny equal-size sets."""
+    a = np.atleast_2d(np.asarray(cloud_a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(cloud_b, dtype=np.float64))
+    if len(a) != len(b):
+        raise DataError("exhaustive matching needs equal sizes")
+    if len(a) > 8:
+        raise DataError("exhaustive matching is factorial; use <= 8 points")
+    d = cdist(a, b)
+    best = np.inf
+    for perm in itertools.permutations(range(len(b))):
+        cost = sum(d[i, j] for i, j in enumerate(perm))
+        best = min(best, cost)
+    return best / len(a)
+
+
+def rademacher_exhaustive(sample_values):
+    """Exact empirical Rademacher complexity over all 2**n sign vectors
+    (n <= 20), and the factor-2 difference-class bound, as returned by
+    ``rademacher_estimate``."""
+    values = np.atleast_2d(np.asarray(sample_values, dtype=np.float64))
+    n = values.shape[1]
+    if n > 20:
+        raise DataError("exhaustive sign enumeration limited to n <= 20")
+    total = 0.0
+    for bits in range(2 ** n):
+        signs = np.array([1.0 if bits & (1 << i) else -1.0 for i in range(n)])
+        total += np.max(values @ signs) / n
+    estimate = total / (2 ** n)
+    return float(estimate), float(2.0 * estimate)

@@ -15,20 +15,31 @@ import pytest
 
 from crossfair.backbone import init
 from crossfair.cli import main as cli_main
-from crossfair.data import G0, G1, SynthConfig, generate_synthetic
+from crossfair.data import G0, G1, SplitDataset, SynthConfig, generate_synthetic
 from crossfair.gain import GainEstimator, estimate_gain
-from crossfair.metrics import evaluate, ndcg_at_k, recall_at_k, ugf
+from crossfair.metrics import evaluate, ugf
+from crossfair.numerics import softmax
 from crossfair.sampler import (
     GroupLossTracker,
+    NegativePool,
     SamplerConfig,
-    sampling_distribution,
+    batch_sample_negatives,
     temperature,
 )
 from crossfair.seeding import make_rng
-from crossfair.theory import rademacher_estimate, wasserstein1, wasserstein1_exhaustive
-from crossfair.trainer import Adam, TrainConfig, ablation_config, adam_step, bpr_loss, train
+from crossfair.theory import rademacher_estimate, wasserstein1
+from crossfair.trainer import Adam, TrainConfig, ablation_config, bpr_terms, train
 
 from conftest import micro_dataset
+from oracles import (
+    bpr_loss,
+    ndcg_at_k,
+    rademacher_exhaustive,
+    rank_items,
+    recall_at_k,
+    sampling_distribution,
+    wasserstein1_exhaustive,
+)
 from test_theory import gaussian_cloud
 from crossfair.theory import probe_group_gap, theorem1_bound
 
@@ -90,8 +101,7 @@ class TestCriterion1UnitOracles:
         ref = {G0: None, G1: None}
         for k in range(12):
             m0, m1 = rng.uniform(0.1, 3.0, 2)
-            tracker.accumulate_sample_loss(G0, m0)
-            tracker.accumulate_sample_loss(G1, m1)
+            tracker.accumulate_many([G0, G1], [m0, m1])
             emas = tracker.end_epoch()
             for g, m in ((G0, m0), (G1, m1)):
                 ref[g] = m if k == 0 else beta * ref[g] + (1 - beta) * m
@@ -119,6 +129,7 @@ class TestCriterion1UnitOracles:
             want = z / z.sum()
             assert np.abs(p - want).max() < 1e-9
             assert abs(p.sum() - 1.0) < 1e-12
+            assert np.abs(softmax(np.array([2.0, 1.0, 0.0]) / tau) - want).max() < 1e-9
 
     def test_bpr_and_adam(self):
         ds = micro_dataset()
@@ -126,16 +137,27 @@ class TestCriterion1UnitOracles:
         bb.item_target[0] = bb.item_target[1]
         loss, _ = bpr_loss(bb, 0, 0, 1, l2_reg=0.0)
         assert abs(loss - math.log(2.0)) < 1e-9
+        u = bb.user_target_vectors([0])
+        shipped = bpr_terms(u, bb.item_target[[0]], bb.item_target[[1]], 0.0)[0]
+        assert abs(shipped[0] - math.log(2.0)) < 1e-9
         bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
         bb.item_target[0] = [10.0, 0.0]
         bb.item_target[1] = [0.0, 0.0]
         loss, _ = bpr_loss(bb, 0, 0, 1, l2_reg=0.0)
         assert abs(loss - math.log1p(math.exp(-10.0))) < 1e-9
+        u = bb.user_target_vectors([0])
+        shipped = bpr_terms(u, bb.item_target[[0]], bb.item_target[[1]], 0.0)[0]
+        assert abs(shipped[0] - math.log1p(math.exp(-10.0))) < 1e-9
 
         adam = Adam(lr=0.001)
         param = np.array([0.5])
-        adam_step(adam, "p", param, np.array([1.0]))
+        adam.step("p", param, np.array([1.0]))
         assert abs((0.5 - param[0]) - 0.001 * 1.0 / (1.0 + 1e-8)) < 1e-9
+        # the sparse form takes the same first step on the rows it is given
+        table = np.full((3, 1), 0.5)
+        adam.step("table", table, np.array([[1.0]]), rows=[1])
+        assert abs((0.5 - table[1, 0]) - 0.001 * 1.0 / (1.0 + 1e-8)) < 1e-9
+        assert table[0, 0] == table[2, 0] == 0.5
 
     def test_gain_and_redistribution(self):
         ds = micro_dataset()
@@ -162,6 +184,23 @@ class TestCriterion1UnitOracles:
         for perm in itertools.permutations(items):
             want = len(set(perm[:3]) & relevant) / 2
             assert abs(recall_at_k(perm, relevant, 3) - want) < 1e-12
+
+        # the shipped evaluator on a known ranking: user 0 ranks items
+        # 5, 6, 3, 0, 1, 2, 4, 7 and holds out items 3 and 7
+        ds = micro_dataset()
+        bb = init(ds, 2, "shared", seed=0)
+        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.item_target[:] = [[5.0, 0.0], [4.0, 0.0], [3.0, 0.0], [6.0, 0.0],
+                             [2.0, 0.0], [8.0, 0.0], [7.0, 0.0], [1.0, 0.0]]
+        empty = np.empty((0, 2), dtype=np.int64)
+        split = SplitDataset(empty, empty, empty, empty, np.array([[0, 3], [0, 7], [2, 1]]))
+        report = evaluate(bb, split, ds, ks=(3, 10))
+        ranked = rank_items(bb, 0)
+        assert list(ranked) == [5, 6, 3, 0, 1, 2, 4, 7]
+        assert report.per_user["recall@3"][0] == 0.5 == recall_at_k(ranked, {3, 7}, 3)
+        want = (1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
+        assert abs(report.per_user["ndcg@3"][0] - want) < 1e-12
+        assert abs(ndcg_at_k(ranked, {3, 7}, 3) - want) < 1e-12
 
     def test_w1_vs_permutation_enumeration(self):
         for n in (2, 3, 5, 7):
@@ -214,9 +253,9 @@ class TestCriterion2Gradients:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, *_ = batch_objective(bb, est, plan, cfg, want_grads=False)
+                up, *_ = batch_objective(bb, est, plan, cfg)
                 arr[idx] = orig - h
-                dn, *_ = batch_objective(bb, est, plan, cfg, want_grads=False)
+                dn, *_ = batch_objective(bb, est, plan, cfg)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * h)
                 an = dense[name][idx]
@@ -238,6 +277,11 @@ class TestCriterion3SamplerStats:
             bb.item_target[idx] = [s, 0.0]
         candidates = list(range(8))
         rng = make_rng(1, "acc-mc")
+        # every item is eligible and the candidate set holds all 8, so the
+        # shipped sampler draws from the softmax over the whole catalogue
+        pool = NegativePool(8, np.empty((0, 2), dtype=np.int64), ds.n_users_target)
+        users = np.zeros(100_000, dtype=np.int64)
+        batch_rng = make_rng(1, "acc-mc-batch")
         argmax_masses = []
         for tau in (0.5, 1.0, 2.0):
             p = sampling_distribution(bb, 0, candidates, tau)
@@ -245,6 +289,10 @@ class TestCriterion3SamplerStats:
             freqs = np.bincount(draws, minlength=8) / 100_000
             l1 = np.abs(freqs - p).sum()
             assert l1 < 0.02
+            draws = batch_sample_negatives(bb, pool, users, np.full(len(users), tau), 8,
+                                           batch_rng)
+            freqs = np.bincount(draws, minlength=8) / 100_000
+            assert np.abs(freqs - p).sum() < 0.02
             argmax_masses.append(p[0])
         assert argmax_masses[0] >= argmax_masses[1] >= argmax_masses[2]
         say(3, "empirical draw frequencies match the softmax law; argmax mass "
@@ -337,11 +385,13 @@ class TestCriterion7TheoryBounds:
     def test_exhaustive_rademacher_exact(self):
         for n in (2, 6, 12):
             values = make_rng(n, "acc-rad").normal(0, 1, (3, n))
-            est, _ = rademacher_estimate(values, exhaustive=True)
+            est, _ = rademacher_exhaustive(values)
             total = 0.0
             for signs in itertools.product([-1.0, 1.0], repeat=n):
                 total += max(float(np.dot(row, signs)) for row in values) / n
             assert abs(est - total / 2 ** n) < 1e-12
+            mc, _ = rademacher_estimate(values, n_sign_draws=20000, seed=4)
+            assert abs(mc - est) < 0.02
         say(7, "transport chain inequality, probe-vs-W1 relation, metric axioms, "
                "and exhaustive-sign complexity all hold")
 

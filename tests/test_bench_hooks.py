@@ -1,0 +1,49 @@
+"""The benchmark under ``perfbench/`` times layers by replacing package
+functions where their callers look them up. A refactor that renames or
+removes one of those names does not fail the benchmark: the layer is only
+reported absent. These checks fail instead."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import crossfair.data
+import crossfair.trainer
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_tracer()
+
+
+@pytest.mark.parametrize("layer, module_name, attr",
+                         tracer.LAYER_PATCHES + (tracer.EPOCH_PATCH,))
+def test_traced_name_resolves(layer, module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        assert hasattr(owner, part), f"{layer}: {module_name}.{attr} is gone"
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_names_the_benchmark_calls_exist():
+    assert callable(crossfair.data.CrossDomainDataset.group_array)
+    assert callable(crossfair.data.load_dataset)
+    assert callable(crossfair.data.split_per_user)
+
+
+def test_adam_step_signature():
+    # the tracer's wrapper passes (optimizer, name, param, grad, rows=...)
+    params = inspect.signature(crossfair.trainer.Adam.step).parameters
+    assert list(params) == ["self", "name", "param", "grad", "rows"]
+    assert params["rows"].default is None

@@ -284,6 +284,99 @@ class TestTheoryCommand:
         assert bound["rhs"] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def theory_run(tmp_path_factory):
+    """A trained run directory (60 target and 40 source users)."""
+    root = tmp_path_factory.mktemp("theory_run")
+    cfg = root / "run.cfg"
+    cfg.write_text(SYNTH_CFG, encoding="utf-8")
+    assert run("--config", cfg, "--out", root / "run", "--quiet", "train") == 0
+    return root / "run"
+
+
+class TestTheoryInputErrors:
+    """Each bad input ends with exit 2 and one ``error:`` line, no bound."""
+
+    def theory(self, run_dir, out, *extra, attrs=None, overlap=None):
+        return run("--out", out, "--quiet", "theory",
+                   "--snapshot", run_dir / "snapshot.bin",
+                   "--attrs", attrs or run_dir / "groups.tsv",
+                   "--overlap", overlap or run_dir / "overlap.tsv", *extra)
+
+    def assert_refused(self, capsys, out, code, words):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+        assert not (out / "bound.json").exists()
+
+    @pytest.mark.parametrize("rows, words", [
+        ("0\tabc\n", "'abc' is not a dense integer id"),
+        ("60\t0\n", "overlap target user id 60 is not a row"),
+        ("0\t40\n", "overlap source user id 40 is not a row"),
+        ("-1\t0\n", "overlap target user id -1 is not a row"),
+        ("0\t-1\n", "overlap source user id -1 is not a row"),
+        ("0\t0\n0\t1\n", "listed twice"),
+    ], ids=["non-integer", "target-past-end", "source-past-end", "negative-target",
+            "negative-source", "repeated-target"])
+    def test_bad_overlap_row(self, tmp_path, theory_run, capsys, rows, words):
+        overlap = tmp_path / "overlap.tsv"
+        overlap.write_text("target_user_id\tsource_user_id\n" + rows, encoding="utf-8")
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, overlap=overlap)
+        self.assert_refused(capsys, out, code, words)
+
+    def test_missing_overlap_file(self, tmp_path, theory_run, capsys):
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, overlap=tmp_path / "absent.tsv")
+        self.assert_refused(capsys, out, code, "cannot read")
+
+    def test_missing_snapshot_file(self, tmp_path, theory_run, capsys):
+        out = tmp_path / "theory"
+        code = run("--out", out, "--quiet", "theory", "--snapshot", tmp_path / "absent.bin",
+                   "--attrs", theory_run / "groups.tsv",
+                   "--overlap", theory_run / "overlap.tsv")
+        self.assert_refused(capsys, out, code, "cannot read")
+
+    @pytest.mark.parametrize("user, words", [
+        ("60", "target user id 60 is not a row"),
+        ("-1", "target user id -1 is not a row"),
+    ], ids=["past-end", "negative"])
+    def test_bad_attrs_id(self, tmp_path, theory_run, capsys, user, words):
+        attrs = tmp_path / "groups.tsv"
+        attrs.write_text((theory_run / "groups.tsv").read_text(encoding="utf-8")
+                         + f"{user}\tA\n", encoding="utf-8")
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, attrs=attrs)
+        self.assert_refused(capsys, out, code, words)
+
+    def test_overlap_target_without_attribute(self, tmp_path, theory_run, capsys):
+        header, first, *rest = (theory_run / "groups.tsv").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        assert first.startswith("0\t")
+        attrs = tmp_path / "groups.tsv"
+        attrs.write_text(header + "".join(rest), encoding="utf-8")
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, attrs=attrs)
+        self.assert_refused(capsys, out, code, "overlap target user 0 has no group attribute")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--subsample", "0"), ("--subsample", "-3"),
+        ("--repetitions", "0"), ("--repetitions", "-2"),
+    ])
+    def test_nonpositive_w1_budget(self, tmp_path, theory_run, capsys, flag, value):
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, flag, value)
+        self.assert_refused(capsys, out, code, "subsample size and repetitions must be >= 1")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lo", "0"), ("--lo", "inf"), ("--lf", "nan"), ("--lf", "-1"),
+    ])
+    def test_bad_lipschitz_constant(self, tmp_path, theory_run, capsys, flag, value):
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, flag, value)
+        self.assert_refused(capsys, out, code, "Lipschitz constants must be positive and finite")
+
+
 class TestUsageErrors:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -54,19 +54,14 @@ class TestLoadInteractions:
         with pytest.raises(DataError, match=":3"):
             load_interactions(p)
 
-    def test_no_remap_requires_ints(self, tmp_path):
-        p = write(tmp_path / "x.tsv", "user_id\titem_id\n3\t4\n")
-        loaded = load_interactions(p, id_remap=False)
-        assert loaded.pairs.tolist() == [[3, 4]]
-        p2 = write(tmp_path / "y.tsv", "user_id\titem_id\nabc\t4\n")
-        with pytest.raises(DataError):
-            load_interactions(p2, id_remap=False)
-
     def test_roundtrip_identity_on_densified(self, tmp_path, synth_ds):
         p = tmp_path / "t.tsv"
         write_interactions(p, synth_ds.interactions_target)
-        loaded = load_interactions(p, id_remap=False)
-        np.testing.assert_array_equal(loaded.pairs, synth_ds.interactions_target)
+        loaded = load_interactions(p)
+        users = np.array(loaded.user_ids, dtype=np.int64)[loaded.pairs[:, 0]]
+        items = np.array(loaded.item_ids, dtype=np.int64)[loaded.pairs[:, 1]]
+        np.testing.assert_array_equal(np.column_stack([users, items]),
+                                      synth_ds.interactions_target)
 
     def test_roundtrip_through_raw_ids(self, tmp_path, synth_ds):
         p = tmp_path / "t.tsv"

@@ -11,14 +11,14 @@ from crossfair.gain import (
     GainEstimator,
     estimate_gain,
     estimator_step,
-    prob_joint,
-    prob_source,
-    prob_target,
     redistribution_grads,
 )
 from crossfair.numerics import clamp_prob, sigmoid
 from crossfair.seeding import make_rng
 from crossfair.trainer import Adam
+
+from conftest import small_synth
+from oracles import prob_joint, prob_source, prob_target
 
 
 def zeroed_estimator(d, hidden=(8, 4), seed=0):
@@ -137,6 +137,30 @@ class TestEstimateGain:
         assert report.delta_i[G0] == pytest.approx(math.log(3.0), abs=1e-9)
         assert report.n_samples == {G0: 1, G1: 0}
         assert report.delta_i[G1] == 0.0
+
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_matches_scalar_heads(self, mode):
+        ds = small_synth(seed=3)
+        bb = init(ds, 8, mode, seed=3)
+        est = GainEstimator(8, hidden=(16, 8), dropout=0.2, seed=3)
+        est.weights[-1] = make_rng(3, "w").normal(0, 0.3, est.weights[-1].shape)
+        rng = make_rng(3, "samples")
+        users = rng.integers(0, ds.n_users_target, 60)
+        items = rng.integers(0, ds.n_items_target, 60)
+        groups = ds.target_group[users]
+        terms = {G0: [], G1: []}
+        for u, i, g in zip(users.tolist(), items.tolist(), groups.tolist()):
+            if ds.target_to_source[u] < 0:
+                continue
+            want = math.log(prob_joint(bb, est, u, i)
+                            / (prob_source(bb, u, i) * prob_target(bb, u, i)))
+            single = estimate_gain(bb, est, [u], [i], [g])
+            assert single.delta_i[g] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            terms[g].append(want)
+        report = estimate_gain(bb, est, users, items, groups)
+        for g in (G0, G1):
+            assert report.n_samples[g] == len(terms[g]) > 0
+            assert report.delta_i[g] == pytest.approx(np.mean(terms[g]), rel=1e-12, abs=1e-12)
 
     def test_independence_baseline_zero(self, micro_ds):
         # p_joint == p_s * p_t pointwise: fused vector chosen per-pair is

@@ -12,16 +12,14 @@ from crossfair.errors import DataError
 from crossfair.metrics import (
     compare_reports,
     evaluate,
-    ndcg_at_k,
     paired_ttest,
-    rank_items,
-    recall_at_k,
     top_k,
     ugf,
 )
 from crossfair.trainer import TrainConfig, train
 
 from conftest import small_synth
+from oracles import ndcg_at_k, rank_items, recall_at_k
 
 
 class TestRankItems:

@@ -16,23 +16,26 @@ from crossfair.sampler import (
     SamplerConfig,
     batch_candidates,
     batch_sample_negatives,
-    build_candidates,
-    sample_negative,
-    sampling_distribution,
     temperature,
 )
 from crossfair.seeding import make_rng
 
 from conftest import micro_dataset, small_synth
-from oracles import batch_candidates_before_floyd, negative_pool_loop
+from oracles import (
+    batch_candidates_before_floyd,
+    build_candidates,
+    negative_pool_loop,
+    sample_negative,
+    sampling_distribution,
+)
 
 
 class TestTracker:
     def test_epoch_mean(self):
         tr = GroupLossTracker(beta=0.9)
-        tr.accumulate_sample_loss(G0, 1.0)
-        tr.accumulate_sample_loss(G0, 3.0)
-        tr.accumulate_sample_loss(G1, 2.0)
+        tr.accumulate_many([G0], [1.0])
+        tr.accumulate_many([G0], [3.0])
+        tr.accumulate_many([G1], [2.0])
         emas = tr.end_epoch()
         assert emas[G0] == pytest.approx(2.0, abs=1e-12)
 
@@ -40,34 +43,34 @@ class TestTracker:
         tr = GroupLossTracker(beta=0.9)
         expected = [1.0, 0.95, 0.905]
         for mean, want in zip([1.0, 0.5, 0.5], expected):
-            tr.accumulate_sample_loss(G0, mean)
-            tr.accumulate_sample_loss(G1, mean)
+            tr.accumulate_many([G0], [mean])
+            tr.accumulate_many([G1], [mean])
             emas = tr.end_epoch()
             assert emas[G0] == pytest.approx(want, abs=1e-12)
 
     def test_beta_zero_no_smoothing(self):
         tr = GroupLossTracker(beta=0.0)
         for mean in (5.0, 1.0, 0.25):
-            tr.accumulate_sample_loss(G0, mean)
-            tr.accumulate_sample_loss(G1, 1.0)
+            tr.accumulate_many([G0], [mean])
+            tr.accumulate_many([G1], [1.0])
             assert tr.end_epoch()[G0] == pytest.approx(mean, abs=1e-12)
 
     def test_constant_fixed_point(self):
         tr = GroupLossTracker(beta=0.9)
         for _ in range(5):
-            tr.accumulate_sample_loss(G0, 0.7)
-            tr.accumulate_sample_loss(G1, 0.7)
+            tr.accumulate_many([G0], [0.7])
+            tr.accumulate_many([G1], [0.7])
             assert tr.end_epoch()[G0] == pytest.approx(0.7, abs=1e-12)
 
     def test_nan_rejected(self):
         tr = GroupLossTracker()
         with pytest.raises(NumericalError):
-            tr.accumulate_sample_loss(G0, float("nan"))
+            tr.accumulate_many([G0], [float("nan")])
 
     def test_unknown_group_rejected(self):
         tr = GroupLossTracker()
         with pytest.raises(DataError):
-            tr.accumulate_sample_loss(7, 1.0)
+            tr.accumulate_many([7], [1.0])
 
     def test_unknown_group_in_batch_leaves_tracker_unchanged(self):
         tr = GroupLossTracker(beta=0.9)
@@ -81,16 +84,16 @@ class TestTracker:
 
     def test_first_epoch_empty_group_errors(self):
         tr = GroupLossTracker()
-        tr.accumulate_sample_loss(G0, 1.0)
+        tr.accumulate_many([G0], [1.0])
         with pytest.raises(DataError, match="first epoch"):
             tr.end_epoch()
 
     def test_empty_group_retains_prior_ema(self):
         tr = GroupLossTracker(beta=0.9)
-        tr.accumulate_sample_loss(G0, 1.0)
-        tr.accumulate_sample_loss(G1, 2.0)
+        tr.accumulate_many([G0], [1.0])
+        tr.accumulate_many([G1], [2.0])
         tr.end_epoch()
-        tr.accumulate_sample_loss(G0, 1.0)
+        tr.accumulate_many([G0], [1.0])
         emas = tr.end_epoch()
         assert emas[G1] == pytest.approx(2.0, abs=1e-12)
 
@@ -110,8 +113,8 @@ class TestTracker:
         tr = GroupLossTracker(beta=beta)
         ref = {G0: None, G1: None}
         for k, (m0, m1) in enumerate(means):
-            tr.accumulate_sample_loss(G0, m0)
-            tr.accumulate_sample_loss(G1, m1)
+            tr.accumulate_many([G0], [m0])
+            tr.accumulate_many([G1], [m1])
             emas = tr.end_epoch()
             for g, m in ((G0, m0), (G1, m1)):
                 ref[g] = m if k == 0 else beta * ref[g] + (1 - beta) * m
@@ -122,8 +125,8 @@ class TestTracker:
 class TestAlpha:
     def tracker_with(self, e0, e1):
         tr = GroupLossTracker(beta=0.9)
-        tr.accumulate_sample_loss(G0, e0)
-        tr.accumulate_sample_loss(G1, e1)
+        tr.accumulate_many([G0], [e0])
+        tr.accumulate_many([G1], [e1])
         tr.end_epoch()
         return tr
 
@@ -216,6 +219,26 @@ class TestCandidates:
         pool = make_pool(3, [(0, 0), (0, 1), (0, 2)], 1)
         with pytest.raises(DataError):
             build_candidates(pool, 0, 2, make_rng(0, "c"))
+
+    @pytest.mark.parametrize("n_elig", [3, 6, 40])
+    def test_batch_matches_scalar_reference(self, n_elig):
+        # size 4: take-all (L <= 4), Floyd (4 < L <= 12) and redraw (L > 12) rows
+        size, n = 4, 20_000
+        pool = make_pool(n_elig + 2, [(0, 0), (0, 1)], 1)
+        items, counts = batch_candidates(pool, np.zeros(n, dtype=np.int64), size,
+                                         make_rng(n_elig, "batch"))
+        rng = make_rng(n_elig, "scalar")
+        ref = np.array([np.pad(build_candidates(pool, 0, size, rng), (0, size - min(n_elig, size)),
+                               constant_values=-1) for _ in range(n)])
+        np.testing.assert_array_equal(counts, min(n_elig, size))
+        if n_elig <= size:
+            np.testing.assert_array_equal(items, ref)
+        else:
+            # each eligible item is a candidate with chance size / L on both paths
+            got = np.bincount(items.ravel(), minlength=n_elig + 2) / n
+            want = np.bincount(ref.ravel(), minlength=n_elig + 2) / n
+            assert np.abs(got - want).max() < 0.02
+            assert np.abs(got[2:] - size / n_elig).max() < 0.02
 
     def test_uniformity_frequency(self):
         pool = make_pool(12, [(0, 10), (0, 11)], 1)
@@ -354,8 +377,8 @@ class TestSampleNegative:
         pool = make_pool(8, [(0, i) for i in range(7)], micro_ds.n_users_target)
         bb = init(micro_ds, 4, "shared", seed=0)
         tr = GroupLossTracker()
-        tr.accumulate_sample_loss(G0, 1.0)
-        tr.accumulate_sample_loss(G1, 1.5)
+        tr.accumulate_many([G0], [1.0])
+        tr.accumulate_many([G1], [1.5])
         tr.end_epoch()
         cfg = SamplerConfig(epsilon=0.5, candidate_size=4)
         item = sample_negative(bb, tr, cfg, pool, 0, G0, make_rng(0, "s"))
@@ -386,6 +409,29 @@ class TestSampleNegative:
         counts = np.bincount(draws, minlength=8) / len(users)
         expected = sampling_distribution(bb, 0, list(range(8)), tau=1.0)
         assert np.abs(counts - expected).sum() < 0.02
+
+    @pytest.mark.parametrize("fair", [False, True])
+    def test_batch_draws_match_scalar_reference(self, micro_ds, fair):
+        bb = init(micro_ds, 2, "shared", seed=0)
+        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        for idx in range(8):
+            bb.item_target[idx] = [idx * 0.4, 0.0]
+        pool = make_pool(8, [(0, 1), (0, 5)], micro_ds.n_users_target)
+        cfg = SamplerConfig(epsilon=1.0, candidate_size=4)
+        tr = GroupLossTracker()
+        if fair:
+            tr.accumulate_many([G0, G1], [1.5, 1.0])
+            tr.end_epoch()
+        n = 20_000
+        rng = make_rng(4, "scalar")
+        ref = [sample_negative(bb, tr, cfg, pool, 0, G0, rng) for _ in range(n)]
+        taus = np.full(n, temperature(tr.alpha(G0), cfg.epsilon) if fair else 1.0)
+        draws = batch_sample_negatives(bb, pool, np.zeros(n, dtype=np.int64), taus, 4,
+                                       make_rng(4, "batch"), uniform=not fair)
+        got = np.bincount(draws, minlength=8) / n
+        want = np.bincount(ref, minlength=8) / n
+        assert got[1] == got[5] == 0.0
+        assert np.abs(got - want).sum() < 0.05
 
     def test_disadvantaged_gets_harder_negatives(self, micro_ds):
         # tau < 1 puts at least as much mass on the top-scoring candidate

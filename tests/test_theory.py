@@ -8,18 +8,17 @@ from crossfair.data import G0, G1
 from crossfair.errors import DataError
 from crossfair.seeding import make_rng
 from crossfair.theory import (
-    BoundReport,
     EmbeddingCloud,
     cloud_from_snapshot,
     deviation_bound,
     lipschitz_estimate,
-    preservation_check,
     probe_group_gap,
     rademacher_estimate,
     theorem1_bound,
     wasserstein1,
-    wasserstein1_exhaustive,
 )
+
+from oracles import rademacher_exhaustive, wasserstein1_exhaustive
 
 
 class TestWasserstein:
@@ -140,27 +139,31 @@ class TestTheoremOneBound:
 
 
 class TestPreservation:
-    def report_with_rhs(self, rhs):
-        return BoundReport(
-            w1_source_gap=rhs, delta_t_g0=0, delta_t_g1=0, delta_s_g0=0,
-            delta_s_g1=0, domain_shift=0, l_o=1.0, l_f=1.0, rhs=rhs,
-            w1_target_gap=0, probe_gap_target=0, measured_ugf=None,
-            baseline_ugf=None, preserved=None, margin=None,
-            subsample_n=0, repetitions=0,
-        )
+    def bound(self, cloud, baseline_ugf):
+        return theorem1_bound(cloud, subsample_n=40, seed=1, baseline_ugf=baseline_ugf)
 
     def test_zero_rhs_always_holds(self):
-        ok, margin = preservation_check(self.report_with_rhs(0.0), 0.5)
-        assert ok and margin == 0.5
+        pts = np.tile(np.array([[1.0, 2.0]]), (40, 1))
+        cloud = EmbeddingCloud(points=pts, domain=np.array(["s", "t"] * 20),
+                               group=np.array([G0, G0, G1, G1] * 10))
+        report = self.bound(cloud, 0.5)
+        assert report.rhs == 0.0
+        assert report.preserved and report.margin == 0.5
 
     def test_boundary_holds(self):
-        ok, _ = preservation_check(self.report_with_rhs(0.1), 0.1)
-        assert ok
+        rhs = self.bound(gaussian_cloud(1), None).rhs
+        report = self.bound(gaussian_cloud(1), rhs)
+        assert report.preserved and report.margin == 0.0
 
     def test_violation_margin(self):
-        ok, margin = preservation_check(self.report_with_rhs(0.2), 0.1)
-        assert not ok
-        assert margin == pytest.approx(-0.1)
+        rhs = self.bound(gaussian_cloud(1), None).rhs
+        report = self.bound(gaussian_cloud(1), rhs - 0.1)
+        assert report.preserved is False
+        assert report.margin == pytest.approx(-0.1)
+
+    def test_no_baseline_no_verdict(self):
+        report = self.bound(gaussian_cloud(1), None)
+        assert report.preserved is None and report.margin is None
 
 
 class TestRademacher:
@@ -172,7 +175,7 @@ class TestRademacher:
     def test_two_constants_exhaustive(self):
         c = 0.8
         values = np.array([[c, c], [-c, -c]])
-        est, gain_est = rademacher_estimate(values, exhaustive=True)
+        est, gain_est = rademacher_exhaustive(values)
         assert est == pytest.approx(0.5 * c, abs=1e-12)
         assert gain_est == pytest.approx(c, abs=1e-12)
 
@@ -186,7 +189,7 @@ class TestRademacher:
     def test_exhaustive_matches_exact_expectation(self, n):
         rng = make_rng(n, "exact")
         values = rng.normal(0, 1, (3, n))
-        est, _ = rademacher_estimate(values, exhaustive=True)
+        est, _ = rademacher_exhaustive(values)
         # independent exact computation over all sign vectors
         total = 0.0
         for signs in itertools.product([-1.0, 1.0], repeat=n):
@@ -195,9 +198,10 @@ class TestRademacher:
 
     def test_monte_carlo_converges_to_exhaustive(self):
         values = make_rng(9, "mc").normal(0, 1, (4, 10))
-        exact, _ = rademacher_estimate(values, exhaustive=True)
-        mc, _ = rademacher_estimate(values, n_sign_draws=20000, seed=4)
+        exact, _ = rademacher_exhaustive(values)
+        mc, mc_diff = rademacher_estimate(values, n_sign_draws=20000, seed=4)
         assert mc == pytest.approx(exact, abs=0.02)
+        assert mc_diff == 2.0 * mc
 
 
 class TestDeviationBound:
@@ -258,8 +262,8 @@ class TestCloudFromSnapshot:
                 "user_emb_target": bb.user_emb_target(),
                 "user_emb_source": bb.user_emb_source(),
             },
-            dict(enumerate(micro_ds.target_group.tolist())),
-            dict(zip(*(ids.tolist() for ids in micro_ds.overlap_arrays()))),
+            np.arange(micro_ds.n_users_target), micro_ds.target_group,
+            *micro_ds.overlap_arrays(),
         )
         assert len(cloud.points) == micro_ds.n_users_target + 3
         assert (cloud.domain == "t").sum() == micro_ds.n_users_target

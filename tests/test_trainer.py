@@ -15,15 +15,14 @@ from crossfair.trainer import (
     TrainConfig,
     _BatchPlan,
     ablation_config,
-    adam_step,
     batch_objective,
-    bpr_loss,
     train,
     train_epoch,
     write_run_log,
 )
 
 from conftest import small_synth
+from oracles import bpr_loss
 
 
 class TestBprLoss:
@@ -89,7 +88,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         adam = Adam(lr=0.001)
         param = np.array([1.0])
-        adam_step(adam, "p", param, np.array([1.0]))
+        adam.step("p", param, np.array([1.0]))
         assert param[0] == pytest.approx(1.0 - 0.001, abs=1e-9)
 
     def test_hand_recurrence_two_steps(self):
@@ -98,7 +97,7 @@ class TestAdam:
         m = v = 0.0
         ref = 0.0
         for t, g in enumerate([0.5, -0.25], start=1):
-            adam_step(adam, "p", param, np.array([g]))
+            adam.step("p", param, np.array([g]))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             ref -= 0.1 * (m / (1 - 0.9 ** t)) / (math.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -107,10 +106,10 @@ class TestAdam:
     def test_zero_gradient_unchanged(self):
         adam = Adam(lr=0.01)
         param = np.array([[1.0, 2.0], [3.0, 4.0]])
-        adam_step(adam, "p", param, np.array([[1.0, 1.0]]), rows=[0])
+        adam.step("p", param, np.array([[1.0, 1.0]]), rows=[0])
         before = param[1].copy()
         m_before = adam.m["p"][1].copy()
-        adam_step(adam, "p", param, np.array([[1.0, 1.0]]), rows=[0])
+        adam.step("p", param, np.array([[1.0, 1.0]]), rows=[0])
         np.testing.assert_array_equal(param[1], before)
         np.testing.assert_array_equal(adam.m["p"][1], m_before)
 
@@ -122,14 +121,14 @@ class TestAdam:
         g_rows = np.array([[0.5, 0.5], [0.25, -0.5]])
         dense_grad = np.zeros((3, 2))
         dense_grad[1] = g_rows.sum(axis=0)
-        adam_step(dense, "p", p_dense, dense_grad)
-        adam_step(sparse, "p", p_sparse, g_rows, rows=[1, 1])
+        dense.step("p", p_dense, dense_grad)
+        sparse.step("p", p_sparse, g_rows, rows=[1, 1])
         np.testing.assert_allclose(p_sparse[1], p_dense[1], atol=1e-12)
 
     def test_shape_mismatch_errors(self):
         adam = Adam(lr=0.01)
         with pytest.raises(DataError):
-            adam_step(adam, "p", np.ones((2, 2)), np.ones((3, 2)))
+            adam.step("p", np.ones((2, 2)), np.ones((3, 2)))
 
 
 def run_config(**overrides):
@@ -230,9 +229,9 @@ class TestFullObjectiveGradient:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, *_ = batch_objective(bb, est, plan, cfg, want_grads=False)
+                up, *_ = batch_objective(bb, est, plan, cfg)
                 arr[idx] = orig - h
-                dn, *_ = batch_objective(bb, est, plan, cfg, want_grads=False)
+                dn, *_ = batch_objective(bb, est, plan, cfg)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * h)
                 an = dense[name][idx]
