@@ -95,13 +95,6 @@ class Backbone:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
-    def assert_finite(self):
-        for name, arr in self.parameters().items():
-            if not np.all(np.isfinite(arr)):
-                from .errors import NumericalError
-
-                raise NumericalError(f"non-finite values in {name}")
-
     def copy(self) -> "Backbone":
         clone = object.__new__(Backbone)
         clone.__dict__.update(self.__dict__)
@@ -146,6 +139,8 @@ def load_snapshot(path) -> dict:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != SNAPSHOT_MAGIC:
         raise DataError(f"{path}: bad snapshot magic")
+    if len(blob) < 8:
+        raise DataError(f"{path}: truncated snapshot")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != SNAPSHOT_VERSION:
         raise DataError(f"{path}: unsupported snapshot version {version}")

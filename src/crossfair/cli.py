@@ -24,10 +24,10 @@ from . import theory as theory_mod
 from .data import (
     CrossDomainDataset,
     SynthConfig,
-    _read_tsv_rows,
     generate_synthetic,
     load_attributes,
     load_dataset,
+    read_tsv,
     split_per_user,
     write_attributes,
     write_interactions,
@@ -307,29 +307,6 @@ def _write_optimizer_state(path, arrays: dict):
             fh.write(arr.tobytes())
 
 
-def read_state_bundle(path) -> dict:
-    """Read back a named-array bundle written next to a checkpoint."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != b"CFOS":
-        raise DataError(f"{path}: bad state bundle magic")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    off = 8
-    out = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off: off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from("<" + "Q" * ndim, blob, off)
-        off += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        out[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-    return out
-
-
 def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "full"):
     cfg = ablation_config(run_cfg.train, variant) if variant != "none" else run_cfg.train
     model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode,
@@ -373,6 +350,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_run_state(path) -> dict:
+    """``state.json`` of a run, with the settings ``eval`` rebuilds it from."""
+    try:
+        state = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read run state: {exc}") from exc
+    if not (isinstance(state, dict) and isinstance(state.get("embedding_dim"), int)
+            and isinstance(state.get("sharing_mode"), str) and isinstance(state.get("seed"), int)):
+        raise DataError(f"{path}: run state must hold an integer embedding_dim and seed "
+                        f"and a sharing_mode")
+    return state
+
+
 def cmd_eval(args) -> int:
     run_cfg = _load_run_config(args).validate()
     ks = run_cfg.eval_ks
@@ -381,10 +371,7 @@ def cmd_eval(args) -> int:
         _check_cutoffs(ks, "--k")
     ds = run_cfg.dataset()
     run_dir = Path(args.run)
-    try:
-        state = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read run state: {exc}") from exc
+    state = _read_run_state(run_dir / "state.json")
     snapshot = backbone_mod.load_snapshot(run_dir / "snapshot.bin")
     d = state["embedding_dim"]
     for name, rows in (("user_emb_source", ds.n_users_source),
@@ -497,24 +484,28 @@ def cmd_sweep(args) -> int:
 
 
 def _int_ids(path, values) -> np.ndarray:
-    """Dense integer user ids from TSV cells."""
-    out = np.empty(len(values), dtype=np.int64)
-    for k, value in enumerate(values):
-        try:
-            out[k] = int(value)
-        except (ValueError, OverflowError):
-            raise DataError(f"{path}: user id {value!r} is not a dense integer id") from None
-    return out
+    """Dense integer user ids from TSV cells; an error names the first cell
+    that is not an int64."""
+    try:
+        return np.fromiter(map(int, values), np.int64, len(values))
+    except (ValueError, OverflowError):
+        bad = next(value for value in values if not _is_int64(value))
+    raise DataError(f"{path}: user id {bad!r} is not a dense integer id")
+
+
+def _is_int64(cell: str) -> bool:
+    try:
+        np.int64(int(cell))
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def _read_overlap(path):
     """(target ids, source ids) from an overlap TSV."""
-    header, rows = _read_tsv_rows(path)
-    try:
-        cols = header.index("target_user_id"), header.index("source_user_id")
-    except ValueError:
-        raise DataError(f"{path}: header must name target_user_id and source_user_id")
-    return tuple(_int_ids(path, [row[c] for _, row in rows]) for c in cols)
+    columns = read_tsv(path).columns(("target_user_id", "source_user_id"),
+                                     "header must name target_user_id and source_user_id")
+    return tuple(_int_ids(path, column) for column in columns)
 
 
 def cmd_theory(args) -> int:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import methodcaller, not_
 
 import numpy as np
 
@@ -40,24 +42,64 @@ class LoadedInteractions:
     item_ids: list
 
 
-def _read_tsv_rows(path):
+class TsvTable:
+    """A TSV file split into cells once.
+
+    ``header`` holds the first line's cells. The body is every later line
+    that is not blank or whitespace-only, as one flat ``fields`` list: body
+    row ``r`` owns the cells from ``starts[r]`` up to the next row's start.
+    """
+
+    def __init__(self, path, lines, body):
+        self.path = path
+        self.header = lines[0].split("\t")
+        self._lines = lines
+        widths = np.fromiter(map(methodcaller("count", "\t"), body), np.int64, len(body)) + 1
+        self.fields = "\t".join(body).split("\t") if body else []
+        self.starts = np.cumsum(widths) - widths
+        bad = widths < len(self.header)
+        if "" in self.fields:
+            empty = np.flatnonzero(np.fromiter(map(not_, self.fields), bool, len(self.fields)))
+            row = np.searchsorted(self.starts, empty, side="right") - 1
+            bad[row[empty - self.starts[row] < len(self.header)]] = True
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise DataError(f"{path}:{self.lineno(row)}: malformed row {body[row]!r}")
+
+    def columns(self, names, missing: str) -> list:
+        """The body cells under each named header column, as lists; the
+        ``missing`` message ends the load when the header lacks a name."""
+        try:
+            index = [self.header.index(name) for name in names]
+        except ValueError:
+            raise DataError(f"{self.path}: {missing}") from None
+        return [list(map(self.fields.__getitem__, (self.starts + c).tolist())) for c in index]
+
+    def lineno(self, row: int) -> int:
+        """1-based file line of body row ``row``, skipped lines counted."""
+        kept = (n for n, line in enumerate(self._lines[1:], start=2) if line.strip())
+        return next(islice(kept, row, None))
+
+
+def read_tsv(path) -> TsvTable:
+    """Read a UTF-8 TSV file. Any ``str.splitlines`` separator ends a line.
+    Every body row needs at least as many cells as the header, none of them
+    empty within the header's width; cells past it are kept but unchecked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty file")
-    header = lines[0].split("\t")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) < len(header) or any(c == "" for c in cols[: len(header)]):
-            raise DataError(f"{path}:{lineno}: malformed row {line!r}")
-        rows.append((lineno, cols))
-    return header, rows
+    return TsvTable(path, lines, list(filter(str.strip, islice(lines, 1, None))))
+
+
+def _densify(column):
+    """First-seen dense codes of a column of raw ids, and the ids by code."""
+    ids = list(dict.fromkeys(column))
+    lookup = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(lookup.__getitem__, column), np.int64, len(column)), ids
 
 
 def load_interactions(path) -> LoadedInteractions:
@@ -66,23 +108,16 @@ def load_interactions(path) -> LoadedInteractions:
     Raw ids are densified in first-seen order. Duplicate pairs keep their
     first occurrence.
     """
-    header, rows = _read_tsv_rows(path)
-    try:
-        ucol = header.index("user_id")
-        icol = header.index("item_id")
-    except ValueError:
-        raise DataError(f"{path}: header must name user_id and item_id columns")
-    if not rows:
+    users, items = read_tsv(path).columns(
+        ("user_id", "item_id"), "header must name user_id and item_id columns")
+    if not users:
         raise DataError(f"{path}: no interactions")
-
-    user_map: dict = {}
-    item_map: dict = {}
-    users = [user_map.setdefault(cols[ucol], len(user_map)) for _, cols in rows]
-    items = [item_map.setdefault(cols[icol], len(item_map)) for _, cols in rows]
-    pairs = np.array([users, items], dtype=np.int64).T
-    _, first = np.unique(pairs, axis=0, return_index=True)
-    return LoadedInteractions(pairs=pairs[np.sort(first)], user_ids=list(user_map),
-                              item_ids=list(item_map))
+    u, user_ids = _densify(users)
+    i, item_ids = _densify(items)
+    _, first = np.unique(u * len(item_ids) + i, return_index=True)
+    first.sort()
+    return LoadedInteractions(pairs=np.column_stack([u[first], i[first]]),
+                              user_ids=user_ids, item_ids=item_ids)
 
 
 def load_attributes(path):
@@ -92,25 +127,24 @@ def load_attributes(path):
     lexicographically smaller one becomes group 0. A user listed twice with
     conflicting values is an error.
     """
-    header, rows = _read_tsv_rows(path)
-    try:
-        ucol = header.index("user_id")
-        acol = header.index("attribute")
-    except ValueError:
-        raise DataError(f"{path}: header must name user_id and attribute columns")
-    raw = {}
-    for lineno, cols in rows:
-        ru, attr = cols[ucol], cols[acol]
-        if ru in raw and raw[ru] != attr:
-            raise DataError(f"{path}:{lineno}: conflicting attribute for user {ru!r}")
-        raw[ru] = attr
-    values = sorted(set(raw.values()))
-    if len(values) != 2:
+    table = read_tsv(path)
+    users, attrs = table.columns(
+        ("user_id", "attribute"), "header must name user_id and attribute columns")
+    codes, user_ids = _densify(users)
+    values, labels = _densify(attrs)
+    _, first = np.unique(codes, return_index=True)  # each user's first row
+    conflict = values != values[first[codes]]
+    if conflict.any():
+        row = int(np.argmax(conflict))
+        raise DataError(f"{path}:{table.lineno(row)}: conflicting attribute for user "
+                        f"{users[row]!r}")
+    names = sorted(labels)
+    if len(names) != 2:
         raise DataError(
-            f"{path}: expected exactly 2 distinct attribute values, found {len(values)}"
+            f"{path}: expected exactly 2 distinct attribute values, found {len(names)}"
         )
-    mapping = {ru: (G0 if attr == values[0] else G1) for ru, attr in raw.items()}
-    return mapping, (values[0], values[1])
+    groups = np.where(values[first] == labels.index(names[0]), G0, G1)
+    return dict(zip(user_ids, groups.tolist())), (names[0], names[1])
 
 
 @dataclass
@@ -397,7 +431,6 @@ def _synth_internals(cfg: SynthConfig):
     return {
         "n_overlap": n_overlap,
         "groups": groups,
-        "true_t": true_t,
         "noisy_t": noisy_t,
         "true_s": true_s,
         "noisy_s": noisy_s,
@@ -451,27 +484,3 @@ def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
         },
     )
     return ds.validate()
-
-
-def synthetic_rank_quality(cfg: SynthConfig):
-    """Oracle source-domain ranking quality per group.
-
-    For each overlapping user, measures the mean rank position (0-based,
-    smaller is better) of the user's true top-``interactions_per_user``
-    source items within the noisy ordering that generated the positives.
-    Returns (mean over g0 users, mean over g1 users).
-    """
-    internals = _synth_internals(cfg)
-    n_overlap = internals["n_overlap"]
-    groups = internals["groups"]
-    ipu = cfg.interactions_per_user
-    true_top = _top_items(internals["true_s"][:n_overlap], ipu)
-    noisy_order = np.argsort(-internals["noisy_s"][:n_overlap], axis=1, kind="stable")
-    ranks = np.empty_like(noisy_order)
-    rows = np.arange(n_overlap)[:, None]
-    ranks[rows, noisy_order] = np.arange(noisy_order.shape[1])[None, :]
-    mean_rank = ranks[rows, true_top].mean(axis=1)
-    g = groups[:n_overlap]
-    if not (np.any(g == G0) and np.any(g == G1)):
-        raise DataError("both groups must appear among overlapping users")
-    return float(mean_rank[g == G0].mean()), float(mean_rank[g == G1].mean())

@@ -63,9 +63,6 @@ class EvaluationReport:
     ugf: dict
     n_users: dict
     per_user: dict = field(default_factory=dict, repr=False)
-    baseline_name: str = ""
-    improvement: dict = field(default_factory=dict)
-    p_values: dict = field(default_factory=dict)
 
     def metric_names(self):
         names = []
@@ -76,18 +73,13 @@ class EvaluationReport:
         return names
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "ks": list(self.ks),
             "overall": self.overall,
             "per_group": {f"g{g}": self.per_group[g] for g in sorted(self.per_group)},
             "ugf": self.ugf,
             "n_users": {str(k): v for k, v in self.n_users.items()},
         }
-        if self.baseline_name:
-            out["baseline"] = self.baseline_name
-            out["improvement"] = self.improvement
-            out["p_values"] = self.p_values
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -199,36 +191,3 @@ def quick_ndcg_at_10(backbone, split, ds) -> float:
     except DataError:
         return 0.0
     return report.overall["ndcg@10"]
-
-
-def compare_reports(report: EvaluationReport, baseline: EvaluationReport,
-                    baseline_name: str = "baseline") -> EvaluationReport:
-    """Attach relative improvements and paired t tests against a baseline
-    evaluated on the same user population.
-
-    Accuracy improvement is the arithmetic mean over metrics of the relative
-    change; fairness improvement is the mean relative reduction of the
-    per-metric group gaps.
-    """
-    if list(report.per_user["users"]) != list(baseline.per_user["users"]):
-        raise DataError("reports evaluate different user populations")
-    improvement = {}
-    acc_changes, fair_changes = [], []
-    p_values = {}
-    for name in report.metric_names():
-        base = baseline.overall[name]
-        if base > 0:
-            change = 100.0 * (report.overall[name] - base) / base
-            improvement[name] = change
-            acc_changes.append(change)
-        base_gap = baseline.ugf[name]
-        if base_gap > 0:
-            fair_changes.append(100.0 * (base_gap - report.ugf[name]) / base_gap)
-        _, p = paired_ttest(report.per_user[name], baseline.per_user[name])
-        p_values[name] = p
-    improvement["acc_impr_mean_pct"] = float(np.mean(acc_changes)) if acc_changes else 0.0
-    improvement["fair_impr_mean_pct"] = float(np.mean(fair_changes)) if fair_changes else 0.0
-    report.baseline_name = baseline_name
-    report.improvement = improvement
-    report.p_values = p_values
-    return report

@@ -11,14 +11,23 @@ draw, one probability head, one ranking) and the brute-force enumerations
 (W1 over all matchings, Rademacher complexity over all sign vectors) are
 the per-sample definitions the batched trainer, sampler, gain heads,
 evaluator and bound code must agree with.
+
+``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
+parse the package used before it split whole files at once; the loaders
+must return the same values and raise the same messages. The remaining
+helpers read artifacts back (``read_state_bundle``) or measure the
+synthetic generator (``synthetic_rank_quality``) for tests only.
 """
 
 import itertools
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from crossfair.data import G0, G1, LoadedInteractions, _synth_internals, _top_items
 from crossfair.errors import DataError, NumericalError
 from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.sampler import temperature
@@ -290,3 +299,130 @@ def rademacher_exhaustive(sample_values):
         total += np.max(values @ signs) / n
     estimate = total / (2 ** n)
     return float(estimate), float(2.0 * estimate)
+
+
+def read_tsv_rows_loop(path):
+    """(header cells, [(line number, cells)]) with blank lines skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = lines[0].split("\t")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) < len(header) or any(c == "" for c in cols[: len(header)]):
+            raise DataError(f"{path}:{lineno}: malformed row {line!r}")
+        rows.append((lineno, cols))
+    return header, rows
+
+
+def load_interactions_loop(path):
+    header, rows = read_tsv_rows_loop(path)
+    try:
+        ucol = header.index("user_id")
+        icol = header.index("item_id")
+    except ValueError:
+        raise DataError(f"{path}: header must name user_id and item_id columns")
+    if not rows:
+        raise DataError(f"{path}: no interactions")
+    user_map, item_map = {}, {}
+    users = [user_map.setdefault(cols[ucol], len(user_map)) for _, cols in rows]
+    items = [item_map.setdefault(cols[icol], len(item_map)) for _, cols in rows]
+    pairs = np.array([users, items], dtype=np.int64).T
+    _, first = np.unique(pairs, axis=0, return_index=True)
+    return LoadedInteractions(pairs=pairs[np.sort(first)], user_ids=list(user_map),
+                              item_ids=list(item_map))
+
+
+def load_attributes_loop(path):
+    header, rows = read_tsv_rows_loop(path)
+    try:
+        ucol = header.index("user_id")
+        acol = header.index("attribute")
+    except ValueError:
+        raise DataError(f"{path}: header must name user_id and attribute columns")
+    raw = {}
+    for lineno, cols in rows:
+        ru, attr = cols[ucol], cols[acol]
+        if ru in raw and raw[ru] != attr:
+            raise DataError(f"{path}:{lineno}: conflicting attribute for user {ru!r}")
+        raw[ru] = attr
+    values = sorted(set(raw.values()))
+    if len(values) != 2:
+        raise DataError(
+            f"{path}: expected exactly 2 distinct attribute values, found {len(values)}"
+        )
+    mapping = {ru: (G0 if attr == values[0] else G1) for ru, attr in raw.items()}
+    return mapping, (values[0], values[1])
+
+
+def int_ids_loop(path, values):
+    out = np.empty(len(values), dtype=np.int64)
+    for k, value in enumerate(values):
+        try:
+            out[k] = int(value)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: user id {value!r} is not a dense integer id") from None
+    return out
+
+
+def read_overlap_loop(path):
+    header, rows = read_tsv_rows_loop(path)
+    try:
+        cols = header.index("target_user_id"), header.index("source_user_id")
+    except ValueError:
+        raise DataError(f"{path}: header must name target_user_id and source_user_id")
+    return tuple(int_ids_loop(path, [row[c] for _, row in rows]) for c in cols)
+
+
+def read_state_bundle(path) -> dict:
+    """Read back the named-array bundle ``train`` writes to ``optstate.bin``."""
+    blob = Path(path).read_bytes()
+    if blob[:4] != b"CFOS":
+        raise DataError(f"{path}: bad state bundle magic")
+    (count,) = struct.unpack_from("<I", blob, 4)
+    off = 8
+    out = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        name = blob[off: off + name_len].decode("utf-8")
+        off += name_len
+        (ndim,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        shape = struct.unpack_from("<" + "Q" * ndim, blob, off)
+        off += 8 * ndim
+        n = int(np.prod(shape)) if ndim else 1
+        out[name] = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
+        off += 8 * n
+    return out
+
+
+def synthetic_rank_quality(cfg):
+    """Oracle source-domain ranking quality per group.
+
+    For each overlapping user, measures the mean rank position (0-based,
+    smaller is better) of the user's true top-``interactions_per_user``
+    source items within the noisy ordering that generated the positives.
+    Returns (mean over g0 users, mean over g1 users).
+    """
+    internals = _synth_internals(cfg)
+    n_overlap = internals["n_overlap"]
+    groups = internals["groups"]
+    ipu = cfg.interactions_per_user
+    true_top = _top_items(internals["true_s"][:n_overlap], ipu)
+    noisy_order = np.argsort(-internals["noisy_s"][:n_overlap], axis=1, kind="stable")
+    ranks = np.empty_like(noisy_order)
+    rows = np.arange(n_overlap)[:, None]
+    ranks[rows, noisy_order] = np.arange(noisy_order.shape[1])[None, :]
+    mean_rank = ranks[rows, true_top].mean(axis=1)
+    g = groups[:n_overlap]
+    if not (np.any(g == G0) and np.any(g == G1)):
+        raise DataError("both groups must appear among overlapping users")
+    return float(mean_rank[g == G0].mean()), float(mean_rank[g == G1].mean())

@@ -143,16 +143,3 @@ class TestSnapshotFile:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(DataError, match="magic"):
             load_snapshot(path)
-
-
-class TestFiniteness:
-    def test_params_finite_after_updates(self, micro_ds):
-        bb = init(micro_ds, 4, "shared", seed=1)
-        bb.user_pool += 0.5
-        bb.item_target *= -2.0
-        bb.assert_finite()
-        bb.item_source[0, 0] = np.inf
-        from crossfair.errors import NumericalError
-
-        with pytest.raises(NumericalError):
-            bb.assert_finite()

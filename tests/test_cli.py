@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from crossfair.cli import SYNTH_KEYS, main, parse_config_file, resolve_config
 from crossfair.errors import CrossfairError
+
+from oracles import read_state_bundle
 
 SYNTH_CFG = """
 # small synthetic fixture
@@ -84,8 +87,6 @@ class TestTrainCommand:
         assert state["epochs_run"] == 3
 
     def test_state_bundle_roundtrip(self, tmp_path, cfg_file):
-        from crossfair.cli import read_state_bundle
-
         out = tmp_path / "run"
         run("--config", cfg_file, "--out", out, "--quiet", "train")
         bundle = read_state_bundle(out / "optstate.bin")
@@ -216,6 +217,25 @@ class TestEvalCommand:
         assert report["overall"]["recall@10"] > expected / 3
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("state.json", b"{bad", "cannot read run state: Expecting property name enclosed in "
+                            "double quotes: line 1 column 2 (char 1)"),
+    ("state.json", b"{}", "{path}: run state must hold an integer embedding_dim and seed "
+                          "and a sharing_mode"),
+    ("snapshot.bin", b"CDFA\x01\x00", "{path}: truncated snapshot"),
+], ids=["malformed-state", "empty-state", "cut-snapshot"])
+def test_eval_on_broken_run_is_data_error(tmp_path, cfg_file, theory_run, capsys,
+                                          name, content, message):
+    run_dir = tmp_path / "run"
+    shutil.copytree(theory_run, run_dir)
+    (run_dir / name).write_bytes(content)
+    out = tmp_path / "e"
+    capsys.readouterr()
+    assert run("--config", cfg_file, "--out", out, "--quiet", "eval", "--run", run_dir) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=run_dir / name)}\n"
+    assert not (out / "report.json").exists()
+
+
 class TestAblateCommand:
     def test_csv_shape(self, tmp_path, cfg_file):
         out = tmp_path / "ablate"
@@ -324,6 +344,25 @@ class TestTheoryInputErrors:
         out = tmp_path / "theory"
         code = self.theory(theory_run, out, overlap=overlap)
         self.assert_refused(capsys, out, code, words)
+
+    def test_non_integer_ids_exact_message(self, tmp_path, theory_run, capsys):
+        overlap = tmp_path / "overlap.tsv"
+        overlap.write_text("target_user_id\tsource_user_id\n0\t0\n1\t+1\n2\tx2\n",
+                           encoding="utf-8")
+        attrs = tmp_path / "groups.tsv"
+        attrs.write_text((theory_run / "groups.tsv").read_text(encoding="utf-8")
+                         + "u7\tA\n99999999999999999999\tB\n", encoding="utf-8")
+        for kwargs, path, cell in ((dict(overlap=overlap), overlap, "x2"),
+                                   (dict(attrs=attrs), attrs, "u7")):
+            assert self.theory(theory_run, tmp_path / "theory", **kwargs) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: user id {cell!r} is not a dense integer id\n")
+        attrs.write_text((theory_run / "groups.tsv").read_text(encoding="utf-8")
+                         + "99999999999999999999\tB\n", encoding="utf-8")
+        assert self.theory(theory_run, tmp_path / "theory", attrs=attrs) == 2
+        assert capsys.readouterr().err == (
+            f"error: {attrs}: user id '99999999999999999999' is not a dense integer id\n")
+        assert not (tmp_path / "theory" / "bound.json").exists()
 
     def test_missing_overlap_file(self, tmp_path, theory_run, capsys):
         out = tmp_path / "theory"

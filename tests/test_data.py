@@ -1,7 +1,14 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import crossfair.cli
+from crossfair.cli import _read_overlap
 from crossfair.data import (
     SynthConfig,
     build_dataset,
@@ -9,14 +16,19 @@ from crossfair.data import (
     load_attributes,
     load_interactions,
     split_per_user,
-    synthetic_rank_quality,
     write_attributes,
     write_interactions,
 )
-from crossfair.errors import DataError
+from crossfair.errors import CrossfairError, DataError
 
 from conftest import micro_dataset, small_synth
-from oracles import split_per_user_loop
+from oracles import (
+    load_attributes_loop,
+    load_interactions_loop,
+    read_overlap_loop,
+    split_per_user_loop,
+    synthetic_rank_quality,
+)
 
 
 def rows(pairs):
@@ -35,6 +47,10 @@ class TestLoadInteractions:
         assert loaded.pairs.tolist() == [[0, 0], [1, 1]]
         assert loaded.user_ids == ["u1", "u2"]
         assert loaded.item_ids == ["i1", "i3"]
+
+    def test_pairs_keep_file_order_of_first_occurrences(self, tmp_path):
+        p = write(tmp_path / "x.tsv", "user_id\titem_id\na\tx\nb\tx\nb\tx\na\ty\nb\tx\n")
+        assert load_interactions(p).pairs.tolist() == [[0, 0], [1, 0], [0, 1]]
 
     def test_empty_body_errors(self, tmp_path):
         p = write(tmp_path / "x.tsv", "user_id\titem_id\n")
@@ -106,6 +122,164 @@ class TestLoadAttributes:
             build_dataset(
                 load_interactions(src), load_interactions(tgt), load_attributes(attrs)[0]
             )
+
+
+class TestLoaderMessages:
+    """Exact messages; a line number counts every line of the file,
+    skipped blank lines included."""
+
+    @pytest.mark.parametrize("load, text, message", [
+        (load_interactions, "user_id\titem_id\na\tx\n\n \t\nbroken\n",
+         "{path}:5: malformed row 'broken'"),
+        (load_interactions, "user_id\titem_id\tts\na\tx\t1\nb\t\t2\n",
+         "{path}:3: malformed row 'b\\t\\t2'"),
+        (load_interactions, "user_id\titem_id\n\u2028a\tx\x85\tb\n",
+         "{path}:4: malformed row '\\tb'"),
+        (load_attributes, "user_id\tattribute\na\tF\nb\tM\n\na\tM\n",
+         "{path}:5: conflicting attribute for user 'a'"),
+        (load_interactions, "user\titem_id\na\tx\n",
+         "{path}: header must name user_id and item_id columns"),
+        (load_attributes, "user_id\titem_id\na\tx\n",
+         "{path}: header must name user_id and attribute columns"),
+        (load_interactions, "user_id\titem_id\n \n", "{path}: no interactions"),
+        (load_interactions, "", "{path}: empty file"),
+        (load_attributes, "user_id\tattribute\na\tF\nb\tF\n",
+         "{path}: expected exactly 2 distinct attribute values, found 1"),
+        (_read_overlap, "target_user_id\tsource_user_id\n0\t1\n2\t3.0\n",
+         "{path}: user id '3.0' is not a dense integer id"),
+        (_read_overlap, "target_user_id\n0\n",
+         "{path}: header must name target_user_id and source_user_id"),
+    ], ids=["short-after-blanks", "empty-cell", "unicode-separators", "conflict",
+            "interactions-header", "attributes-header", "no-rows", "empty-file",
+            "one-attribute", "overlap-non-integer", "overlap-header"])
+    def test_message(self, tmp_path, load, text, message):
+        p = write(tmp_path / "x.tsv", text)
+        with pytest.raises(DataError) as info:
+            load(p)
+        assert str(info.value) == message.format(path=p)
+
+    def test_invalid_utf8_is_data_error(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_bytes(b"user_id\titem_id\n\xff\tx\n")
+        with pytest.raises(DataError) as info:
+            load_interactions(p)
+        assert str(info.value).startswith(f"cannot read {p}: 'utf-8' codec can't decode")
+
+    def test_wide_rows_and_empty_cells_past_the_header(self, tmp_path):
+        p = write(tmp_path / "x.tsv", "user_id\titem_id\na\tx\t\t\nb\ty\nb\ty\t9\n")
+        loaded = load_interactions(p)
+        assert loaded.pairs.tolist() == [[0, 0], [1, 1]]
+        assert loaded.user_ids == ["a", "b"] and loaded.item_ids == ["x", "y"]
+
+
+# Every separator str.splitlines honours, and cells built to collide: ids
+# equal but for a trailing NUL, non-ASCII ids, blanks, integers and text.
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+BLANKS = ["", " ", "\t", " \t ", "\u3000", "\x1f"]
+IDS = ["a", "a\x00", "b", "é", "用户", "1", "-2", " 3", "01", "+4", " ", "x y", "9" * 20]
+ANY_CELL = st.one_of(st.sampled_from(IDS + [""]),
+                     st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+ONE_CELL = st.one_of(st.sampled_from(IDS), st.text(st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\t" + "".join(SEPARATORS)),
+    min_size=1, max_size=3))
+
+
+@st.composite
+def tsv_texts(draw, columns):
+    """2 to 12 lines under a header joined by random separators. The header
+    names ``columns``, in either order, with an extra column or not, or is a
+    random line. Each column draws its cells from a pool of two or three,
+    so duplicate pairs and two-valued attribute columns are common. In half
+    of the files a row takes cell k (modulo the pool size) of every column,
+    which keeps a user's attribute consistent more often than not; in the
+    other half each column picks its own cell. Blank lines are mixed in,
+    and in half of the files so are ragged rows of any cells."""
+    pools = draw(st.lists(st.lists(ONE_CELL, min_size=2, max_size=3, unique=True),
+                          min_size=3, max_size=3))
+    picks = st.integers(0, 11)
+    if draw(st.booleans()):
+        picks = picks.map(lambda k: [k] * 3)
+    else:
+        picks = st.lists(picks, min_size=3, max_size=3)
+    row = st.tuples(picks, st.integers(2, 3)).map(
+        lambda kw: "\t".join(pool[k % len(pool)] for pool, k in zip(pools[:kw[1]], kw[0])))
+    kinds = [row, st.sampled_from(BLANKS)]
+    if draw(st.booleans()):
+        kinds.append(st.lists(ANY_CELL, min_size=1, max_size=4).map("\t".join))
+    line = st.one_of(kinds)
+    lines = draw(st.lists(line, min_size=2, max_size=12))
+    headers = st.permutations(columns).map("\t".join)
+    header = draw(st.one_of(headers, headers.map(lambda h: h + "\tx"), line))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(lines) + 1,
+                         max_size=len(lines) + 1))
+    text = header + "".join(sep + line for sep, line in zip(seps, lines))
+    return text + seps[-1] * draw(st.booleans())
+
+
+def outcome(load, path):
+    try:
+        return "ok", load(path)
+    except CrossfairError as exc:
+        assert isinstance(exc, DataError)
+        return "error", str(exc)
+
+
+def same_values(got, want):
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and got.tolist() == want.tolist()
+    if isinstance(want, (tuple, list)):
+        return len(got) == len(want) and all(map(same_values, got, want))
+    if isinstance(want, dict):
+        return list(got.items()) == list(want.items())
+    if hasattr(want, "pairs"):
+        return all(same_values(getattr(got, k), getattr(want, k))
+                   for k in ("pairs", "user_ids", "item_ids"))
+    return got == want
+
+
+@pytest.mark.parametrize("load, oracle, columns", [
+    (load_interactions, load_interactions_loop, ("user_id", "item_id")),
+    (load_attributes, load_attributes_loop, ("user_id", "attribute")),
+    (_read_overlap, read_overlap_loop, ("target_user_id", "source_user_id")),
+], ids=["interactions", "attributes", "overlap"])
+def test_loader_matches_line_loop(tmp_path_factory, load, oracle, columns):
+    """The column reader agrees with the line-by-line oracle on values, on
+    error messages and on the line an error names; only package errors
+    escape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tsv_texts(columns))
+    def check(text):
+        path = tmp_path_factory.mktemp("tsv") / "x.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        (kind, got), (want_kind, want) = outcome(load, path), outcome(oracle, path)
+        assert kind == want_kind, (got, want)
+        assert same_values(got, want), (got, want)
+
+    check()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_inputs_load_as_before(tmp_path, monkeypatch):
+    """On the benchmark's own generated inputs the dataset digest and the
+    raw-id tables equal the line-by-line loader's."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.write_inputs("fair-train", 3, tmp_path)
+    paths = [tmp_path / name for name in
+             ("interactions_source.tsv", "interactions_target.tsv", "attributes.tsv")]
+    ds = crossfair.cli.load_dataset(*paths)
+    attrs, labels = load_attributes_loop(paths[2])
+    want = build_dataset(load_interactions_loop(paths[0]), load_interactions_loop(paths[1]),
+                         attrs, group_labels=labels)
+    assert ds.sha256() == want.sha256()
+    assert ds.raw_ids == want.raw_ids and ds.group_labels == want.group_labels
+    assert ds.n_users_target == 2000 and len(ds.interactions_source) == 64000
 
 
 class TestOverlapDerivation:

@@ -10,7 +10,6 @@ from crossfair.backbone import init
 from crossfair.data import G0, G1
 from crossfair.errors import DataError
 from crossfair.metrics import (
-    compare_reports,
     evaluate,
     paired_ttest,
     top_k,
@@ -214,15 +213,6 @@ class TestEvaluate:
             assert report.per_user["ndcg@10"][row] == pytest.approx(
                 ndcg_at_k(ranked, test_pos[u], 10)
             )
-
-    def test_compare_reports(self):
-        ds, model = self.trained()
-        base = evaluate(model.backbone, model.split, ds)
-        better = evaluate(model.backbone, model.split, ds)
-        compared = compare_reports(better, base, "self")
-        assert compared.improvement["acc_impr_mean_pct"] == pytest.approx(0.0, abs=1e-12)
-        for name in compared.metric_names():
-            assert compared.p_values[name] == 1.0
 
     def test_cutoff_beyond_catalogue(self):
         from crossfair.data import split_per_user
