@@ -140,6 +140,19 @@ def _check_cutoffs(ks: tuple, what: str):
         raise UsageError(f"{what}: expected positive cutoffs, got {ks!r}")
 
 
+def _require_cutoffs(ks: tuple, needed: tuple, command: str):
+    """Refuse, before any training, an ``eval_ks`` that lacks a CSV column's K."""
+    if not set(needed) <= set(ks):
+        raise UsageError(f"{command} writes columns at K = {', '.join(map(str, needed))}: "
+                         f"eval_ks must include them, got {','.join(map(str, ks))}")
+
+
+def _summary(report, ks: tuple) -> str:
+    """Test recall and its group gap at the smallest evaluated cutoff."""
+    name = f"recall@{min(ks)}"
+    return f"test {name} {report.overall[name]:.4f}, ugf({name}) {report.ugf[name]:.4f}"
+
+
 def resolve_config(values: dict) -> RunConfig:
     cfg = RunConfig()
     synth_wanted = "synth" in values and _as_bool(values.pop("synth"), "synth")
@@ -336,8 +349,7 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     report.write_csv(out / "report.csv")
     _say(args, f"run complete: best epoch {model.best_epoch}, "
-               f"test recall@10 {report.overall['recall@10']:.4f}, "
-               f"ugf(recall@10) {report.ugf['recall@10']:.4f}")
+               f"{_summary(report, run_cfg.eval_ks)}")
     return model, report
 
 
@@ -401,8 +413,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args, "eval_out")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     report.write_csv(out / "report.csv")
-    _say(args, f"test recall@10 {report.overall['recall@10']:.4f}, "
-               f"ugf(recall@10) {report.ugf['recall@10']:.4f}")
+    _say(args, _summary(report, ks))
     return 0
 
 
@@ -426,6 +437,7 @@ def _metric_row(report) -> list:
 
 def cmd_ablate(args) -> int:
     run_cfg = _load_run_config(args).validate()
+    _require_cutoffs(run_cfg.eval_ks, (10, 20), "ablate")
     ds = run_cfg.dataset()
     out = _out_dir(args, "ablate_out")
     rows = []
@@ -447,6 +459,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     run_cfg = _load_run_config(args).validate()
+    _require_cutoffs(run_cfg.eval_ks, (10,), "sweep")
     ds = run_cfg.dataset()
     out = _out_dir(args, "sweep_out")
     try:

@@ -9,6 +9,7 @@ estimator only. Both partitions can be hash-checked every step.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -74,7 +75,10 @@ class Adam:
 
     Rows with zero gradient in a step are untouched: their moments do not
     decay. Duplicate rows in a sparse gradient are summed first, matching
-    the dense computation.
+    the dense computation: one ``np.bincount`` adds each gradient row into
+    its touched row in input order, the same additions, bit for bit, as
+    ``np.add.at`` on a zeroed buffer. Sparse rows must be integers in
+    ``[0, len(param))``.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -100,20 +104,31 @@ class Adam:
             # every row, updated in place without a gather or scatter
             rows = slice(None)
         else:
-            rows = np.asarray(rows, dtype=np.int64)
-            if grad.shape != (len(rows),) + param.shape[1:]:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or grad.shape != (len(rows),) + param.shape[1:]:
                 raise DataError("sparse gradient shape mismatch")
-            rows, inv = np.unique(rows, return_inverse=True)
-            agg = np.zeros((len(rows),) + param.shape[1:])
-            np.add.at(agg, inv, grad)
-            grad = agg
+            if len(rows) and (rows.dtype.kind not in "iu"
+                              or rows.min() < 0 or rows.max() >= len(param)):
+                raise DataError(f"sparse rows must be integers in [0, {len(param)})")
+            rows = rows.astype(np.int64, copy=False)
+            # sorted unique rows, as np.unique gives, and each input row's slot
+            touched = np.zeros(len(param), dtype=bool)
+            touched[rows] = True
+            inv = (np.cumsum(touched) - 1)[rows]
+            rows = np.flatnonzero(touched)
+            width = math.prod(param.shape[1:])
+            bins = (inv[:, None] * width + np.arange(width)).ravel()
+            grad = np.bincount(bins, weights=grad.ravel(), minlength=len(rows) * width)
+            grad = grad.reshape((len(rows),) + param.shape[1:])
         self.t[name] += 1
         t = self.t[name]
         m, v = self.m[name], self.v[name]
-        m[rows] = self.beta1 * m[rows] + (1 - self.beta1) * grad
-        v[rows] = self.beta2 * v[rows] + (1 - self.beta2) * grad * grad
-        m_hat = m[rows] / (1 - self.beta1 ** t)
-        v_hat = v[rows] / (1 - self.beta2 ** t)
+        m_rows = self.beta1 * m[rows] + (1 - self.beta1) * grad
+        v_rows = self.beta2 * v[rows] + (1 - self.beta2) * grad * grad
+        m[rows] = m_rows
+        v[rows] = v_rows
+        m_hat = m_rows / (1 - self.beta1 ** t)
+        v_hat = v_rows / (1 - self.beta2 ** t)
         param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_arrays(self) -> dict:

@@ -12,6 +12,10 @@ draw, one probability head, one ranking) and the brute-force enumerations
 the per-sample definitions the batched trainer, sampler, gain heads,
 evaluator and bound code must agree with.
 
+``adam_step_add_at`` is the body ``Adam.step`` had before its sparse
+branch summed duplicate rows with one ``np.bincount``: ``np.unique`` plus
+``np.add.at``. The optimiser must reproduce it bit for bit.
+
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
 must return the same values and raise the same messages. The remaining
@@ -33,6 +37,28 @@ from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.sampler import temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import bpr_terms
+
+
+def adam_step_add_at(adam, name, param, grad, rows=None):
+    """One ``Adam.step`` with duplicate rows summed by ``np.add.at``; it has
+    the method's signature, so it can stand in for it."""
+    if name not in adam.m:
+        adam.register(name, param.shape)
+    if rows is None:
+        rows = slice(None)
+    else:
+        rows, inv = np.unique(np.asarray(rows, dtype=np.int64), return_inverse=True)
+        agg = np.zeros((len(rows),) + param.shape[1:])
+        np.add.at(agg, inv, grad)
+        grad = agg
+    adam.t[name] += 1
+    t = adam.t[name]
+    m, v = adam.m[name], adam.v[name]
+    m[rows] = adam.beta1 * m[rows] + (1 - adam.beta1) * grad
+    v[rows] = adam.beta2 * v[rows] + (1 - adam.beta2) * grad * grad
+    m_hat = m[rows] / (1 - adam.beta1 ** t)
+    v_hat = v[rows] / (1 - adam.beta2 ** t)
+    param[rows] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
 
 
 def _per_user_lists(pairs):

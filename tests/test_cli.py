@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossfair.trainer as trainer_mod
 from crossfair.cli import SYNTH_KEYS, main, parse_config_file, resolve_config
 from crossfair.errors import CrossfairError
 
-from oracles import read_state_bundle
+from oracles import adam_step_add_at, read_state_bundle
 
 SYNTH_CFG = """
 # small synthetic fixture
@@ -124,6 +125,30 @@ class TestTrainCommand:
         assert (out_a / "runlog.jsonl").read_bytes() == (out_b / "runlog.jsonl").read_bytes()
         assert (out_a / "snapshot.bin").read_bytes() == (out_b / "snapshot.bin").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_artifacts_match_add_at_adam(self, tmp_path, mode, monkeypatch):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(SYNTH_CFG.replace("epochs = 3", "epochs = 2")
+                       + f"sharing_mode = {mode}\n", encoding="utf-8")
+        shipped, oracle = tmp_path / "shipped", tmp_path / "oracle"
+        assert run("--config", cfg, "--out", shipped, "--quiet", "train",
+                   "--ablate", "full") == 0
+        monkeypatch.setattr(trainer_mod.Adam, "step", adam_step_add_at)
+        assert run("--config", cfg, "--out", oracle, "--quiet", "train",
+                   "--ablate", "full") == 0
+        for name in ("runlog.jsonl", "snapshot.bin", "optstate.bin"):
+            assert (shipped / name).read_bytes() == (oracle / name).read_bytes(), name
+
+    def test_summary_at_smallest_cutoff(self, tmp_path, capsys):
+        cfg = tmp_path / "ks.cfg"
+        cfg.write_text(SYNTH_CFG + "eval_ks = 5,20\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", tmp_path / "run", "train") == 0
+        line = capsys.readouterr().out.strip()
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert line.endswith(f"test recall@5 {report['overall']['recall@5']:.4f}, "
+                             f"ugf(recall@5) {report['ugf']['recall@5']:.4f}")
+
     def test_missing_attributes_fails_before_outputs(self, tmp_path, cfg_file):
         data = tmp_path / "data"
         run("--config", cfg_file, "--out", data, "--quiet", "synth")
@@ -204,6 +229,18 @@ class TestEvalCommand:
         assert run("--config", cfg_file, "--out", out, "--quiet", "eval", "--run", run_dir) == 0
         assert (out / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
 
+    def test_summary_at_smallest_cutoff(self, tmp_path, cfg_file, capsys):
+        run_dir = tmp_path / "run"
+        run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
+        capsys.readouterr()
+        assert run("--config", cfg_file, "--out", tmp_path / "e", "eval",
+                   "--run", run_dir, "--k", "5,20") == 0
+        report = json.loads((tmp_path / "e" / "report.json").read_text())
+        assert capsys.readouterr().out == (
+            f"test recall@5 {report['overall']['recall@5']:.4f}, "
+            f"ugf(recall@5) {report['ugf']['recall@5']:.4f}\n"
+        )
+
     def test_untrained_model_near_random_expectation(self, tmp_path, cfg_file):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(SYNTH_CFG.replace("epochs = 3", "epochs = 0"), encoding="utf-8")
@@ -247,6 +284,17 @@ class TestAblateCommand:
         for line in lines[1:]:
             assert len(line.split(",")) == 9
 
+    def test_cutoffs_without_k20_refused_before_training(self, tmp_path, capsys):
+        cfg = tmp_path / "ks.cfg"
+        cfg.write_text(SYNTH_CFG + "eval_ks = 5,10\n", encoding="utf-8")
+        out = tmp_path / "ablate"
+        assert run("--config", cfg, "--out", out, "--quiet", "ablate") == 1
+        assert capsys.readouterr().err == (
+            "error: ablate writes columns at K = 10, 20: eval_ks must include them, "
+            "got 5,10\n"
+        )
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_candidate_size_sweep(self, tmp_path, cfg_file):
@@ -256,6 +304,17 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
         assert lines[0].split(",")[0] == "candidate_size"
+
+    def test_cutoffs_without_k10_refused_before_training(self, tmp_path, capsys):
+        cfg = tmp_path / "ks.cfg"
+        cfg.write_text(SYNTH_CFG + "eval_ks = 5,20\n", encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert run("--config", cfg, "--out", out, "--quiet", "sweep",
+                   "--axis", "gamma", "--values", "0.5") == 1
+        assert capsys.readouterr().err == (
+            "error: sweep writes columns at K = 10: eval_ks must include them, got 5,20\n"
+        )
+        assert not out.exists()
 
     def test_unknown_axis_usage_error(self, tmp_path, cfg_file):
         assert run("--config", cfg_file, "--out", tmp_path / "s", "--quiet",

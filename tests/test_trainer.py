@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
@@ -22,7 +24,7 @@ from crossfair.trainer import (
 )
 
 from conftest import small_synth
-from oracles import bpr_loss
+from oracles import adam_step_add_at, bpr_loss
 
 
 class TestBprLoss:
@@ -129,6 +131,51 @@ class TestAdam:
         adam = Adam(lr=0.01)
         with pytest.raises(DataError):
             adam.step("p", np.ones((2, 2)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("rows", [[-1, 3], [7], [1.7]],
+                             ids=["negative", "past-end", "non-integer"])
+    def test_bad_rows_rejected(self, rows):
+        adam = Adam(lr=0.01)
+        param = np.ones((4, 2))
+        with pytest.raises(DataError, match=r"sparse rows must be integers in \[0, 4\)"):
+            adam.step("p", param, np.ones((len(rows), 2)), rows=rows)
+        np.testing.assert_array_equal(param, 1.0)
+        np.testing.assert_array_equal(adam.m["p"], 0.0)
+        assert adam.t["p"] == 0
+
+
+ADAM_SHAPES = st.tuples(st.integers(1, 5), st.lists(st.integers(1, 3), max_size=2))
+
+
+@st.composite
+def adam_runs(draw):
+    """A parameter shape and a sequence of steps: None for a whole-table
+    step, else a list of rows that may repeat."""
+    n, trailing = draw(ADAM_SHAPES)
+    steps = draw(st.lists(
+        st.one_of(st.none(), st.lists(st.integers(0, n - 1), max_size=9)),
+        min_size=1, max_size=8,
+    ))
+    return (n, *trailing), steps, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(adam_runs())
+def test_adam_step_bit_identical_to_add_at(run):
+    shape, steps, seed = run
+    rng = np.random.default_rng(seed)
+    shipped, oracle = Adam(lr=0.05), Adam(lr=0.05)
+    p_shipped = rng.normal(size=shape)
+    p_oracle = p_shipped.copy()
+    for rows in steps:
+        lead = shape[0] if rows is None else len(rows)
+        grad = rng.normal(size=(lead, *shape[1:])) * 10.0 ** rng.integers(-3, 4)
+        shipped.step("p", p_shipped, grad.copy(), rows=rows)
+        adam_step_add_at(oracle, "p", p_oracle, grad.copy(), rows=rows)
+        assert np.array_equal(p_shipped, p_oracle)
+        assert np.array_equal(shipped.m["p"], oracle.m["p"])
+        assert np.array_equal(shipped.v["p"], oracle.v["p"])
+    assert shipped.t == oracle.t
 
 
 def run_config(**overrides):
