@@ -9,12 +9,15 @@ line flags override file values. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import reduce
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -34,21 +37,7 @@ from .data import (
     write_tsv,
 )
 from .errors import CrossfairError, DataError, UsageError
-from .trainer import (
-    ABLATION_VARIANTS,
-    TrainConfig,
-    ablation_config,
-    train,
-    write_run_log,
-)
-
-SYNTH_KEYS = (
-    "n_users_source", "n_users_target", "overlap_fraction", "n_items_source",
-    "n_items_target", "latent_dim", "group_split", "source_disparity",
-    "domain_shift", "interactions_per_user", "source_density_ratio", "rng_seed",
-)
-SYNTH_FLOAT_KEYS = ("overlap_fraction", "group_split", "source_disparity", "domain_shift")
-
+from .trainer import VARIANTS, TrainConfig, ablation_config, train, write_run_log
 
 @dataclass
 class RunConfig:
@@ -62,7 +51,6 @@ class RunConfig:
     embedding_dim: int = 32
     sharing_mode: str = "shared"
     eval_ks: tuple = (10, 20)
-    seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
@@ -95,6 +83,27 @@ class RunConfig:
         return load_dataset(self.source_interactions, self.target_interactions, self.attributes)
 
 
+def _schema(cls, path=(), schema=None) -> dict:
+    """Config key -> (attribute path, declared type) of each leaf field of
+    config dataclass ``cls`` and of the configs nested in it."""
+    schema = {} if schema is None else schema
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        inner = [t for t in (hints[f.name], *get_args(hints[f.name])) if is_dataclass(t)]
+        if inner:
+            _schema(inner[0], path + (f.name,), schema)
+        elif f.name in schema:
+            raise TypeError(f"config field name {f.name!r} is used twice")
+        else:
+            schema[f.name] = (path + (f.name,), hints[f.name])
+    return schema
+
+
+CONFIG_SCHEMA = _schema(RunConfig)
+# ``synth = true`` asks for the synthetic data block with default settings.
+CONFIG_KEYS = ("synth", *CONFIG_SCHEMA)
+
+
 def parse_config_file(path) -> dict:
     values = {}
     try:
@@ -112,27 +121,42 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _as_bool(value: str, key: str) -> bool:
+def _as_bool(value: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise UsageError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(value)
 
 
 def _int_list(value: str) -> tuple:
     return tuple(int(x) for x in value.split(",") if x.strip())
 
 
-_EXPECTED = {int: "an integer", float: "a number", _int_list: "comma-separated integers"}
+# declared field type -> (parser of a config value, what a malformed value was expected to be)
+_PARSERS = {bool: (_as_bool, "a boolean"), int: (int, "an integer"),
+            float: (float, "a number"), tuple: (_int_list, "comma-separated integers"),
+            str: (str, "a string")}
 
 
-def _convert(key: str, value: str, conv):
+def _convert(key: str, value: str, kind: type):
+    parse, expected = _PARSERS[kind]
     try:
-        return conv(value)
+        return parse(value)
     except ValueError:
-        raise UsageError(f"{key}: expected {_EXPECTED[conv]}, got {value!r}") from None
+        raise UsageError(f"{key}: expected {expected}, got {value!r}") from None
+
+
+def _set_key(cfg: RunConfig, key: str, value: str):
+    """Parse ``value`` by the declared type of config key ``key``, store it in
+    ``cfg`` and return it."""
+    if key not in CONFIG_SCHEMA:
+        raise UsageError(f"unknown config key {key!r}")
+    path, kind = CONFIG_SCHEMA[key]
+    parsed = _convert(key, value, kind)
+    setattr(reduce(getattr, path[:-1], cfg), path[-1], parsed)
+    return parsed
 
 
 def _check_cutoffs(ks: tuple, what: str):
@@ -153,50 +177,22 @@ def _summary(report, ks: tuple) -> str:
     return f"test {name} {report.overall[name]:.4f}, ugf({name}) {report.ugf[name]:.4f}"
 
 
-def resolve_config(values: dict) -> RunConfig:
-    cfg = RunConfig()
-    synth_wanted = "synth" in values and _as_bool(values.pop("synth"), "synth")
-    synth_kwargs = {}
-    handlers = {
-        "source_interactions": ("source_interactions", str),
-        "target_interactions": ("target_interactions", str),
-        "attributes": ("attributes", str),
-        "embedding_dim": ("embedding_dim", int),
-        "sharing_mode": ("sharing_mode", str),
-        "seed": ("seed", int),
-    }
-    train_handlers = {
-        "learning_rate": float, "batch_size": int, "l2_reg": float, "epochs": int,
-        "gamma": float, "beta": float, "patience": int, "estimator_dropout": float,
-        "estimator_lr": float, "snapshot_every": int, "include_source": None,
-        "use_alpha": None, "use_fair_sampling": None, "use_redistribution": None,
-        "use_estimator_loss": None, "partition_checks": None,
-    }
-    sampler_handlers = {"epsilon": float, "candidate_size": int, "negatives_per_positive": int}
+def resolve_config(values: dict, seed: int | None = None) -> RunConfig:
+    """Run configuration from ``key = value`` strings. ``seed``, when given,
+    overrides the ``seed`` key. The seed also drives synthesis unless
+    ``rng_seed`` is set and ``seed`` is not given."""
+    synth_wanted = "synth" in values and _convert("synth", values["synth"], bool)
+    cfg = RunConfig(synth=SynthConfig())
     for key, value in values.items():
-        if key in handlers:
-            attr, conv = handlers[key]
-            setattr(cfg, attr, _convert(key, value, conv))
-        elif key in train_handlers:
-            conv = train_handlers[key]
-            parsed = _as_bool(value, key) if conv is None else _convert(key, value, conv)
-            setattr(cfg.train, key, parsed)
-        elif key in sampler_handlers:
-            setattr(cfg.train.sampler, key, _convert(key, value, sampler_handlers[key]))
-        elif key == "estimator_hidden":
-            cfg.train.estimator_hidden = _convert(key, value, _int_list)
-        elif key == "eval_ks":
-            cfg.eval_ks = _convert(key, value, _int_list)
-        elif key in SYNTH_KEYS:
-            conv = float if key in SYNTH_FLOAT_KEYS else int
-            synth_kwargs[key] = _convert(key, value, conv)
-        else:
-            raise UsageError(f"unknown config key {key!r}")
-    if synth_wanted or synth_kwargs:
-        cfg.synth = SynthConfig(**synth_kwargs)
-    cfg.train.seed = cfg.seed
-    if cfg.synth is not None and "rng_seed" not in synth_kwargs:
-        cfg.synth.rng_seed = cfg.seed
+        if key != "synth":
+            _set_key(cfg, key, value)
+            synth_wanted |= CONFIG_SCHEMA[key][0][0] == "synth"
+    if not synth_wanted:
+        cfg.synth = None
+    if seed is not None:
+        cfg.train.seed = seed
+    if cfg.synth is not None and (seed is not None or "rng_seed" not in values):
+        cfg.synth.rng_seed = cfg.train.seed
     return cfg
 
 
@@ -216,9 +212,8 @@ def _build_parser() -> _Parser:
     sub.add_parser("synth", help="write synthetic dataset files")
 
     p_train = sub.add_parser("train", help="train a model and evaluate on the test split")
-    p_train.add_argument("--ablate", default="none",
-                         help="none|no_alpha|no_fair_sampling|no_redistribution|"
-                              "no_estimator_loss|plain|target_only")
+    p_train.add_argument("--ablate", default="full", choices=list(VARIANTS),
+                         help="training variant, default full")
 
     p_eval = sub.add_parser("eval", help="evaluate a stored checkpoint")
     p_eval.add_argument("--run", required=True, help="run directory produced by train")
@@ -246,14 +241,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_run_config(args) -> RunConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    cfg = resolve_config(values)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.train.seed = args.seed
-        if cfg.synth is not None:
-            cfg.synth.rng_seed = args.seed
-    return cfg
+    return resolve_config(parse_config_file(args.config) if args.config else {}, args.seed)
 
 
 def _out_dir(args, default: str) -> Path:
@@ -270,7 +258,7 @@ def _say(args, message: str):
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     if cfg.synth is None:
-        cfg.synth = SynthConfig(rng_seed=cfg.seed)
+        cfg.synth = SynthConfig(rng_seed=cfg.train.seed)
     ds = generate_synthetic(cfg.synth)
     out = _out_dir(args, "synth_out")
     write_interactions(out / "interactions_source.tsv", ds.interactions_source,
@@ -282,8 +270,8 @@ def cmd_synth(args) -> int:
     n_overlap = len(ds.overlap_arrays()[0])
     counts = np.bincount(ds.target_group, minlength=2)
     with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
-        for key in SYNTH_KEYS:
-            fh.write(f"{key} = {getattr(cfg.synth, key)}\n")
+        for f in fields(cfg.synth):
+            fh.write(f"{f.name} = {getattr(cfg.synth, f.name)}\n")
         fh.write(f"n_overlap = {n_overlap}\n")
         fh.write(f"n_interactions_source = {len(ds.interactions_source)}\n")
         fh.write(f"n_interactions_target = {len(ds.interactions_target)}\n")
@@ -321,9 +309,8 @@ def _write_optimizer_state(path, arrays: dict):
 
 
 def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "full"):
-    cfg = ablation_config(run_cfg.train, variant) if variant != "none" else run_cfg.train
-    model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode,
-                  snapshot_dir=out)
+    model = train(ds, ablation_config(run_cfg.train, variant), d=run_cfg.embedding_dim,
+                  mode=run_cfg.sharing_mode, snapshot_dir=out)
     write_run_log(out / "runlog.jsonl", model.log)
     backbone_mod.save_snapshot(model.backbone, out / "snapshot.bin")
     backbone_mod.save_snapshot(model.final_backbone, out / "snapshot_final.bin")
@@ -333,7 +320,7 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
         "tracker": model.tracker.state(),
         "embedding_dim": run_cfg.embedding_dim,
         "sharing_mode": run_cfg.sharing_mode,
-        "seed": run_cfg.seed,
+        "seed": run_cfg.train.seed,
         "epochs_run": len(model.log),
         "dataset_sha256": ds.sha256(),
     }
@@ -357,8 +344,7 @@ def cmd_train(args) -> int:
     run_cfg = _load_run_config(args).validate()
     ds = run_cfg.dataset()
     out = _out_dir(args, "run_out")
-    variant = args.ablate if args.ablate != "none" else "none"
-    _run_and_report(ds, run_cfg, out, args, variant=variant)
+    _run_and_report(ds, run_cfg, out, args, variant=args.ablate)
     return 0
 
 
@@ -379,35 +365,18 @@ def cmd_eval(args) -> int:
     run_cfg = _load_run_config(args).validate()
     ks = run_cfg.eval_ks
     if args.k:
-        ks = _convert("--k", args.k, _int_list)
+        ks = _convert("--k", args.k, tuple)
         _check_cutoffs(ks, "--k")
     ds = run_cfg.dataset()
     run_dir = Path(args.run)
     state = _read_run_state(run_dir / "state.json")
     snapshot = backbone_mod.load_snapshot(run_dir / "snapshot.bin")
-    d = state["embedding_dim"]
-    for name, rows in (("user_emb_source", ds.n_users_source),
-                       ("user_emb_target", ds.n_users_target),
-                       ("item_emb_source", ds.n_items_source),
-                       ("item_emb_target", ds.n_items_target)):
-        if snapshot[name].shape != (rows, d):
-            raise DataError(
-                f"snapshot table {name} has shape {snapshot[name].shape} but the dataset "
-                f"needs {(rows, d)}: evaluate with the dataset the run was trained on"
-            )
+    bb = backbone_mod.restore(ds, snapshot, state["embedding_dim"], state["sharing_mode"])
     # runs written before the fingerprint existed get the shape check only
     stored = state.get("dataset_sha256")
     if stored is not None and stored != ds.sha256():
         raise DataError("the dataset differs from the one the run was trained on "
                         "(dataset_sha256 mismatch): evaluate with that dataset")
-    bb = backbone_mod.init(ds, d, state["sharing_mode"], state["seed"])
-    # Restore from the stored tables; dual slots first, shared pool rebuilt
-    # from the target table plus non-overlapping source rows.
-    emb_t, emb_s = snapshot["user_emb_target"], snapshot["user_emb_source"]
-    bb.user_pool[bb.target_slot] = emb_t
-    bb.user_pool[bb.source_slot] = emb_s
-    bb.item_source = snapshot["item_emb_source"]
-    bb.item_target = snapshot["item_emb_target"]
     split = split_per_user(ds, state["seed"])
     report = metrics_mod.evaluate(bb, split, ds, ks=ks)
     out = _out_dir(args, "eval_out")
@@ -415,15 +384,6 @@ def cmd_eval(args) -> int:
     report.write_csv(out / "report.csv")
     _say(args, _summary(report, ks))
     return 0
-
-
-_ABLATE_LABELS = {
-    "full": "full",
-    "no_alpha": "w/o alpha",
-    "no_fair_sampling": "w/o fair sampling",
-    "no_redistribution": "w/o redistribution loss",
-    "no_estimator_loss": "w/o estimator loss",
-}
 
 
 def _metric_row(report) -> list:
@@ -441,11 +401,13 @@ def cmd_ablate(args) -> int:
     ds = run_cfg.dataset()
     out = _out_dir(args, "ablate_out")
     rows = []
-    for variant in ABLATION_VARIANTS:
+    for variant, (label, _) in VARIANTS.items():
+        if label is None:
+            continue
         sub = out / variant
         sub.mkdir(parents=True, exist_ok=True)
         _, report = _run_and_report(ds, run_cfg, sub, args, variant=variant)
-        rows.append([_ABLATE_LABELS[variant]] + _metric_row(report))
+        rows.append([label] + _metric_row(report))
     with open(out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -460,24 +422,15 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     run_cfg = _load_run_config(args).validate()
     _require_cutoffs(run_cfg.eval_ks, (10,), "sweep")
+    # every axis value is parsed and validated before the first run
+    points = []
+    for text in args.values.split(","):
+        cfg = copy.deepcopy(run_cfg)
+        points.append((_set_key(cfg, args.axis, text), cfg.validate().train))
     ds = run_cfg.dataset()
     out = _out_dir(args, "sweep_out")
-    try:
-        if args.axis == "candidate_size":
-            values = [int(v) for v in args.values.split(",")]
-        else:
-            values = [float(v) for v in args.values.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad sweep values: {exc}") from exc
     rows = []
-    for value in values:
-        cfg = run_cfg.train
-        if args.axis == "candidate_size":
-            cfg = replace(cfg, sampler=replace(cfg.sampler, candidate_size=int(value)))
-        elif args.axis == "epsilon":
-            cfg = replace(cfg, sampler=replace(cfg.sampler, epsilon=float(value)))
-        else:
-            cfg = replace(cfg, gamma=float(value))
+    for value, cfg in points:
         model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode)
         report = metrics_mod.evaluate(model.backbone, model.split, ds, ks=run_cfg.eval_ks)
         rows.append([

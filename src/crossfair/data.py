@@ -20,6 +20,7 @@ from operator import methodcaller, not_
 import numpy as np
 
 from .errors import DataError
+from .numerics import require_finite
 from .seeding import make_rng
 
 G0 = 0
@@ -361,6 +362,7 @@ class SynthConfig:
     rng_seed: int = 0
 
     def validate(self):
+        require_finite(self)
         if min(self.n_users_source, self.n_users_target,
                self.n_items_source, self.n_items_target,
                self.latent_dim, self.interactions_per_user) <= 0:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
+
+from .errors import DataError
 
 PROB_FLOOR = 1e-7
 PROB_CEIL = 1.0 - 1e-7
@@ -37,3 +41,12 @@ def softmax(logits, axis=-1):
 def clamp_prob(p):
     """Clamp probabilities away from {0, 1} before taking logarithms."""
     return np.clip(p, PROB_FLOOR, PROB_CEIL)
+
+
+def require_finite(cfg):
+    """Refuse a config dataclass with a NaN or infinite float field; the range
+    checks that follow can then compare without NaN slipping through."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise DataError(f"{f.name} must be finite, got {value!r}")

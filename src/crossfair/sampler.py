@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import G0, G1
 from .errors import DataError, NumericalError
-from .numerics import softmax
+from .numerics import require_finite, softmax
 
 ALPHA_EPS = 1e-12
 
@@ -29,6 +29,7 @@ class SamplerConfig:
     negatives_per_positive: int = 1
 
     def validate(self):
+        require_finite(self)
         if self.epsilon < 0:
             raise DataError("epsilon must be >= 0")
         if self.candidate_size < 1:

@@ -20,7 +20,7 @@ from .backbone import Backbone, init as init_backbone
 from .data import G0, G1, CrossDomainDataset, SplitDataset, split_per_user
 from .errors import DataError, NumericalError
 from .gain import EpochSnapshot, GainEstimator, estimate_gain, estimator_step, redistribution_grads
-from .numerics import sigmoid, softplus
+from .numerics import require_finite, sigmoid, softplus
 from .sampler import (
     GroupLossTracker,
     NegativePool,
@@ -40,9 +40,7 @@ class TrainConfig:
     gamma: float = 0.5
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     beta: float = 0.9
-    use_alpha: bool = True
     use_fair_sampling: bool = True
-    use_redistribution: bool = True
     use_estimator_loss: bool = True
     include_source: bool = True
     seed: int = 0
@@ -54,6 +52,7 @@ class TrainConfig:
     snapshot_every: int = 0
 
     def validate(self):
+        require_finite(self)
         if self.learning_rate <= 0 or self.estimator_lr <= 0:
             raise DataError("learning rates must be positive")
         if self.batch_size < 1:
@@ -258,7 +257,7 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, plan: _BatchPl
     # per-sample objective.
     penalty = 0.0
     scale = float(len(plan.users))
-    if cfg.use_redistribution and cfg.gamma > 0 and len(plan.penalty_users) > 0:
+    if cfg.gamma > 0 and len(plan.penalty_users) > 0:
         raw, pgrads = redistribution_grads(
             backbone, estimator, plan.penalty_users, plan.penalty_items, plan.penalty_groups
         )
@@ -280,15 +279,12 @@ def _plan_batch(backbone, pools, domains, users, pos, groups_arr, tracker, cfg, 
         fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
         taus = None
         if fair:
-            if cfg.use_alpha:
-                taus = np.array(
-                    [
-                        temperature(tracker.alpha(G0), cfg.sampler.epsilon),
-                        temperature(tracker.alpha(G1), cfg.sampler.epsilon),
-                    ]
-                )[groups_arr[t_users]]
-            else:
-                taus = np.ones(len(t_users))
+            taus = np.array(
+                [
+                    temperature(tracker.alpha(G0), cfg.sampler.epsilon),
+                    temperature(tracker.alpha(G1), cfg.sampler.epsilon),
+                ]
+            )[groups_arr[t_users]]
             fair_draws = len(t_users)
         neg[tgt] = batch_sample_negatives(
             backbone, pools["target"], t_users, taus, cfg.sampler.candidate_size, rng,
@@ -487,30 +483,32 @@ def write_run_log(path, log):
             fh.write("\n")
 
 
+# Every fairness mechanism off: ``epsilon = 0`` makes each sampling
+# temperature exp(0) = 1, and ``gamma = 0`` drops the redistribution penalty.
+_PLAIN = {"sampler": {"epsilon": 0.0}, "use_fair_sampling": False, "gamma": 0.0,
+          "use_estimator_loss": False}
+# Named training variants: the row label in the ``ablate`` table (None for a
+# variant that table leaves out) and the TrainConfig fields it overrides; a
+# dict value overrides fields of a nested config.
+VARIANTS = {
+    "full": ("full", {}),
+    "no_alpha": ("w/o alpha", {"sampler": {"epsilon": 0.0}}),
+    "no_fair_sampling": ("w/o fair sampling", {"use_fair_sampling": False}),
+    "no_redistribution": ("w/o redistribution loss", {"gamma": 0.0}),
+    "no_estimator_loss": ("w/o estimator loss", {"use_estimator_loss": False}),
+    "plain": (None, _PLAIN),
+    "target_only": (None, {**_PLAIN, "include_source": False}),
+}
+
+
+def _override(cfg, changes: dict):
+    return replace(cfg, **{name: _override(getattr(cfg, name), value)
+                           if isinstance(value, dict) else value
+                           for name, value in changes.items()})
+
+
 def ablation_config(base: TrainConfig, variant: str) -> TrainConfig:
-    """Named training variants used by the comparison harness."""
-    if variant == "full":
-        return replace(base)
-    if variant == "no_alpha":
-        return replace(base, use_alpha=False)
-    if variant == "no_fair_sampling":
-        return replace(base, use_fair_sampling=False)
-    if variant == "no_redistribution":
-        return replace(base, use_redistribution=False)
-    if variant == "no_estimator_loss":
-        return replace(base, use_estimator_loss=False)
-    if variant == "plain":
-        return replace(
-            base, use_alpha=False, use_fair_sampling=False,
-            use_redistribution=False, use_estimator_loss=False,
-        )
-    if variant == "target_only":
-        return replace(
-            base, use_alpha=False, use_fair_sampling=False,
-            use_redistribution=False, use_estimator_loss=False, include_source=False,
-        )
-    raise DataError(f"unknown variant {variant!r}")
-
-
-ABLATION_VARIANTS = ("full", "no_alpha", "no_fair_sampling", "no_redistribution",
-                     "no_estimator_loss")
+    """``base`` with the overrides of the named variant in ``VARIANTS``."""
+    if variant not in VARIANTS:
+        raise DataError(f"unknown variant {variant!r}")
+    return _override(base, VARIANTS[variant][1])

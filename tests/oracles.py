@@ -18,7 +18,15 @@ branch summed duplicate rows with one ``np.bincount``: ``np.unique`` plus
 
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
-must return the same values and raise the same messages. The remaining
+must return the same values and raise the same messages.
+
+``resolve_config_tables`` is the config resolver the package had before its
+keys and types came from the config dataclasses: hand-kept key tables and
+special cases. Its tables lack the two flags the package dropped,
+``use_alpha`` and ``use_redistribution`` (now ``epsilon = 0`` and
+``gamma = 0``), and it keeps the root seed in TrainConfig, the seed's one
+field since ``RunConfig.seed`` went. The resolver must return the same
+configuration and raise the same errors on the same input. The remaining
 helpers read artifacts back (``read_state_bundle``) or measure the
 synthetic generator (``synthetic_rank_quality``) for tests only.
 """
@@ -31,8 +39,9 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from crossfair.data import G0, G1, LoadedInteractions, _synth_internals, _top_items
-from crossfair.errors import DataError, NumericalError
+from crossfair.cli import RunConfig
+from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_internals, _top_items
+from crossfair.errors import DataError, NumericalError, UsageError
 from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.sampler import temperature
 from crossfair.seeding import make_rng
@@ -452,3 +461,78 @@ def synthetic_rank_quality(cfg):
     if not (np.any(g == G0) and np.any(g == G1)):
         raise DataError("both groups must appear among overlapping users")
     return float(mean_rank[g == G0].mean()), float(mean_rank[g == G1].mean())
+
+
+SYNTH_KEYS = (
+    "n_users_source", "n_users_target", "overlap_fraction", "n_items_source",
+    "n_items_target", "latent_dim", "group_split", "source_disparity",
+    "domain_shift", "interactions_per_user", "source_density_ratio", "rng_seed",
+)
+SYNTH_FLOAT_KEYS = ("overlap_fraction", "group_split", "source_disparity", "domain_shift")
+
+
+def _as_bool(value: str, key: str) -> bool:
+    low = value.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise UsageError(f"{key}: expected a boolean, got {value!r}")
+
+
+def _int_list(value: str) -> tuple:
+    return tuple(int(x) for x in value.split(",") if x.strip())
+
+
+_EXPECTED = {int: "an integer", float: "a number", _int_list: "comma-separated integers"}
+
+
+def _convert(key: str, value: str, conv):
+    try:
+        return conv(value)
+    except ValueError:
+        raise UsageError(f"{key}: expected {_EXPECTED[conv]}, got {value!r}") from None
+
+
+def resolve_config_tables(values: dict) -> RunConfig:
+    cfg = RunConfig()
+    synth_wanted = "synth" in values and _as_bool(values.pop("synth"), "synth")
+    synth_kwargs = {}
+    handlers = {
+        "source_interactions": ("source_interactions", str),
+        "target_interactions": ("target_interactions", str),
+        "attributes": ("attributes", str),
+        "embedding_dim": ("embedding_dim", int),
+        "sharing_mode": ("sharing_mode", str),
+    }
+    train_handlers = {
+        "seed": int, "learning_rate": float, "batch_size": int, "l2_reg": float, "epochs": int,
+        "gamma": float, "beta": float, "patience": int, "estimator_dropout": float,
+        "estimator_lr": float, "snapshot_every": int, "include_source": None,
+        "use_fair_sampling": None, "use_estimator_loss": None, "partition_checks": None,
+    }
+    sampler_handlers = {"epsilon": float, "candidate_size": int, "negatives_per_positive": int}
+    for key, value in values.items():
+        if key in handlers:
+            attr, conv = handlers[key]
+            setattr(cfg, attr, _convert(key, value, conv))
+        elif key in train_handlers:
+            conv = train_handlers[key]
+            parsed = _as_bool(value, key) if conv is None else _convert(key, value, conv)
+            setattr(cfg.train, key, parsed)
+        elif key in sampler_handlers:
+            setattr(cfg.train.sampler, key, _convert(key, value, sampler_handlers[key]))
+        elif key == "estimator_hidden":
+            cfg.train.estimator_hidden = _convert(key, value, _int_list)
+        elif key == "eval_ks":
+            cfg.eval_ks = _convert(key, value, _int_list)
+        elif key in SYNTH_KEYS:
+            conv = float if key in SYNTH_FLOAT_KEYS else int
+            synth_kwargs[key] = _convert(key, value, conv)
+        else:
+            raise UsageError(f"unknown config key {key!r}")
+    if synth_wanted or synth_kwargs:
+        cfg.synth = SynthConfig(**synth_kwargs)
+    if cfg.synth is not None and "rng_seed" not in synth_kwargs:
+        cfg.synth.rng_seed = cfg.train.seed
+    return cfg

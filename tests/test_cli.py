@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -9,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossfair.trainer as trainer_mod
-from crossfair.cli import SYNTH_KEYS, main, parse_config_file, resolve_config
+from crossfair.cli import CONFIG_KEYS, CONFIG_SCHEMA, main, parse_config_file, resolve_config
 from crossfair.errors import CrossfairError
 
-from oracles import adam_step_add_at, read_state_bundle
+from oracles import adam_step_add_at, read_state_bundle, resolve_config_tables
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+FLOAT_KEYS = [key for key, (_, kind) in CONFIG_SCHEMA.items() if kind is float]
 
 SYNTH_CFG = """
 # small synthetic fixture
@@ -114,8 +118,8 @@ class TestTrainCommand:
 
     def test_ablate_flag_matches_flags_off(self, tmp_path):
         base = tmp_path / "base.cfg"
-        base.write_text(SYNTH_CFG + "use_alpha = false\nuse_fair_sampling = false\n"
-                        "use_redistribution = false\nuse_estimator_loss = false\n",
+        base.write_text(SYNTH_CFG + "epsilon = 0\nuse_fair_sampling = false\n"
+                        "gamma = 0\nuse_estimator_loss = false\n",
                         encoding="utf-8")
         plain_cfg = tmp_path / "plain.cfg"
         plain_cfg.write_text(SYNTH_CFG, encoding="utf-8")
@@ -124,6 +128,15 @@ class TestTrainCommand:
         run("--config", plain_cfg, "--out", out_b, "--quiet", "train", "--ablate", "plain")
         assert (out_a / "runlog.jsonl").read_bytes() == (out_b / "runlog.jsonl").read_bytes()
         assert (out_a / "snapshot.bin").read_bytes() == (out_b / "snapshot.bin").read_bytes()
+
+    def test_unknown_variant_refused_before_loading(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        assert run("--config", cfg_file, "--out", out, "--quiet", "train",
+                   "--ablate", "bogus") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --ablate: invalid choice: 'bogus'")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["shared", "dual"])
     def test_artifacts_match_add_at_adam(self, tmp_path, mode, monkeypatch):
@@ -314,6 +327,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "error: sweep writes columns at K = 10: eval_ks must include them, got 5,20\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("candidate_size", "4,0", "candidate_size must be >= 1"),
+        ("epsilon", "1,nan", "epsilon must be finite, got nan"),
+        ("gamma", "0.5,-1", "l2_reg and gamma must be >= 0"),
+    ])
+    def test_bad_axis_value_refused_before_training(self, tmp_path, cfg_file, capsys,
+                                                    axis, values, message):
+        out = tmp_path / "sweep"
+        assert run("--config", cfg_file, "--out", out, "--quiet", "sweep",
+                   "--axis", axis, "--values", values) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unknown_axis_usage_error(self, tmp_path, cfg_file):
@@ -510,6 +536,25 @@ class TestUsageErrors:
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
         assert not (out / "runlog.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["use_alpha", "use_redistribution"])
+    def test_dropped_flags_are_unknown_keys(self, tmp_path, cfg_file, capsys, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = false\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 1
+        assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_is_data_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 2
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+        assert not (out / "runlog.jsonl").exists()
+
     def test_nonpositive_hidden_size_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SYNTH_CFG + "estimator_hidden = 64,-5\n", encoding="utf-8")
@@ -521,14 +566,7 @@ class TestUsageErrors:
                    "--run", tmp_path / "none", "--k", "ten") == 1
 
 
-CONFIG_KEYS = SYNTH_KEYS + (
-    "synth", "source_interactions", "target_interactions", "attributes", "embedding_dim",
-    "sharing_mode", "seed", "learning_rate", "batch_size", "l2_reg", "epochs", "gamma",
-    "beta", "patience", "estimator_dropout", "estimator_lr", "snapshot_every",
-    "include_source", "use_alpha", "use_fair_sampling", "use_redistribution",
-    "use_estimator_loss", "partition_checks", "epsilon", "candidate_size",
-    "negatives_per_positive", "estimator_hidden", "eval_ks", "no_such_key",
-)
+FUZZ_KEYS = CONFIG_KEYS + ("use_alpha", "use_redistribution", "no_such_key")
 CONFIG_VALUES = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -539,7 +577,7 @@ CONFIG_VALUES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES, max_size=8))
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), CONFIG_VALUES, max_size=8))
 def test_config_fuzz_raises_only_package_errors(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="utf-8")
@@ -547,3 +585,25 @@ def test_config_fuzz_raises_only_package_errors(tmp_path_factory, values):
         resolve_config(parse_config_file(path)).validate()
     except CrossfairError:
         pass
+
+
+def _resolve_or_error(resolver, values):
+    try:
+        return repr(resolver(dict(values)))
+    except CrossfairError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.sampled_from(FUZZ_KEYS), CONFIG_VALUES, max_size=12))
+def test_schema_resolver_matches_table_oracle(values):
+    # repr compares every field, NaN included
+    assert _resolve_or_error(resolve_config, values) == \
+        _resolve_or_error(resolve_config_tables, values)
+
+
+def test_readme_config_block_lists_every_key():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("### Config file", 1)[1].split("```")[1]
+    documented = re.findall(r"(?:^|  )(\w+) = ", block, flags=re.M)
+    assert sorted(documented) == sorted(CONFIG_KEYS)

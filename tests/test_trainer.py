@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossfair.trainer as trainer_mod
 from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import DataError
@@ -192,8 +193,7 @@ class TestTrainEpochOracle:
     def test_replay_oracle_single_batch(self, micro_ds, micro_split):
         # batch covers the whole pool, so every loss is computed at the
         # initial parameters and can be recomputed independently
-        cfg = run_config(batch_size=4096, gamma=0.0, use_redistribution=False,
-                         use_estimator_loss=False)
+        cfg = run_config(batch_size=4096, gamma=0.0, use_estimator_loss=False)
         bb = init(micro_ds, 4, "shared", seed=5)
         frozen = bb.copy()
         est = GainEstimator(4, hidden=(8,), seed=5)
@@ -303,10 +303,16 @@ class TestTrainRuns:
         np.testing.assert_array_equal(a.backbone.item_target, b.backbone.item_target)
         assert [s.log_record() for s in a.log] == [s.log_record() for s in b.log]
 
-    def test_gamma_zero_equals_flag_off(self, synth_ds):
+    def test_gamma_zero_equals_flag_off(self, synth_ds, monkeypatch):
+        # gamma = 0 is the no_redistribution variant: the penalty is never computed
+        off = train(synth_ds, ablation_config(run_config(epochs=2), "no_redistribution"),
+                    d=8, mode="shared")
+
+        def no_penalty(*args):
+            raise AssertionError("penalty computed at gamma = 0")
+
+        monkeypatch.setattr(trainer_mod, "redistribution_grads", no_penalty)
         on = train(synth_ds, run_config(epochs=2, gamma=0.0), d=8, mode="shared")
-        off = train(synth_ds, run_config(epochs=2, use_redistribution=False), d=8,
-                    mode="shared")
         np.testing.assert_array_equal(on.backbone.user_pool, off.backbone.user_pool)
 
     def test_learning_happens(self):
@@ -319,8 +325,8 @@ class TestTrainRuns:
 
     def test_plain_variant_matches_manual_flags(self, synth_ds):
         via_helper = ablation_config(run_config(epochs=2), "plain")
-        manual = run_config(epochs=2, use_alpha=False, use_fair_sampling=False,
-                            use_redistribution=False, use_estimator_loss=False)
+        manual = run_config(epochs=2, sampler=SamplerConfig(epsilon=0.0, candidate_size=4),
+                            use_fair_sampling=False, gamma=0.0, use_estimator_loss=False)
         a = train(synth_ds, via_helper, d=8, mode="shared")
         b = train(synth_ds, manual, d=8, mode="shared")
         np.testing.assert_array_equal(a.backbone.user_pool, b.backbone.user_pool)
@@ -353,9 +359,9 @@ class TestTrainRuns:
     def test_lattice_estimator_toggle_isolated(self, synth_ds):
         # with redistribution off the estimator is decoupled from the main
         # objective, so toggling its fit must not move the backbone
-        base = run_config(epochs=3, use_redistribution=False)
+        base = run_config(epochs=3, gamma=0.0)
         on = train(synth_ds, base, d=8, mode="shared")
-        off = train(synth_ds, run_config(epochs=3, use_redistribution=False,
+        off = train(synth_ds, run_config(epochs=3, gamma=0.0,
                                          use_estimator_loss=False), d=8, mode="shared")
         np.testing.assert_array_equal(on.backbone.user_pool, off.backbone.user_pool)
 
@@ -364,7 +370,8 @@ class TestTrainRuns:
         a = train(synth_ds, run_config(epochs=3, use_fair_sampling=False), d=8,
                   mode="shared")
         b = train(synth_ds, run_config(epochs=3, use_fair_sampling=False,
-                                       use_alpha=False), d=8, mode="shared")
+                                       sampler=SamplerConfig(epsilon=0.0, candidate_size=4)),
+                  d=8, mode="shared")
         np.testing.assert_array_equal(a.backbone.user_pool, b.backbone.user_pool)
 
     def test_multiple_negatives_per_positive(self, synth_ds):
