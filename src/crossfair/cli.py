@@ -180,14 +180,19 @@ def _summary(report, ks: tuple) -> str:
 def resolve_config(values: dict, seed: int | None = None) -> RunConfig:
     """Run configuration from ``key = value`` strings. ``seed``, when given,
     overrides the ``seed`` key. The seed also drives synthesis unless
-    ``rng_seed`` is set and ``seed`` is not given."""
-    synth_wanted = "synth" in values and _convert("synth", values["synth"], bool)
+    ``rng_seed`` is set and ``seed`` is not given. A synthetic setting asks
+    for synthetic data, so it is a usage error next to ``synth = false``."""
+    synth_flag = _convert("synth", values["synth"], bool) if "synth" in values else None
     cfg = RunConfig(synth=SynthConfig())
+    synth_keys = []
     for key, value in values.items():
         if key != "synth":
             _set_key(cfg, key, value)
-            synth_wanted |= CONFIG_SCHEMA[key][0][0] == "synth"
-    if not synth_wanted:
+            if CONFIG_SCHEMA[key][0][0] == "synth":
+                synth_keys.append(key)
+    if synth_flag is False and synth_keys:
+        raise UsageError(f"synth = false conflicts with synthetic setting {synth_keys[0]!r}")
+    if not (synth_flag or synth_keys):
         cfg.synth = None
     if seed is not None:
         cfg.train.seed = seed

@@ -121,15 +121,6 @@ class GainEstimator:
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
-    def copy(self) -> "GainEstimator":
-        clone = object.__new__(GainEstimator)
-        clone.d = self.d
-        clone.hidden = self.hidden
-        clone.dropout = self.dropout
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
-
 
 @dataclass
 class EpochSnapshot:
@@ -153,37 +144,25 @@ class GainReport:
 # -- probability heads --------------------------------------------------------
 
 
-def _batch_heads(backbone, estimator, users, items):
-    """Vectorized heads for overlapping target users. Returns logits,
-    clamped probabilities, and the forward cache needed for gradients.
-    """
+def _gain_terms(backbone, estimator, users, items, groups):
+    """Probability heads over the overlapping-user samples of a batch, with
+    the inputs and forward cache their gradients need; the per-sample
+    log(p_joint / (p_source * p_target)) terms; and the samples' groups."""
+    users = np.asarray(users, dtype=np.int64)
+    mask = backbone.target_to_source[users] >= 0
+    users, items = users[mask], np.asarray(items, dtype=np.int64)[mask]
     u_t = backbone.user_target_vectors(users)
     s_slots = backbone.source_slots_of_targets(users)
     u_s = backbone.user_pool[s_slots]
     i_t = backbone.item_target[items]
-
-    z_s = np.einsum("bd,bd->b", u_s, i_t)
-    z_t = np.einsum("bd,bd->b", u_t, i_t)
-    x = np.concatenate([u_t, u_s], axis=1)
-    fused, cache = estimator.forward(x)
-    z_j = np.einsum("bd,bd->b", fused, i_t)
-
-    p_s = clamp_prob(sigmoid(z_s))
-    p_t = clamp_prob(sigmoid(z_t))
-    p_j = clamp_prob(sigmoid(z_j))
-    return {
+    fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
+    heads = {
         "users": users, "items": items, "u_t": u_t, "u_s": u_s, "i_t": i_t,
-        "s_slots": s_slots, "z_s": z_s, "z_t": z_t, "z_j": z_j,
-        "p_s": p_s, "p_t": p_t, "p_j": p_j, "fused": fused, "cache": cache,
+        "s_slots": s_slots, "fused": fused, "cache": cache,
+        "p_s": clamp_prob(sigmoid(np.einsum("bd,bd->b", u_s, i_t))),
+        "p_t": clamp_prob(sigmoid(np.einsum("bd,bd->b", u_t, i_t))),
+        "p_j": clamp_prob(sigmoid(np.einsum("bd,bd->b", fused, i_t))),
     }
-
-
-def _gain_terms(backbone, estimator, users, items, groups):
-    """Heads over the overlapping-user samples of a batch, their per-sample
-    log(p_joint / (p_source * p_target)) terms, and their groups."""
-    users = np.asarray(users, dtype=np.int64)
-    mask = backbone.target_to_source[users] >= 0
-    heads = _batch_heads(backbone, estimator, users[mask], np.asarray(items, dtype=np.int64)[mask])
     terms = np.log(heads["p_j"]) - np.log(heads["p_s"]) - np.log(heads["p_t"])
     return heads, terms, np.asarray(groups)[mask]
 

@@ -213,16 +213,15 @@ def _draw_rows(probs: np.ndarray, rng) -> np.ndarray:
 
 
 def batch_sample_negatives(backbone, pool: NegativePool, users: np.ndarray,
-                           taus: np.ndarray, size: int, rng,
-                           uniform: bool = False) -> np.ndarray:
+                           taus: np.ndarray | None, size: int, rng) -> np.ndarray:
     """One negative per row, drawn from a fresh candidate set per row.
 
-    With ``uniform`` the candidate scores are ignored (plain random
+    With ``taus`` None the candidate scores are ignored (plain random
     sampling); otherwise a softmax at the per-row temperature is used.
     """
     users = np.asarray(users, dtype=np.int64)
     items, counts = batch_candidates(pool, users, size, rng)
-    if uniform:
+    if taus is None:
         j = (rng.random(len(users)) * counts).astype(np.int64)
         j = np.minimum(j, counts - 1)
         return items[np.arange(len(users)), j]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class TrainConfig:
             raise DataError("batch_size must be >= 1")
         if self.l2_reg < 0 or self.gamma < 0:
             raise DataError("l2_reg and gamma must be >= 0")
+        for key in ("beta", "estimator_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise DataError(f"{key} must lie in [0, 1)")
         if self.epochs < 0:
             raise DataError("epochs must be >= 0")
         if self.patience < 1:
@@ -177,19 +180,11 @@ class EpochStats:
     seconds: float = 0.0
 
     def log_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss_total": self.loss_total,
-            "loss_rec": self.loss_rec,
-            "loss_redist": self.loss_redist,
-            "ema_g0": self.ema_g0,
-            "ema_g1": self.ema_g1,
-            "alpha_g0": self.alpha_g0,
-            "gain_g0": self.gain_g0,
-            "gain_g1": self.gain_g1,
-            "estimator_loss": self.estimator_loss,
-            "val_ndcg10": self.val_ndcg10,
-        }
+        """The run-log fields: all but the sample and draw counts and the time."""
+        record = asdict(self)
+        for name in ("n_samples", "fair_draws", "seconds"):
+            del record[name]
+        return record
 
 
 @dataclass
@@ -206,48 +201,32 @@ class TrainedModel:
     final_backbone: Backbone = None
 
 
-class _BatchPlan:
-    """Concrete triples for one mini-batch: negatives already drawn, so the
-    objective is a deterministic function of the parameters."""
-
-    __slots__ = ("domains", "users", "pos", "neg", "penalty_users", "penalty_items",
-                 "penalty_groups")
-
-    def __init__(self, domains, users, pos, neg, penalty_users, penalty_items, penalty_groups):
-        self.domains = domains
-        self.users = users
-        self.pos = pos
-        self.neg = neg
-        self.penalty_users = penalty_users
-        self.penalty_items = penalty_items
-        self.penalty_groups = penalty_groups
-
-
-def batch_objective(backbone: Backbone, estimator: GainEstimator, plan: _BatchPlan,
+def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, groups,
                     cfg: TrainConfig):
     """Objective value (sum of per-sample BPR losses plus gamma times the
-    redistribution penalty) and its analytic gradients.
+    redistribution penalty) and its analytic gradients for a batch from
+    ``_plan_batch``, whose negatives are already drawn.
 
     Returns (total, rec_sum, penalty, rank_losses_target, grads), where grads
     lists (table, rows, grad_rows) contributions, target domain first.
     """
-    tgt = plan.domains == 1
     grads = []
     rec_sum = 0.0
-    rank_target = np.empty(int(tgt.sum()))
-    for mask, user_vectors, slot_of, item_name in (
-        (tgt, backbone.user_target_vectors, backbone.target_slot, "item_target"),
-        (~tgt, backbone.source_user_vectors, backbone.source_slot, "item_source"),
+    rank_target = np.empty(0)
+    for domain, user_vectors, slot_of in (
+        ("target", backbone.user_target_vectors, backbone.target_slot),
+        ("source", backbone.source_user_vectors, backbone.source_slot),
     ):
-        if not np.any(mask):
-            continue
-        users, pos, neg = plan.users[mask], plan.pos[mask], plan.neg[mask]
+        users, pos, neg = batch[domain]
+        if len(users) == 0:
+            continue  # an empty domain takes no Adam step
+        item_name = f"item_{domain}"
         table = backbone.parameters()[item_name]
         loss, rank, g_u, g_i, g_j = bpr_terms(
             user_vectors(users), table[pos], table[neg], cfg.l2_reg
         )
         rec_sum += float(loss.sum())
-        if item_name == "item_target":
+        if domain == "target":
             rank_target = rank
         grads += [("user_pool", slot_of[users], g_u), (item_name, pos, g_i),
                   (item_name, neg, g_j)]
@@ -256,11 +235,10 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, plan: _BatchPl
     # is weighted by the batch sample count to keep gamma on the scale of the
     # per-sample objective.
     penalty = 0.0
-    scale = float(len(plan.users))
-    if cfg.gamma > 0 and len(plan.penalty_users) > 0:
-        raw, pgrads = redistribution_grads(
-            backbone, estimator, plan.penalty_users, plan.penalty_items, plan.penalty_groups
-        )
+    if cfg.gamma > 0:
+        users, pos, _ = batch["target"]
+        scale = float(len(users) + len(batch["source"][0]))
+        raw, pgrads = redistribution_grads(backbone, estimator, users, pos, groups[users])
         penalty = scale * raw
         for table, rows, g in pgrads:
             grads.append((table, rows, cfg.gamma * scale * g))
@@ -269,53 +247,32 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, plan: _BatchPl
     return total, rec_sum, penalty, rank_target, grads
 
 
-def _plan_batch(backbone, pools, domains, users, pos, groups_arr, tracker, cfg, rng):
-    """Draw negatives for a shuffled batch and collect the penalty samples."""
-    tgt = domains == 1
-    neg = np.empty(len(users), dtype=np.int64)
-    fair_draws = 0
-    if np.any(tgt):
-        t_users = users[tgt]
-        fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
+def _plan_batch(backbone, pools, is_target, users, pos, groups, tracker, cfg, rng):
+    """Split a shuffled slice by domain and draw one negative per row, target
+    rows first. Returns ({"target": (users, pos, neg), "source": (users, pos,
+    neg)}, the number of fair draws). A domain without rows draws nothing
+    from ``rng``."""
+    fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
+    batch = {}
+    for domain, mask in (("target", is_target), ("source", ~is_target)):
+        d_users = users[mask]
         taus = None
-        if fair:
-            taus = np.array(
-                [
-                    temperature(tracker.alpha(G0), cfg.sampler.epsilon),
-                    temperature(tracker.alpha(G1), cfg.sampler.epsilon),
-                ]
-            )[groups_arr[t_users]]
-            fair_draws = len(t_users)
-        neg[tgt] = batch_sample_negatives(
-            backbone, pools["target"], t_users, taus, cfg.sampler.candidate_size, rng,
-            uniform=not fair,
+        if fair and domain == "target":
+            taus = np.array([temperature(tracker.alpha(g), cfg.sampler.epsilon)
+                             for g in (G0, G1)])[groups[d_users]]
+        neg = batch_sample_negatives(
+            backbone, pools[domain], d_users, taus, cfg.sampler.candidate_size, rng
         )
-    if np.any(~tgt):
-        s_users = users[~tgt]
-        neg[~tgt] = batch_sample_negatives(
-            backbone, pools["source"], s_users, None,
-            cfg.sampler.candidate_size, rng, uniform=True,
-        )
-
-    overlap_tgt = tgt & (backbone.target_to_source[users] >= 0)
-    plan = _BatchPlan(
-        domains=domains,
-        users=users,
-        pos=pos,
-        neg=neg,
-        penalty_users=users[overlap_tgt],
-        penalty_items=pos[overlap_tgt],
-        penalty_groups=groups_arr[users[overlap_tgt]],
-    )
-    return plan, fair_draws
+        batch[domain] = (d_users, pos[mask], neg)
+    return batch, len(batch["target"][0]) if fair else 0
 
 
 def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
                 estimator: GainEstimator, tracker: GroupLossTracker, cfg: TrainConfig,
-                rng, pools, adam: Adam, est_adam: Adam, epoch: int,
-                est_rng=None, debug_record=None) -> EpochStats:
+                rng, pools, adam: Adam, est_adam: Adam, epoch: int, est_rng) -> EpochStats:
     """One pass over the shuffled training pool, then the tracker epoch fold,
-    the epoch-level gain report, and (if enabled) the estimator fit.
+    the epoch-level gain report, and (if enabled) the estimator fit, whose
+    dropout draws from ``est_rng``.
     """
     started = time.perf_counter()
     groups_arr = ds.target_group
@@ -326,19 +283,17 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     n = len(tgt_pairs) + len(src_pairs)
     if n == 0:
         raise DataError("no training interactions")
-    domains = np.concatenate(
-        [np.ones(len(tgt_pairs), dtype=np.int64), np.zeros(len(src_pairs), dtype=np.int64)]
-    )
+    is_target = np.arange(n) < len(tgt_pairs)
     users, pos = np.concatenate([tgt_pairs, src_pairs]).T
     k = cfg.sampler.negatives_per_positive
     if k > 1:
         # each positive is replicated; every copy draws its own candidate set
-        domains = np.repeat(domains, k)
+        is_target = np.repeat(is_target, k)
         users = np.repeat(users, k)
         pos = np.repeat(pos, k)
         n *= k
     order = rng.permutation(n)
-    domains, users, pos = domains[order], users[order], pos[order]
+    is_target, users, pos = is_target[order], users[order], pos[order]
 
     est_hash = estimator.checksum() if cfg.partition_checks else None
     sum_rec = 0.0
@@ -347,30 +302,26 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     fair_draws = 0
     for lo in range(0, n, cfg.batch_size):
         hi = min(lo + cfg.batch_size, n)
-        plan, drew = _plan_batch(
-            backbone, pools, domains[lo:hi], users[lo:hi], pos[lo:hi],
+        batch, drew = _plan_batch(
+            backbone, pools, is_target[lo:hi], users[lo:hi], pos[lo:hi],
             groups_arr, tracker, cfg, rng,
         )
         fair_draws += drew
-        total, rec, penalty, rank_target, grads = batch_objective(backbone, estimator, plan, cfg)
+        total, rec, penalty, rank_target, grads = batch_objective(
+            backbone, estimator, batch, groups_arr, cfg
+        )
         if not np.isfinite(total):
             raise NumericalError(f"non-finite batch loss at epoch {epoch}")
         sum_rec += rec
         sum_penalty += penalty
         sum_total += total
 
-        tgt = plan.domains == 1
-        if np.any(tgt):
-            tracker.accumulate_many(groups_arr[plan.users[tgt]], rank_target)
+        tracker.accumulate_many(groups_arr[batch["target"][0]], rank_target)
         params = backbone.parameters()
         for table, rows, g in grads:
             adam.step(table, params[table], g, rows=rows)
         if cfg.partition_checks and estimator.checksum() != est_hash:
             raise AssertionError("training step modified estimator parameters")
-        if debug_record is not None:
-            debug_record.append(
-                {"plan": plan, "total": total, "rec": rec, "penalty": penalty}
-            )
 
     emas = tracker.end_epoch()
     alpha0 = tracker.alpha(G0)
@@ -385,7 +336,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
         backbone_hash = backbone.checksum()
         est_loss = estimator_step(
             estimator, snapshot, backbone.user_emb_target(), t_ids, s_ids,
-            est_adam, est_rng if est_rng is not None else rng, batch_size=cfg.batch_size,
+            est_adam, est_rng, batch_size=cfg.batch_size,
         )
         if backbone.checksum() != backbone_hash:
             raise AssertionError("estimator fit modified backbone parameters")
@@ -436,12 +387,11 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
     log = []
     best_epoch = -1
     best_val = -np.inf
-    best_backbone = backbone.copy()
     since_best = 0
     for epoch in range(cfg.epochs):
         stats = train_epoch(
             ds, split, backbone, estimator, tracker, cfg, rng, pools, adam, est_adam,
-            epoch, est_rng=est_rng,
+            epoch, est_rng,
         )
         log.append(stats)
         if cfg.snapshot_every > 0 and snapshot_dir is not None \

@@ -12,6 +12,14 @@ draw, one probability head, one ranking) and the brute-force enumerations
 the per-sample definitions the batched trainer, sampler, gain heads,
 evaluator and bound code must agree with.
 
+``plan_batch_masked`` and ``batch_objective_masked`` are the batch path the
+trainer had before a batch became one (users, pos, neg) triple per domain:
+a ``BatchPlan`` keeps the shuffled rows with a domain column, the objective
+masks them again, and the penalty rows are filtered to overlapping users
+before the gain module filters them once more. Its sampler still takes a
+``uniform`` flag next to ``taus = None``. The trainer must draw the same
+negatives and return the same values and gradient fragments bit for bit.
+
 ``adam_step_add_at`` is the body ``Adam.step`` had before its sparse
 branch summed duplicate rows with one ``np.bincount``: ``np.unique`` plus
 ``np.add.at``. The optimiser must reproduce it bit for bit.
@@ -26,7 +34,9 @@ special cases. Its tables lack the two flags the package dropped,
 ``use_alpha`` and ``use_redistribution`` (now ``epsilon = 0`` and
 ``gamma = 0``), and it keeps the root seed in TrainConfig, the seed's one
 field since ``RunConfig.seed`` went. The resolver must return the same
-configuration and raise the same errors on the same input. The remaining
+configuration and raise the same errors on the same input, except that
+the package refuses a synthetic setting next to ``synth = false``, which
+these tables let override the flag. The remaining
 helpers read artifacts back (``read_state_bundle``) or measure the
 synthetic generator (``synthetic_rank_quality``) for tests only.
 """
@@ -43,7 +53,8 @@ from crossfair.cli import RunConfig
 from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_internals, _top_items
 from crossfair.errors import DataError, NumericalError, UsageError
 from crossfair.numerics import clamp_prob, sigmoid, softmax
-from crossfair.sampler import temperature
+from crossfair.gain import redistribution_grads
+from crossfair.sampler import _draw_rows, batch_candidates, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import bpr_terms
 
@@ -186,6 +197,122 @@ def bpr_loss(backbone, user, pos_item, neg_item, l2_reg=0.0, domain="target"):
     key = (item_name, int(neg_item))
     grads[key] = grads.get(key, 0.0) + g_j[0]
     return float(loss[0]), grads
+
+
+# -- batch path with masks -------------------------------------------------------
+
+
+def batch_sample_negatives_flagged(backbone, pool, users, taus, size, rng, uniform=False):
+    """``batch_sample_negatives`` with its former ``uniform`` flag."""
+    users = np.asarray(users, dtype=np.int64)
+    items, counts = batch_candidates(pool, users, size, rng)
+    if uniform:
+        j = (rng.random(len(users)) * counts).astype(np.int64)
+        j = np.minimum(j, counts - 1)
+        return items[np.arange(len(users)), j]
+    vecs = backbone.user_target_vectors(users)
+    safe_items = np.maximum(items, 0)
+    scores = np.einsum("bd,bkd->bk", vecs, backbone.item_target[safe_items])
+    scores[items < 0] = -np.inf
+    probs = softmax(scores / taus[:, None])
+    return items[np.arange(len(users)), _draw_rows(probs, rng)]
+
+
+class BatchPlan:
+    """Concrete triples for one mini-batch in shuffled order, a domain per
+    row (1 target, 0 source), and the overlapping target rows picked out for
+    the penalty."""
+
+    __slots__ = ("domains", "users", "pos", "neg", "penalty_users", "penalty_items",
+                 "penalty_groups")
+
+    def __init__(self, domains, users, pos, neg, penalty_users, penalty_items, penalty_groups):
+        self.domains = domains
+        self.users = users
+        self.pos = pos
+        self.neg = neg
+        self.penalty_users = penalty_users
+        self.penalty_items = penalty_items
+        self.penalty_groups = penalty_groups
+
+
+def plan_batch_masked(backbone, pools, domains, users, pos, groups_arr, tracker, cfg, rng):
+    """Draw negatives for a shuffled batch and collect the penalty samples."""
+    tgt = domains == 1
+    neg = np.empty(len(users), dtype=np.int64)
+    fair_draws = 0
+    if np.any(tgt):
+        t_users = users[tgt]
+        fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
+        taus = None
+        if fair:
+            taus = np.array(
+                [
+                    temperature(tracker.alpha(G0), cfg.sampler.epsilon),
+                    temperature(tracker.alpha(G1), cfg.sampler.epsilon),
+                ]
+            )[groups_arr[t_users]]
+            fair_draws = len(t_users)
+        neg[tgt] = batch_sample_negatives_flagged(
+            backbone, pools["target"], t_users, taus, cfg.sampler.candidate_size, rng,
+            uniform=not fair,
+        )
+    if np.any(~tgt):
+        s_users = users[~tgt]
+        neg[~tgt] = batch_sample_negatives_flagged(
+            backbone, pools["source"], s_users, None,
+            cfg.sampler.candidate_size, rng, uniform=True,
+        )
+
+    overlap_tgt = tgt & (backbone.target_to_source[users] >= 0)
+    plan = BatchPlan(
+        domains=domains,
+        users=users,
+        pos=pos,
+        neg=neg,
+        penalty_users=users[overlap_tgt],
+        penalty_items=pos[overlap_tgt],
+        penalty_groups=groups_arr[users[overlap_tgt]],
+    )
+    return plan, fair_draws
+
+
+def batch_objective_masked(backbone, estimator, plan, cfg):
+    """Objective value and gradients of a ``BatchPlan``: returns (total,
+    rec_sum, penalty, rank_losses_target, grads), target domain first."""
+    tgt = plan.domains == 1
+    grads = []
+    rec_sum = 0.0
+    rank_target = np.empty(int(tgt.sum()))
+    for mask, user_vectors, slot_of, item_name in (
+        (tgt, backbone.user_target_vectors, backbone.target_slot, "item_target"),
+        (~tgt, backbone.source_user_vectors, backbone.source_slot, "item_source"),
+    ):
+        if not np.any(mask):
+            continue
+        users, pos, neg = plan.users[mask], plan.pos[mask], plan.neg[mask]
+        table = backbone.parameters()[item_name]
+        loss, rank, g_u, g_i, g_j = bpr_terms(
+            user_vectors(users), table[pos], table[neg], cfg.l2_reg
+        )
+        rec_sum += float(loss.sum())
+        if item_name == "item_target":
+            rank_target = rank
+        grads += [("user_pool", slot_of[users], g_u), (item_name, pos, g_i),
+                  (item_name, neg, g_j)]
+
+    penalty = 0.0
+    scale = float(len(plan.users))
+    if cfg.gamma > 0 and len(plan.penalty_users) > 0:
+        raw, pgrads = redistribution_grads(
+            backbone, estimator, plan.penalty_users, plan.penalty_items, plan.penalty_groups
+        )
+        penalty = scale * raw
+        for table, rows, g in pgrads:
+            grads.append((table, rows, cfg.gamma * scale * g))
+
+    total = rec_sum + cfg.gamma * penalty
+    return total, rec_sum, penalty, rank_target, grads
 
 
 # -- sampler -------------------------------------------------------------------

@@ -218,7 +218,7 @@ class TestCriterion1UnitOracles:
 
 class TestCriterion2Gradients:
     def test_full_objective_fd(self):
-        from crossfair.trainer import _BatchPlan, batch_objective
+        from crossfair.trainer import batch_objective
         from crossfair.data import split_per_user
 
         ds = micro_dataset()
@@ -229,17 +229,12 @@ class TestCriterion2Gradients:
         est.weights[-1] = make_rng(7, "w").normal(0, 0.3, est.weights[-1].shape)
 
         pairs = np.concatenate([split.target_train[:8], split.source_train[:4]])
-        domains = np.array([1] * 8 + [0] * 4)
         users, pos = pairs.T
         neg = (pos + 3) % 8
         groups_arr = ds.group_array()
-        mask = (domains == 1) & (bb.target_to_source[users] >= 0)
-        plan = _BatchPlan(
-            domains=domains, users=users, pos=pos, neg=neg,
-            penalty_users=users[mask], penalty_items=pos[mask],
-            penalty_groups=groups_arr[users[mask]],
-        )
-        total, _, penalty, _, grads = batch_objective(bb, est, plan, cfg)
+        batch = {"target": (users[:8], pos[:8], neg[:8]),
+                 "source": (users[8:], pos[8:], neg[8:])}
+        total, _, penalty, _, grads = batch_objective(bb, est, batch, groups_arr, cfg)
         assert penalty > 0
         dense = {name: np.zeros_like(arr) for name, arr in bb.parameters().items()}
         for table, rows, g in grads:
@@ -253,9 +248,9 @@ class TestCriterion2Gradients:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, *_ = batch_objective(bb, est, plan, cfg)
+                up, *_ = batch_objective(bb, est, batch, groups_arr, cfg)
                 arr[idx] = orig - h
-                dn, *_ = batch_objective(bb, est, plan, cfg)
+                dn, *_ = batch_objective(bb, est, batch, groups_arr, cfg)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * h)
                 an = dense[name][idx]

@@ -47,3 +47,9 @@ def test_adam_step_signature():
     params = inspect.signature(crossfair.trainer.Adam.step).parameters
     assert list(params) == ["self", "name", "param", "grad", "rows"]
     assert params["rows"].default is None
+
+
+def test_batch_sample_negatives_signature():
+    # the tracer's sampler.draw wrapper reads users as the third positional argument
+    params = inspect.signature(crossfair.trainer.batch_sample_negatives).parameters
+    assert list(params)[:3] == ["backbone", "pool", "users"]

@@ -6,14 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossfair.trainer as trainer_mod
 from crossfair.cli import CONFIG_KEYS, CONFIG_SCHEMA, main, parse_config_file, resolve_config
-from crossfair.errors import CrossfairError
+from crossfair.errors import CrossfairError, UsageError
 
-from oracles import adam_step_add_at, read_state_bundle, resolve_config_tables
+from oracles import SYNTH_KEYS, adam_step_add_at, read_state_bundle, resolve_config_tables
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FLOAT_KEYS = [key for key, (_, kind) in CONFIG_SCHEMA.items() if kind is float]
@@ -555,6 +555,28 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
         assert not (out / "runlog.jsonl").exists()
 
+    @pytest.mark.parametrize("key, value", [("beta", "1.5"), ("estimator_dropout", "1.0")])
+    @pytest.mark.parametrize("command", [["train"], ["ablate"],
+                                         ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
+                             ids=["train", "ablate", "sweep"])
+    def test_unit_interval_keys_refused_before_outputs(self, tmp_path, capsys, command,
+                                                       key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", *command) == 2
+        assert capsys.readouterr().err == f"error: {key} must lie in [0, 1)\n"
+        assert not out.exists()
+
+    def test_synth_false_with_synthetic_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG.replace("synth = true", "synth = false"), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 1
+        assert capsys.readouterr().err == \
+            "error: synth = false conflicts with synthetic setting 'n_users_source'\n"
+        assert not out.exists()
+
     def test_nonpositive_hidden_size_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SYNTH_CFG + "estimator_hidden = 64,-5\n", encoding="utf-8")
@@ -594,12 +616,25 @@ def _resolve_or_error(resolver, values):
         return type(exc), str(exc)
 
 
+def _synth_false_conflict(values):
+    """The first synthetic key of ``values`` when ``synth`` reads false, else None."""
+    if values.get("synth", "").lower() not in ("false", "0", "no", "off"):
+        return None
+    return next((key for key in values if key in SYNTH_KEYS), None)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.dictionaries(st.sampled_from(FUZZ_KEYS), CONFIG_VALUES, max_size=12))
+@example({"synth": "off", "n_users_target": "60", "rng_seed": "2"})
+@example({"synth": "No", "n_users_target": "60", "epochs": "many"})
 def test_schema_resolver_matches_table_oracle(values):
     # repr compares every field, NaN included
-    assert _resolve_or_error(resolve_config, values) == \
-        _resolve_or_error(resolve_config_tables, values)
+    want = _resolve_or_error(resolve_config_tables, values)
+    conflict = _synth_false_conflict(values)
+    if conflict is not None and isinstance(want, str):
+        # the table resolver let a synthetic key override ``synth = false``
+        want = (UsageError, f"synth = false conflicts with synthetic setting {conflict!r}")
+    assert _resolve_or_error(resolve_config, values) == want
 
 
 def test_readme_config_block_lists_every_key():

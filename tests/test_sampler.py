@@ -425,9 +425,9 @@ class TestSampleNegative:
         n = 20_000
         rng = make_rng(4, "scalar")
         ref = [sample_negative(bb, tr, cfg, pool, 0, G0, rng) for _ in range(n)]
-        taus = np.full(n, temperature(tr.alpha(G0), cfg.epsilon) if fair else 1.0)
+        taus = np.full(n, temperature(tr.alpha(G0), cfg.epsilon)) if fair else None
         draws = batch_sample_negatives(bb, pool, np.zeros(n, dtype=np.int64), taus, 4,
-                                       make_rng(4, "batch"), uniform=not fair)
+                                       make_rng(4, "batch"))
         got = np.bincount(draws, minlength=8) / n
         want = np.bincount(ref, minlength=8) / n
         assert got[1] == got[5] == 0.0

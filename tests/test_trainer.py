@@ -16,7 +16,7 @@ from crossfair.seeding import make_rng
 from crossfair.trainer import (
     Adam,
     TrainConfig,
-    _BatchPlan,
+    _plan_batch,
     ablation_config,
     batch_objective,
     train,
@@ -25,7 +25,7 @@ from crossfair.trainer import (
 )
 
 from conftest import small_synth
-from oracles import adam_step_add_at, bpr_loss
+from oracles import adam_step_add_at, batch_objective_masked, bpr_loss, plan_batch_masked
 
 
 class TestBprLoss:
@@ -189,8 +189,23 @@ def run_config(**overrides):
     return TrainConfig(**base)
 
 
+def record_batches(monkeypatch):
+    """Wrap the trainer's ``batch_objective``; every call appends its batch
+    and its total, rec and penalty to the returned list."""
+    record = []
+    inner = trainer_mod.batch_objective
+
+    def recording(backbone, estimator, batch, groups, cfg):
+        out = inner(backbone, estimator, batch, groups, cfg)
+        record.append({"batch": batch, "total": out[0], "rec": out[1], "penalty": out[2]})
+        return out
+
+    monkeypatch.setattr(trainer_mod, "batch_objective", recording)
+    return record
+
+
 class TestTrainEpochOracle:
-    def test_replay_oracle_single_batch(self, micro_ds, micro_split):
+    def test_replay_oracle_single_batch(self, micro_ds, micro_split, monkeypatch):
         # batch covers the whole pool, so every loss is computed at the
         # initial parameters and can be recomputed independently
         cfg = run_config(batch_size=4096, gamma=0.0, use_estimator_loss=False)
@@ -202,24 +217,24 @@ class TestTrainEpochOracle:
             "target": NegativePool(8, micro_split.target_train, 6),
             "source": NegativePool(8, micro_split.source_train, 4),
         }
-        record = []
+        record = record_batches(monkeypatch)
         stats = train_epoch(
             micro_ds, micro_split, bb, est, tracker, cfg, make_rng(5, "train"),
             pools, Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
-            debug_record=record,
+            est_rng=make_rng(5, "estimator-dropout"),
         )
         assert len(record) == 1
-        plan = record[0]["plan"]
+        batch = record[0]["batch"]
         total = 0.0
-        for domain, user, pos, neg in zip(plan.domains, plan.users, plan.pos, plan.neg):
-            loss, _ = bpr_loss(frozen, int(user), int(pos), int(neg),
-                               l2_reg=cfg.l2_reg,
-                               domain="target" if domain == 1 else "source")
-            total += loss
+        for domain in ("target", "source"):
+            for user, pos, neg in zip(*batch[domain]):
+                loss, _ = bpr_loss(frozen, int(user), int(pos), int(neg),
+                                   l2_reg=cfg.l2_reg, domain=domain)
+                total += loss
         assert stats.loss_rec == pytest.approx(total, abs=1e-10)
         assert stats.loss_total == pytest.approx(total, abs=1e-10)
 
-    def test_objective_decomposition_every_batch(self, micro_ds, micro_split):
+    def test_objective_decomposition_every_batch(self, micro_ds, micro_split, monkeypatch):
         cfg = run_config(batch_size=5, gamma=0.7)
         bb = init(micro_ds, 4, "shared", seed=5)
         est = GainEstimator(4, hidden=(8,), seed=5)
@@ -229,17 +244,102 @@ class TestTrainEpochOracle:
             "target": NegativePool(8, micro_split.target_train, 6),
             "source": NegativePool(8, micro_split.source_train, 4),
         }
-        record = []
+        record = record_batches(monkeypatch)
         train_epoch(
             micro_ds, micro_split, bb, est, tracker, cfg, make_rng(6, "train"),
             pools, Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
-            debug_record=record,
+            est_rng=make_rng(6, "estimator-dropout"),
         )
         assert len(record) >= 3
         for entry in record:
             assert entry["total"] == pytest.approx(
                 entry["rec"] + cfg.gamma * entry["penalty"], abs=1e-10
             )
+
+
+def _batch_setup(ds, mode, fair, gamma):
+    """Parameters, pools, tracker and config for comparing batch paths."""
+    split = split_per_user(ds, seed=2)
+    cfg = run_config(gamma=gamma, use_fair_sampling=fair)
+    bb = init(ds, 8, mode, seed=2)
+    est = GainEstimator(8, hidden=(16, 8), seed=2)
+    est.weights[-1] = make_rng(3, "w").normal(0, 0.3, est.weights[-1].shape)
+    pools = {
+        "target": NegativePool(ds.n_items_target, split.target_train, ds.n_users_target),
+        "source": NegativePool(ds.n_items_source, split.source_train, ds.n_users_source),
+    }
+    tracker = GroupLossTracker()
+    tracker.accumulate_many([G0, G1], [1.4, 0.9])
+    tracker.end_epoch()
+    return split, cfg, bb, est, pools, tracker
+
+
+def _assert_same_batch(ds, bb, est, pools, tracker, cfg, domains, users, pos, seed):
+    """The batch path and the masked oracle draw the same negatives and give
+    bit-identical values and gradient fragments, in the same order."""
+    groups = ds.target_group
+    plan, want_drew = plan_batch_masked(bb, pools, domains, users, pos, groups, tracker, cfg,
+                                        make_rng(seed, "plan"))
+    batch, drew = _plan_batch(bb, pools, domains == 1, users, pos, groups, tracker, cfg,
+                              make_rng(seed, "plan"))
+    assert drew == want_drew
+    for domain, mask in (("target", domains == 1), ("source", domains == 0)):
+        for got, want in zip(batch[domain], (plan.users[mask], plan.pos[mask], plan.neg[mask])):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+    want = batch_objective_masked(bb, est, plan, cfg)
+    got = batch_objective(bb, est, batch, groups, cfg)
+    for value, ref in zip(got[:4], want[:4]):
+        assert np.array_equal(value, ref)
+    assert [(t, len(r)) for t, r, _ in got[4]] == [(t, len(r)) for t, r, _ in want[4]]
+    for (_, rows, g), (_, ref_rows, ref_g) in zip(got[4], want[4]):
+        assert np.array_equal(rows, ref_rows) and np.array_equal(g, ref_g)
+    return got
+
+
+class TestBatchPathMatchesMaskedOracle:
+    @pytest.mark.parametrize("gamma", [0.0, 0.8])
+    @pytest.mark.parametrize("fair", [False, True])
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_shuffled_batches(self, synth_ds, mode, fair, gamma):
+        split, cfg, bb, est, pools, tracker = _batch_setup(synth_ds, mode, fair, gamma)
+        domains = np.repeat([1, 0], [len(split.target_train), len(split.source_train)])
+        users, pos = np.concatenate([split.target_train, split.source_train]).T
+        order = make_rng(4, "order").permutation(len(users))
+        domains, users, pos = domains[order], users[order], pos[order]
+        adam = Adam(cfg.learning_rate)
+        for seed, lo in enumerate(range(0, 6 * 64, 64)):
+            hi = lo + 64
+            _, _, penalty, _, grads = _assert_same_batch(
+                synth_ds, bb, est, pools, tracker, cfg, domains[lo:hi], users[lo:hi],
+                pos[lo:hi], seed,
+            )
+            assert (penalty > 0) == (gamma > 0)
+            # later batches see moved parameters
+            params = bb.parameters()
+            for table, rows, g in grads:
+                adam.step(table, params[table], g, rows=rows)
+
+    @pytest.mark.parametrize("edge", ["no_target", "no_source", "no_overlap"])
+    @pytest.mark.parametrize("fair", [False, True])
+    def test_edge_batches(self, synth_ds, edge, fair):
+        split, cfg, bb, est, pools, tracker = _batch_setup(synth_ds, "dual", fair, 0.8)
+        tgt, src = split.target_train, split.source_train[:20]
+        if edge == "no_target":
+            tgt = tgt[:0]
+        elif edge == "no_source":
+            tgt, src = tgt[::7], src[:0]
+        else:
+            tgt = tgt[synth_ds.target_to_source[tgt[:, 0]] < 0][:30]
+        domains = np.repeat([1, 0], [len(tgt), len(src)])
+        users, pos = np.concatenate([tgt, src]).T
+        order = make_rng(5, "order").permutation(len(users))
+        _, _, penalty, _, grads = _assert_same_batch(
+            synth_ds, bb, est, pools, tracker, cfg, domains[order], users[order],
+            pos[order], 9,
+        )
+        # only the batch with overlapping target rows has a penalty
+        assert (penalty > 0) == (edge == "no_source")
+        assert len(grads) == {"no_target": 3, "no_source": 6, "no_overlap": 6}[edge]
 
 
 class TestFullObjectiveGradient:
@@ -251,18 +351,13 @@ class TestFullObjectiveGradient:
         est.weights[-1] = make_rng(7, "w").normal(0, 0.3, est.weights[-1].shape)
 
         pairs = np.concatenate([micro_split.target_train[:8], micro_split.source_train[:4]])
-        domains = np.array([1] * 8 + [0] * 4)
         users, pos = pairs.T
         neg = (pos + 3) % 8
         groups_arr = micro_ds.group_array()
-        overlap_mask = (domains == 1) & (bb.target_to_source[users] >= 0)
-        plan = _BatchPlan(
-            domains=domains, users=users, pos=pos, neg=neg,
-            penalty_users=users[overlap_mask], penalty_items=pos[overlap_mask],
-            penalty_groups=groups_arr[users[overlap_mask]],
-        )
+        batch = {"target": (users[:8], pos[:8], neg[:8]),
+                 "source": (users[8:], pos[8:], neg[8:])}
 
-        total, _, penalty, _, grads = batch_objective(bb, est, plan, cfg)
+        total, _, penalty, _, grads = batch_objective(bb, est, batch, groups_arr, cfg)
         assert penalty > 0
         dense = {name: np.zeros_like(arr) for name, arr in bb.parameters().items()}
         for table, rows, g in grads:
@@ -276,9 +371,9 @@ class TestFullObjectiveGradient:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + h
-                up, *_ = batch_objective(bb, est, plan, cfg)
+                up, *_ = batch_objective(bb, est, batch, groups_arr, cfg)
                 arr[idx] = orig - h
-                dn, *_ = batch_objective(bb, est, plan, cfg)
+                dn, *_ = batch_objective(bb, est, batch, groups_arr, cfg)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * h)
                 an = dense[name][idx]
