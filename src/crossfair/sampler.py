@@ -120,8 +120,9 @@ class NegativePool:
     """Per-user arrays of items eligible as negatives (training positives
     excluded; validation/test positives stay in, being unknown at train time).
 
-    Eligible arrays are stored back to back with offsets so batched draws
-    stay vectorized; each user's items are in ascending order.
+    Eligible arrays are stored back to back as int32 item ids, with int64
+    offsets, so batched draws stay vectorized; each user's items are in
+    ascending order.
     """
 
     def __init__(self, n_items: int, train_pairs: np.ndarray, n_users: int):
@@ -131,9 +132,8 @@ class NegativePool:
         self.lengths = eligible.sum(axis=1, dtype=np.int64)
         self.starts = np.zeros(n_users, dtype=np.int64)
         np.cumsum(self.lengths[:-1], out=self.starts[1:])
-        # row-major flat indices u * n_items + i, reduced to item ids
-        self.flat = np.flatnonzero(eligible)
-        self.flat %= n_items
+        # the item id of every eligible cell, in row-major order
+        self.flat = np.broadcast_to(np.arange(n_items, dtype=np.int32), eligible.shape)[eligible]
 
 
 def _rows_with_duplicates(idx: np.ndarray) -> np.ndarray:

@@ -362,7 +362,8 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
 
 def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "shared",
           split: SplitDataset = None, snapshot_dir=None) -> TrainedModel:
-    """Full training run with early stopping on validation NDCG@10.
+    """Full training run with early stopping on validation NDCG@10. A split
+    without target validation or test positives is refused before training.
 
     With ``cfg.snapshot_every`` > 0 and a snapshot directory, embedding
     snapshots are written every that many epochs.
@@ -370,6 +371,10 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
     cfg.validate()
     if split is None:
         split = split_per_user(ds, cfg.seed)
+    for phase, pairs in (("validation", split.target_val), ("test", split.target_test)):
+        if len(pairs) == 0:
+            raise DataError(f"the split has no target {phase} positives: a target user "
+                            f"needs at least 10 interactions for a validation or test positive")
     backbone = init_backbone(ds, d, mode, cfg.seed)
     estimator = GainEstimator(
         d, hidden=cfg.estimator_hidden, dropout=cfg.estimator_dropout, seed=cfg.seed

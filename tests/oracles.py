@@ -24,6 +24,11 @@ negatives and return the same values and gradient fragments bit for bit.
 branch summed duplicate rows with one ``np.bincount``: ``np.unique`` plus
 ``np.add.at``. The optimiser must reproduce it bit for bit.
 
+``evaluate_whole_matrix`` is the full-ranking evaluation the package had
+before it ranked users in blocks: one ``top_k`` over the whole users x
+items score matrix and one users x items relevance mask. The evaluator
+must return the same report and per-user arrays bit for bit.
+
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
 must return the same values and raise the same messages.
@@ -54,6 +59,7 @@ from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_inter
 from crossfair.errors import DataError, NumericalError, UsageError
 from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.gain import redistribution_grads
+from crossfair.metrics import DEFAULT_KS, EvaluationReport, top_k, ugf
 from crossfair.sampler import _draw_rows, batch_candidates, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import bpr_terms
@@ -402,6 +408,68 @@ def rank_items(backbone, user, exclude=()):
     mask = np.ones(len(scores), dtype=bool)
     mask[np.asarray(list(exclude), dtype=np.int64)] = False
     return order[mask[order]]
+
+
+def evaluate_whole_matrix(backbone, split, ds, ks=DEFAULT_KS, phase="test"):
+    ks = tuple(sorted(ks))
+    if phase == "val":
+        relevant = split.target_val
+        excluded = [split.target_train]
+    elif phase == "test":
+        relevant = split.target_test
+        excluded = [split.target_train, split.target_val]
+    else:
+        raise DataError(f"unknown phase {phase!r}")
+    users = np.unique(relevant[:, 0])
+    if len(users) == 0:
+        raise DataError(f"no users with {phase} positives")
+
+    row_of = np.full(ds.n_users_target, -1, dtype=np.int64)
+    row_of[users] = np.arange(len(users))
+    scores = backbone.user_target_vectors(users) @ backbone.item_target.T
+    for pairs in excluded:
+        rows = row_of[pairs[:, 0]]
+        kept = rows >= 0
+        scores[rows[kept], pairs[kept, 1]] = -np.inf
+
+    kmax = max(ks)
+    top = top_k(scores, kmax)
+
+    rel_rows = row_of[relevant[:, 0]]
+    rel_mask = np.zeros((len(users), ds.n_items_target), dtype=bool)
+    rel_mask[rel_rows, relevant[:, 1]] = True
+    rel_counts = np.bincount(rel_rows, minlength=len(users))
+    hits = rel_mask[np.arange(len(users))[:, None], top]
+
+    log_weights = 1.0 / np.log2(np.arange(2, kmax + 2))
+    per_user = {}
+    for k in ks:
+        hk = hits[:, :k]  # fewer than k columns when k exceeds the catalogue
+        per_user[f"recall@{k}"] = hk.sum(axis=1) / rel_counts
+        dcg = (hk * log_weights[: hk.shape[1]]).sum(axis=1)
+        ideal_cum = np.concatenate([[0.0], np.cumsum(log_weights[:k])])
+        idcg = ideal_cum[np.minimum(rel_counts, k)]
+        per_user[f"ndcg@{k}"] = dcg / idcg
+
+    user_groups = ds.target_group[users]
+    overall, group_vals, gaps = {}, {G0: {}, G1: {}}, {}
+    for name, vals in per_user.items():
+        overall[name] = float(vals.mean())
+        means = {}
+        for g in (G0, G1):
+            sel = user_groups == g
+            means[g] = float(vals[sel].mean()) if np.any(sel) else None
+            group_vals[g][name] = means[g]
+        gaps[name] = ugf(means)
+    n_users = {
+        "overall": int(len(users)),
+        "g0": int((user_groups == G0).sum()),
+        "g1": int((user_groups == G1).sum()),
+    }
+    return EvaluationReport(
+        ks=ks, overall=overall, per_group=group_vals, ugf=gaps, n_users=n_users,
+        per_user={"users": users, **per_user},
+    )
 
 
 def recall_at_k(ranked, relevant, k):

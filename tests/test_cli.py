@@ -568,6 +568,25 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: {key} must lie in [0, 1)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["train"], ["ablate"],
+                                         ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
+                             ids=["train", "ablate", "sweep"])
+    def test_split_without_heldout_positives_refused_before_training(self, tmp_path, capsys,
+                                                                     command):
+        # 8 interactions per user leave no validation or test positive
+        cfg = tmp_path / "thin.cfg"
+        cfg.write_text(SYNTH_CFG.replace("_items_source = 40", "_items_source = 50")
+                       .replace("_items_target = 40", "_items_target = 50")
+                       .replace("interactions_per_user = 10", "interactions_per_user = 8")
+                       .replace("epochs = 3\n", "epochs = 30\npatience = 3\n"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", *command) == 2
+        assert capsys.readouterr().err == (
+            "error: the split has no target validation positives: a target user needs "
+            "at least 10 interactions for a validation or test positive\n")
+        assert not list(out.rglob("snapshot*.bin"))
+
     def test_synth_false_with_synthetic_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SYNTH_CFG.replace("synth = true", "synth = false"), encoding="utf-8")

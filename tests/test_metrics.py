@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossfair.metrics as metrics_mod
 from crossfair.backbone import init
-from crossfair.data import G0, G1
+from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import DataError
 from crossfair.metrics import (
     evaluate,
@@ -18,7 +19,7 @@ from crossfair.metrics import (
 from crossfair.trainer import TrainConfig, train
 
 from conftest import small_synth
-from oracles import ndcg_at_k, rank_items, recall_at_k
+from oracles import evaluate_whole_matrix, ndcg_at_k, rank_items, recall_at_k
 
 
 class TestRankItems:
@@ -231,3 +232,48 @@ class TestEvaluate:
         lines = path.read_text().splitlines()
         assert lines[0] == "metric,scope,value"
         assert len(lines) == 1 + 4 * len(report.metric_names())
+
+
+class TestBlocksMatchWholeMatrix:
+    """Ranking in blocks of users gives the whole-matrix evaluation's report
+    and per-user arrays bit for bit."""
+
+    def check(self, monkeypatch, block, bb, split, ds, ks, phase):
+        monkeypatch.setattr(metrics_mod, "RANK_BLOCK", block)
+        got = evaluate(bb, split, ds, ks=ks, phase=phase)
+        want = evaluate_whole_matrix(bb, split, ds, ks=ks, phase=phase)
+        assert got.to_json() == want.to_json()
+        assert got.per_user.keys() == want.per_user.keys()
+        for name, values in want.per_user.items():
+            assert np.array_equal(got.per_user[name], values), name
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 10_000])
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_random_scores(self, monkeypatch, block, phase):
+        ds = small_synth(seed=4, interactions_per_user=12)
+        bb = init(ds, 8, "shared", seed=4)
+        self.check(monkeypatch, block, bb, split_per_user(ds, 4), ds, (10, 20, 50), phase)
+
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_pairs_in_any_order(self, monkeypatch, phase):
+        ds = small_synth(seed=4, interactions_per_user=12)
+        bb = init(ds, 8, "shared", seed=4)
+        split = split_per_user(ds, 4)
+        rng = np.random.default_rng(4)
+        shuffled = type(split)(*(rng.permutation(pairs) for pairs in vars(split).values()))
+        self.check(monkeypatch, 3, bb, shuffled, ds, (10, 20), phase)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 10_000])
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_cutoff_beyond_catalogue(self, monkeypatch, block, phase):
+        ds = small_synth(seed=5, n_items_target=12, interactions_per_user=10)
+        bb = init(ds, 8, "shared", seed=5)
+        self.check(monkeypatch, block, bb, split_per_user(ds, 5), ds, (5, 20), phase)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 10_000])
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_all_scores_tied(self, monkeypatch, block, phase):
+        ds = small_synth(seed=6, interactions_per_user=12)
+        bb = init(ds, 8, "shared", seed=6)
+        bb.item_target[:] = 0.0
+        self.check(monkeypatch, block, bb, split_per_user(ds, 6), ds, (10, 20), phase)

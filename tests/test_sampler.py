@@ -197,8 +197,9 @@ class TestPoolMatchesLoopReference:
             # one extra user without positives
             pool = NegativePool(n_items, pairs, n_users + 1)
             want = negative_pool_loop(n_items, pairs.tolist(), n_users + 1)
-            for got, ref in zip((pool.lengths, pool.starts, pool.flat), want):
-                assert got.dtype == np.int64
+            for got, ref, dtype in zip((pool.lengths, pool.starts, pool.flat), want,
+                                       (np.int64, np.int64, np.int32)):
+                assert got.dtype == dtype
                 np.testing.assert_array_equal(got, ref)
 
 
