@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import hashlib
 import json
 import struct
 import sys
@@ -27,6 +28,7 @@ from . import theory as theory_mod
 from .data import (
     CrossDomainDataset,
     SynthConfig,
+    arrays_sha256,
     generate_synthetic,
     load_attributes,
     load_dataset,
@@ -298,6 +300,21 @@ def _write_sidecars(out: Path, ds: CrossDomainDataset):
             fh.write("\n")
 
 
+def _labels_sha256(target_ids, target_groups, overlap_targets, overlap_sources) -> str:
+    """``arrays_sha256`` of the target ids and their groups, ordered by id,
+    and of the overlap's target and source ids, ordered by target id: the
+    labels ``theory`` reads, in whatever row order its input files hold."""
+    t_ids = np.asarray(target_ids, dtype=np.int64)
+    o_t = np.asarray(overlap_targets, dtype=np.int64)
+    by_id, by_target = np.argsort(t_ids), np.argsort(o_t)
+    return arrays_sha256(t_ids[by_id], np.asarray(target_groups)[by_id],
+                         o_t[by_target], np.asarray(overlap_sources)[by_target])
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _write_optimizer_state(path, arrays: dict):
     with open(path, "wb") as fh:
         fh.write(b"CFOS")
@@ -328,6 +345,10 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
         "seed": run_cfg.train.seed,
         "epochs_run": len(model.log),
         "dataset_sha256": ds.sha256(),
+        "labels_sha256": _labels_sha256(np.arange(ds.n_users_target), ds.target_group,
+                                       *ds.overlap_arrays()),
+        "snapshot_sha256": {name: _file_sha256(out / name)
+                            for name in ("snapshot.bin", "snapshot_final.bin")},
     }
     with open(out / "state.json", "w", encoding="utf-8") as fh:
         json.dump(state, fh, sort_keys=True, indent=2)
@@ -479,13 +500,34 @@ def _read_overlap(path):
     return tuple(_int_ids(path, column) for column in columns)
 
 
+def _check_run_inputs(snapshot_path, labels: tuple):
+    """Refuse a snapshot or labels that differ from those of the run whose
+    ``state.json`` sits next to the snapshot. Without one, or with one
+    written before these digests existed, nothing is checked."""
+    state_path = Path(snapshot_path).with_name("state.json")
+    if not state_path.exists():
+        return
+    state = _read_run_state(state_path)
+    snapshots = state.get("snapshot_sha256", {})
+    if not isinstance(snapshots, dict):
+        raise DataError(f"{state_path}: snapshot_sha256 must map file names to digests")
+    if snapshots and _file_sha256(snapshot_path) not in snapshots.values():
+        raise DataError(f"{snapshot_path} is not a snapshot the run in {state_path.parent} "
+                        f"wrote (snapshot_sha256 mismatch)")
+    stored = state.get("labels_sha256")
+    if stored is not None and stored != _labels_sha256(*labels):
+        raise DataError("--attrs and --overlap differ from the labels the run was trained "
+                        "with (labels_sha256 mismatch): use the run's groups.tsv and "
+                        "overlap.tsv")
+
+
 def cmd_theory(args) -> int:
     snapshot = backbone_mod.load_snapshot(args.snapshot)
     attr_map, _labels = load_attributes(args.attrs)
-    cloud = theory_mod.cloud_from_snapshot(
-        snapshot, _int_ids(args.attrs, list(attr_map)), list(attr_map.values()),
-        *_read_overlap(args.overlap),
-    )
+    labels = (_int_ids(args.attrs, list(attr_map)), list(attr_map.values()),
+              *_read_overlap(args.overlap))
+    cloud = theory_mod.cloud_from_snapshot(snapshot, *labels)
+    _check_run_inputs(args.snapshot, labels)
     if args.lf == "auto":
         items = snapshot["item_emb_target"]
         rng_items = min(64, len(items))

@@ -148,6 +148,16 @@ def load_attributes(path):
     return dict(zip(user_ids, groups.tolist())), (names[0], names[1])
 
 
+def arrays_sha256(*arrays) -> str:
+    """Hex digest over the shapes and little-endian int64 bytes of integer
+    arrays, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(repr(np.shape(arr)).encode("ascii"))
+        h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 @dataclass
 class CrossDomainDataset:
     """Users, items, and implicit positives for a source and target domain.
@@ -213,14 +223,10 @@ class CrossDomainDataset:
         return t, self.target_to_source[t]
 
     def sha256(self) -> str:
-        """Hex digest over the shapes and little-endian int64 bytes of the
-        interaction, overlap and group arrays, in that order."""
-        h = hashlib.sha256()
-        for arr in (self.interactions_source, self.interactions_target,
-                    self.target_to_source, self.target_group):
-            h.update(repr(tuple(arr.shape)).encode("ascii"))
-            h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-        return h.hexdigest()
+        """``arrays_sha256`` of the interaction, overlap and group arrays, in
+        that order."""
+        return arrays_sha256(self.interactions_source, self.interactions_target,
+                             self.target_to_source, self.target_group)
 
 
 def build_dataset(source: LoadedInteractions, target: LoadedInteractions,

@@ -144,10 +144,18 @@ class GainReport:
 # -- probability heads --------------------------------------------------------
 
 
-def _gain_terms(backbone, estimator, users, items, groups):
+def _gain_terms(backbone, estimator, users, items, groups, with_cache=False):
     """Probability heads over the overlapping-user samples of a batch, with
-    the inputs and forward cache their gradients need; the per-sample
-    log(p_joint / (p_source * p_target)) terms; and the samples' groups."""
+    the inputs (and, ``with_cache``, the forward cache) their gradients
+    need; the per-sample log(p_joint / (p_source * p_target)) terms; and the
+    samples' groups.
+
+    The estimator's input depends only on the user, so without ``with_cache``
+    it runs once per distinct user and its output is gathered per sample.
+    ``with_cache``, which the penalty's backward needs, runs it on the
+    samples' own rows: OpenBLAS computes a product of fewer than about 1,200
+    entries with another kernel, so a forward over the distinct users could
+    change a small batch's trained bits."""
     users = np.asarray(users, dtype=np.int64)
     mask = backbone.target_to_source[users] >= 0
     users, items = users[mask], np.asarray(items, dtype=np.int64)[mask]
@@ -155,7 +163,16 @@ def _gain_terms(backbone, estimator, users, items, groups):
     s_slots = backbone.source_slots_of_targets(users)
     u_s = backbone.user_pool[s_slots]
     i_t = backbone.item_target[items]
-    fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
+    if with_cache:
+        fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
+    else:
+        seen = np.zeros(len(backbone.target_to_source), dtype=bool)
+        seen[users] = True
+        distinct = np.flatnonzero(seen)
+        fused, cache = estimator.forward(np.concatenate(
+            [backbone.user_target_vectors(distinct),
+             backbone.user_pool[backbone.source_slots_of_targets(distinct)]], axis=1))
+        fused, cache = fused[(np.cumsum(seen) - 1)[users]], None
     heads = {
         "users": users, "items": items, "u_t": u_t, "u_s": u_s, "i_t": i_t,
         "s_slots": s_slots, "fused": fused, "cache": cache,
@@ -195,7 +212,8 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
     contributions for the pool and target item table. Batches where fewer
     than two groups are represented contribute zero.
     """
-    heads, terms, sample_groups = _gain_terms(backbone, estimator, users, items, groups)
+    heads, terms, sample_groups = _gain_terms(backbone, estimator, users, items, groups,
+                                              with_cache=True)
     n0 = int((sample_groups == G0).sum())
     n1 = int((sample_groups == G1).sum())
     if n0 == 0 or n1 == 0:

@@ -20,6 +20,11 @@ before the gain module filters them once more. Its sampler still takes a
 ``uniform`` flag next to ``taus = None``. The trainer must draw the same
 negatives and return the same values and gradient fragments bit for bit.
 
+``gain_terms_per_sample`` is the gain heads' body before the gain report
+ran the estimator once per distinct overlapping user: one forward row per
+sample. The gain estimates and the penalty's value and gradient fragments
+must match it bit for bit.
+
 ``adam_step_add_at`` is the body ``Adam.step`` had before its sparse
 branch summed duplicate rows with one ``np.bincount``: ``np.unique`` plus
 ``np.add.at``. The optimiser must reproduce it bit for bit.
@@ -393,6 +398,29 @@ def prob_joint(backbone, estimator, target_user, target_item):
                         _source_view(backbone, target_user)])
     fused = estimator.forward(x)[0][0]
     return float(clamp_prob(sigmoid(float(fused @ backbone.item_target[target_item]))))
+
+
+def gain_terms_per_sample(backbone, estimator, users, items, groups, with_cache=False):
+    """``gain._gain_terms`` as it was before the gain report ran the
+    estimator once per distinct user: one forward row per overlapping-user
+    sample, with its cache, whatever ``with_cache`` asks for."""
+    users = np.asarray(users, dtype=np.int64)
+    mask = backbone.target_to_source[users] >= 0
+    users, items = users[mask], np.asarray(items, dtype=np.int64)[mask]
+    u_t = backbone.user_target_vectors(users)
+    s_slots = backbone.source_slots_of_targets(users)
+    u_s = backbone.user_pool[s_slots]
+    i_t = backbone.item_target[items]
+    fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
+    heads = {
+        "users": users, "items": items, "u_t": u_t, "u_s": u_s, "i_t": i_t,
+        "s_slots": s_slots, "fused": fused, "cache": cache,
+        "p_s": clamp_prob(sigmoid(np.einsum("bd,bd->b", u_s, i_t))),
+        "p_t": clamp_prob(sigmoid(np.einsum("bd,bd->b", u_t, i_t))),
+        "p_j": clamp_prob(sigmoid(np.einsum("bd,bd->b", fused, i_t))),
+    }
+    terms = np.log(heads["p_j"]) - np.log(heads["p_s"]) - np.log(heads["p_t"])
+    return heads, terms, np.asarray(groups)[mask]
 
 
 # -- metrics -------------------------------------------------------------------

@@ -368,9 +368,9 @@ class TestTheoryCommand:
         from crossfair.backbone import load_snapshot, SNAPSHOT_MAGIC
         import struct
 
-        snap = run_dir / "snapshot.bin"
-        tables = load_snapshot(snap)
-        flat = snap.with_name("flat.bin")
+        tables = load_snapshot(run_dir / "snapshot.bin")
+        # outside the run directory: a run's state.json vouches only for its own snapshots
+        flat = tmp_path / "flat.bin"
         with open(flat, "wb") as fh:
             fh.write(SNAPSHOT_MAGIC)
             fh.write(struct.pack("<I", 1))
@@ -499,6 +499,74 @@ class TestTheoryInputErrors:
         out = tmp_path / "theory"
         code = self.theory(theory_run, out, flag, value)
         self.assert_refused(capsys, out, code, "Lipschitz constants must be positive and finite")
+
+
+@pytest.fixture(scope="module")
+def other_run(tmp_path_factory):
+    """A run of the same shape as ``theory_run`` from another seed."""
+    root = tmp_path_factory.mktemp("other_run")
+    cfg = root / "run.cfg"
+    cfg.write_text(SYNTH_CFG, encoding="utf-8")
+    assert run("--config", cfg, "--seed", "11", "--out", root / "run", "--quiet", "train") == 0
+    return root / "run"
+
+
+class TestTheoryChecksRunInputs:
+    """With a ``state.json`` next to the snapshot, ``theory`` refuses labels or
+    a snapshot that the run did not write."""
+
+    def theory(self, snapshot, labels_dir, out):
+        return run("--out", out, "--quiet", "theory", "--snapshot", snapshot,
+                   "--attrs", labels_dir / "groups.tsv", "--overlap", labels_dir / "overlap.tsv")
+
+    def test_state_holds_digests(self, theory_run):
+        state = json.loads((theory_run / "state.json").read_text(encoding="utf-8"))
+        assert len(state["labels_sha256"]) == 64
+        assert set(state["snapshot_sha256"]) == {"snapshot.bin", "snapshot_final.bin"}
+
+    def test_another_runs_labels_refused(self, tmp_path, theory_run, other_run, capsys):
+        assert ((theory_run / "groups.tsv").read_bytes()
+                != (other_run / "groups.tsv").read_bytes())
+        out = tmp_path / "theory"
+        assert self.theory(theory_run / "snapshot.bin", other_run, out) == 2
+        assert capsys.readouterr().err == (
+            "error: --attrs and --overlap differ from the labels the run was trained with "
+            "(labels_sha256 mismatch): use the run's groups.tsv and overlap.tsv\n")
+        assert not (out / "bound.json").exists()
+
+    def test_another_runs_snapshot_refused(self, tmp_path, theory_run, other_run, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(theory_run, run_dir)
+        shutil.copyfile(other_run / "snapshot.bin", run_dir / "snapshot.bin")
+        out = tmp_path / "theory"
+        assert self.theory(run_dir / "snapshot.bin", run_dir, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'snapshot.bin'} is not a snapshot the run in {run_dir} wrote "
+            f"(snapshot_sha256 mismatch)\n")
+        assert not (out / "bound.json").exists()
+
+    def test_malformed_snapshot_digests_refused(self, tmp_path, theory_run, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(theory_run, run_dir)
+        state = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        state["snapshot_sha256"] = "0" * 64
+        (run_dir / "state.json").write_text(json.dumps(state), encoding="utf-8")
+        assert self.theory(run_dir / "snapshot.bin", run_dir, tmp_path / "theory") == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'state.json'}: snapshot_sha256 must map file names to "
+            f"digests\n")
+
+    def test_final_snapshot_and_reordered_rows_accepted(self, tmp_path, theory_run):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        for name in ("groups.tsv", "overlap.tsv"):
+            header, *rows = (theory_run / name).read_text(encoding="utf-8").splitlines(True)
+            (labels / name).write_text(header + "".join(rows[::-1]), encoding="utf-8")
+        assert self.theory(theory_run / "snapshot_final.bin", labels, tmp_path / "theory") == 0
+
+    def test_without_state_nothing_is_checked(self, tmp_path, theory_run, other_run):
+        shutil.copyfile(theory_run / "snapshot.bin", tmp_path / "snapshot.bin")
+        assert self.theory(tmp_path / "snapshot.bin", other_run, tmp_path / "theory") == 0
 
 
 class TestUsageErrors:

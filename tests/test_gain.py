@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crossfair import gain as gain_mod
 from crossfair.backbone import init
 from crossfair.data import G0, G1
 from crossfair.errors import DataError
@@ -17,8 +18,8 @@ from crossfair.numerics import clamp_prob, sigmoid
 from crossfair.seeding import make_rng
 from crossfair.trainer import Adam
 
-from conftest import small_synth
-from oracles import prob_joint, prob_source, prob_target
+from conftest import micro_dataset, small_synth
+from oracles import gain_terms_per_sample, prob_joint, prob_source, prob_target
 
 
 def zeroed_estimator(d, hidden=(8, 4), seed=0):
@@ -216,6 +217,92 @@ class TestEstimateGain:
                                [micro_ds.target_group[u] for u in users])
         assert math.isfinite(report.delta_i[G0])
         assert math.isfinite(report.redistribution_loss)
+
+
+def per_user_fixture(data, mode):
+    """A backbone, an estimator with a non-zero output layer, and named
+    batches of (users, items, groups): repeated users in both groups, every
+    training positive, 19 rows of 18 overlapping users (with the synth
+    shapes, 18 x 64 hidden entries fall under OpenBLAS's small-product kernel
+    and 19 x 64 do not), one overlapping user among non-overlapping ones, and
+    no overlapping user at all."""
+    ds = micro_dataset() if data == "micro" else small_synth(seed=5)
+    d = 4 if data == "micro" else 32
+    bb = init(ds, d, mode, seed=5)
+    hidden = (8, 4) if data == "micro" else (128, 64)
+    est = GainEstimator(d, hidden=hidden, dropout=0.2, seed=5)
+    est.weights[-1] = make_rng(5, "w").normal(0, 0.3, est.weights[-1].shape)
+    rng = make_rng(5, "batches")
+    overlapping = np.flatnonzero(ds.target_to_source >= 0)
+    alone = np.flatnonzero(ds.target_to_source < 0)
+    users = rng.integers(0, ds.n_users_target, 300)
+    one = np.concatenate([np.repeat(overlapping[1], 5), alone])
+    batches = {
+        "repeated": users,
+        "all positives": ds.interactions_target[:, 0],
+        "19 rows of 18 users": np.concatenate([overlapping[:18], overlapping[:1]]),
+        "one overlapping user": rng.permutation(one),
+        "no overlapping user": alone,
+    }
+    out = {}
+    for name, u in batches.items():
+        items = (ds.interactions_target[:, 1] if name == "all positives"
+                 else rng.integers(0, ds.n_items_target, len(u)))
+        out[name] = (u, items, ds.target_group[u])
+    return bb, est, out
+
+
+class TestForwardOncePerUser:
+    @pytest.mark.parametrize("data", ["micro", "synth"])
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_matches_per_sample_oracle(self, data, mode, monkeypatch):
+        bb, est, batches = per_user_fixture(data, mode)
+        for name, batch in batches.items():
+            got = estimate_gain(bb, est, *batch)
+            got_value, got_grads = redistribution_grads(bb, est, *batch)
+            with monkeypatch.context() as m:
+                m.setattr(gain_mod, "_gain_terms", gain_terms_per_sample)
+                want = estimate_gain(bb, est, *batch)
+                want_value, want_grads = redistribution_grads(bb, est, *batch)
+            assert got.n_samples == want.n_samples, name
+            assert np.array_equal([got.delta_i[G0], got.delta_i[G1], got.redistribution_loss],
+                                  [want.delta_i[G0], want.delta_i[G1],
+                                   want.redistribution_loss]), name
+            assert np.array_equal(got_value, want_value), name
+            assert len(got_grads) == len(want_grads), name
+            for (table, rows, grad), (want_table, want_rows, want_grad) in zip(got_grads,
+                                                                               want_grads):
+                assert table == want_table
+                assert np.array_equal(rows, want_rows), name
+                assert np.array_equal(grad, want_grad), name
+        assert batches["repeated"][0].size > np.unique(batches["repeated"][0]).size
+        assert redistribution_grads(bb, est, *batches["repeated"])[0] > 0
+
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_forward_rows(self, mode, monkeypatch):
+        """The report runs the estimator on one row per distinct overlapping
+        user; the penalty on every overlapping sample's row, in batch order."""
+        bb, est, batches = per_user_fixture("synth", mode)
+        seen = []
+        forward = est.forward
+
+        def recording_forward(x, dropout_rng=None):
+            seen.append(np.array(x))
+            return forward(x, dropout_rng)
+
+        def rows_of(users):
+            return np.concatenate([bb.user_target_vectors(users),
+                                   bb.user_pool[bb.source_slots_of_targets(users)]], axis=1)
+
+        monkeypatch.setattr(est, "forward", recording_forward)
+        for name, (users, items, groups) in batches.items():
+            overlapping = users[bb.target_to_source[users] >= 0]
+            for fn, want in ((estimate_gain, rows_of(np.unique(overlapping))),
+                             (redistribution_grads, rows_of(overlapping))):
+                seen.clear()
+                fn(bb, est, users, items, groups)
+                assert len(seen) == 1, (name, fn.__name__)
+                assert np.array_equal(seen[0], want), (name, fn.__name__)
 
 
 class TestRedistributionGradient:

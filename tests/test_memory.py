@@ -1,12 +1,15 @@
 """Memory guards: full-ranking evaluation and the negative pool hold no more
-users x items copies than they need."""
+users x items copies than they need, and the gain report holds no
+per-sample hidden activations."""
 
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 
+from crossfair.backbone import init
 from crossfair.data import SplitDataset
+from crossfair.gain import GainEstimator, estimate_gain
 from crossfair.metrics import evaluate
 from crossfair.sampler import NegativePool
 
@@ -53,3 +56,27 @@ def test_pool_holds_four_bytes_per_eligible_item():
     pool = NegativePool(N_ITEMS, split.target_train, N_USERS)
     assert pool.flat.nbytes == 4 * pool.lengths.sum()
     assert pool.lengths.sum() == N_USERS * (N_ITEMS - 16)
+
+
+def test_gain_report_holds_no_per_sample_hidden_activations():
+    # 14 positives for each of 1000 overlapping users, half the target users
+    n_overlap, per_user, d, hidden = 1000, 14, 32, (128, 64)
+    ds = SimpleNamespace(n_users_source=n_overlap, n_users_target=2 * n_overlap,
+                         n_items_source=1000, n_items_target=1000,
+                         target_to_source=np.concatenate([np.arange(n_overlap),
+                                                          np.full(n_overlap, -1)]))
+    backbone = init(ds, d, "shared", seed=0)
+    estimator = GainEstimator(d, hidden=hidden, seed=0)
+    estimator.weights[-1] = np.random.default_rng(1).normal(0, 0.1, estimator.weights[-1].shape)
+    rng = np.random.default_rng(2)
+    users = rng.permutation(np.repeat(np.arange(n_overlap), per_user))
+    items = rng.integers(0, ds.n_items_target, len(users))
+    groups = users % 2
+    hidden_bytes = len(users) * sum(hidden) * 8
+    tracemalloc.start()
+    try:
+        estimate_gain(backbone, estimator, users, items, groups)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < hidden_bytes
