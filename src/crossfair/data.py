@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import methodcaller, not_
+from operator import not_
 
 import numpy as np
 
@@ -43,6 +43,15 @@ class LoadedInteractions:
     item_ids: list
 
 
+def _row_widths(text: str) -> np.ndarray:
+    """Cells per row of newline-joined rows: one more than the row's tabs,
+    counted over the UTF-8 bytes, where no multi-byte character holds a tab
+    or newline byte."""
+    codes = np.frombuffer(text.encode("utf-8"), np.uint8)
+    seps = codes[(codes == 9) | (codes == 10)]
+    return np.diff(np.flatnonzero(seps == 10), prepend=-1, append=len(seps))
+
+
 class TsvTable:
     """A TSV file split into cells once.
 
@@ -55,8 +64,12 @@ class TsvTable:
         self.path = path
         self.header = lines[0].split("\t")
         self._lines = lines
-        widths = np.fromiter(map(methodcaller("count", "\t"), body), np.int64, len(body)) + 1
-        self.fields = "\t".join(body).split("\t") if body else []
+        if body:
+            text = "\n".join(body)
+            widths = _row_widths(text)
+            self.fields = text.replace("\n", "\t").split("\t")
+        else:
+            widths, self.fields = np.zeros(0, np.int64), []
         self.starts = np.cumsum(widths) - widths
         bad = widths < len(self.header)
         if "" in self.fields:
@@ -158,6 +171,12 @@ def arrays_sha256(*arrays) -> str:
     return h.hexdigest()
 
 
+def _has_repeat(values: np.ndarray) -> bool:
+    """Whether any value occurs twice: equal neighbours in a sorted copy."""
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass
 class CrossDomainDataset:
     """Users, items, and implicit positives for a source and target domain.
@@ -190,13 +209,12 @@ class CrossDomainDataset:
             if np.any(bad):
                 u, i = pairs[np.argmax(bad)]
                 raise DataError(f"{domain} interaction ({u},{i}) out of range")
-            if len(np.unique(pairs[:, 0] * n_items + pairs[:, 1])) != len(pairs):
+            if _has_repeat(pairs[:, 0] * n_items + pairs[:, 1]):
                 raise DataError(f"duplicate (user, item) pair in {domain} domain")
         t2s = self.target_to_source
         if t2s.shape != (self.n_users_target,):
             raise DataError("overlap must hold one entry per target user")
-        linked = t2s[t2s >= 0]
-        if len(np.unique(linked)) != len(linked):
+        if _has_repeat(t2s[t2s >= 0]):
             raise DataError("overlap map is not injective")
         bad = (t2s < -1) | (t2s >= self.n_users_source)
         if np.any(bad):

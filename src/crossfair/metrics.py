@@ -107,20 +107,22 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     descending score with ties broken by ascending id: the first columns of
     a stable argsort of ``-scores``.
 
-    Rows are partitioned first and only the kept columns are sorted. A row
-    whose k-th score is shared by columns the partition left out (or is
-    NaN) could have kept the wrong tied ids, so it is sorted in full.
+    Each row's scores are partitioned for the k largest, and only the kept
+    columns are negated and sorted. A row is sorted in full when its k-th
+    score is shared by a column the partition left out, so that it could
+    have kept the wrong tied ids, or when it kept a NaN, which the partition
+    ranks above every score.
     """
-    neg = -scores
-    k = min(k, scores.shape[1])
-    part = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(neg, part, axis=1)
+    n = scores.shape[1]
+    k = min(k, n)
+    part = np.argpartition(scores, n - k, axis=1)[:, n - k:]
+    vals = -np.take_along_axis(scores, part, axis=1)
     order = np.lexsort((part, vals), axis=1)
     top = np.take_along_axis(part, order, axis=1)
     kth = np.take_along_axis(vals, order[:, -1:], axis=1)
-    redo = ((neg == kth).sum(axis=1) > (vals == kth).sum(axis=1)) | np.isnan(kth[:, 0])
+    redo = ((scores == -kth).sum(axis=1) > (vals == kth).sum(axis=1)) | np.isnan(kth[:, 0])
     if np.any(redo):
-        top[redo] = np.argsort(neg[redo], axis=1, kind="stable")[:, :k]
+        top[redo] = np.argsort(-scores[redo], axis=1, kind="stable")[:, :k]
     return top
 
 

@@ -10,6 +10,7 @@ from scipy import stats
 import crossfair.cli
 from crossfair.cli import _read_overlap
 from crossfair.data import (
+    CrossDomainDataset,
     SynthConfig,
     build_dataset,
     generate_synthetic,
@@ -263,14 +264,17 @@ def test_loader_matches_line_loop(tmp_path_factory, load, oracle, columns):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_benchmark_inputs_load_as_before(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", ["fair-train", "wide-catalogue", "dense-catalogue"])
+def test_benchmark_inputs_load_as_before(tmp_path, monkeypatch, workload):
     """On the benchmark's own generated inputs the dataset digest and the
-    raw-id tables equal the line-by-line loader's."""
+    raw-id tables equal the line-by-line loader's. ``wide-catalogue`` leaves
+    about a quarter of its target items without a positive, so the loader
+    drops them."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    gen.write_inputs("fair-train", 3, tmp_path)
+    gen.write_inputs(workload, 3, tmp_path)
     paths = [tmp_path / name for name in
              ("interactions_source.tsv", "interactions_target.tsv", "attributes.tsv")]
     ds = crossfair.cli.load_dataset(*paths)
@@ -392,6 +396,35 @@ class TestValidateRejects:
     def test_bad_input(self, changes, message):
         with pytest.raises(DataError, match=message):
             _set(micro_dataset(), **changes).validate()
+
+    def test_random_repeats_far_apart(self):
+        """Refused exactly when a pair key or a linked source id repeats,
+        with ``np.unique`` as the reference, for repeats injected at
+        positions in opposite quarters of thousands of shuffled entries."""
+        rng = np.random.default_rng(23)
+        n_users, n_items, n_pairs = 3000, 40, 4000
+        linked = np.full(n_users, -1)
+        linked[rng.permutation(n_users)[:2500]] = rng.permutation(n_users)[:2500]
+        for trial in range(60):
+            pairs = [np.column_stack(np.divmod(
+                rng.choice(n_users * n_items, n_pairs, replace=False), n_items)) for _ in "st"]
+            t2s = linked.copy()
+            kind = trial % 4  # 0: no repeat; 1, 2: a source or target pair; 3: a linked id
+            if kind:
+                values = t2s if kind == 3 else pairs[kind - 1]
+                at = np.flatnonzero(t2s >= 0) if kind == 3 else np.arange(n_pairs)
+                q = len(at) // 4
+                values[at[rng.integers(3 * q, len(at))]] = values[at[rng.integers(0, q)]]
+            repeated = [len(np.unique(p[:, 0] * n_items + p[:, 1])) != len(p) for p in pairs]
+            repeated.append(len(np.unique(t2s[t2s >= 0])) != len(t2s[t2s >= 0]))
+            assert repeated == [kind == 1, kind == 2, kind == 3]
+            ds = CrossDomainDataset(n_users, n_users, n_items, n_items, *pairs, t2s,
+                                    np.arange(n_users) % 2)
+            if kind == 0:
+                ds.validate()
+            else:
+                with pytest.raises(DataError, match="duplicate" if kind < 3 else "not injective"):
+                    ds.validate()
 
 
 class TestSynthetic:

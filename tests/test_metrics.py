@@ -78,6 +78,20 @@ class TestTopK:
             np.testing.assert_array_equal(top_k(scores, k),
                                           stable_argsort_top(scores, k))
 
+    def test_random_tied_blocks_with_infinities_and_nan(self):
+        # small integer scores tie often; the partition ranks NaN above +inf
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            rows, cols = rng.integers(1, 10), rng.integers(1, 20)
+            scores = rng.integers(-3, 4, size=(rows, cols)).astype(float)
+            cell = rng.random(scores.shape)
+            scores[cell < 0.08] = np.inf
+            scores[(cell >= 0.08) & (cell < 0.16)] = -np.inf
+            scores[(cell >= 0.16) & (cell < 0.22)] = np.nan
+            for k in range(1, cols + 3):
+                np.testing.assert_array_equal(top_k(scores, k),
+                                              stable_argsort_top(scores, k))
+
 
 class TestRecall:
     def test_half(self):
