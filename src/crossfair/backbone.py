@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -42,10 +43,6 @@ class Backbone:
             raise DataError(f"unknown sharing mode {mode!r}")
         self.mode = mode
         self.d = d
-        self.n_users_source = ds.n_users_source
-        self.n_users_target = ds.n_users_target
-        self.n_items_source = ds.n_items_source
-        self.n_items_target = ds.n_items_target
 
         self.target_to_source = ds.target_to_source.copy()
         self.target_slot = np.arange(ds.n_users_target, dtype=np.int64)
@@ -145,20 +142,16 @@ def save_snapshot(backbone: Backbone, path):
         backbone.item_source,
         backbone.item_target,
     ]
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        for arr in tables:
-            rows, cols = arr.shape
-            fh.write(struct.pack("<QQ", rows, cols))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    parts = [SNAPSHOT_MAGIC, struct.pack("<I", SNAPSHOT_VERSION)]
+    for arr in tables:
+        parts += [struct.pack("<QQ", *arr.shape), np.ascontiguousarray(arr, dtype="<f4")]
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_snapshot(path) -> dict:
     """Read a snapshot file back into float64 arrays."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if blob[:4] != SNAPSHOT_MAGIC:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import json
 import struct
@@ -30,11 +29,13 @@ from .data import (
     SynthConfig,
     arrays_sha256,
     generate_synthetic,
+    json_text,
     load_attributes,
     load_dataset,
     read_tsv,
     split_per_user,
     write_attributes,
+    write_csv,
     write_interactions,
     write_tsv,
 )
@@ -276,13 +277,12 @@ def cmd_synth(args) -> int:
                      ds.group_labels)
     n_overlap = len(ds.overlap_arrays()[0])
     counts = np.bincount(ds.target_group, minlength=2)
-    with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
-        for f in fields(cfg.synth):
-            fh.write(f"{f.name} = {getattr(cfg.synth, f.name)}\n")
-        fh.write(f"n_overlap = {n_overlap}\n")
-        fh.write(f"n_interactions_source = {len(ds.interactions_source)}\n")
-        fh.write(f"n_interactions_target = {len(ds.interactions_target)}\n")
-        fh.write(f"n_group0 = {counts[0]}\nn_group1 = {counts[1]}\n")
+    manifest = [f"{f.name} = {getattr(cfg.synth, f.name)}\n" for f in fields(cfg.synth)]
+    manifest += [f"n_overlap = {n_overlap}\n",
+                 f"n_interactions_source = {len(ds.interactions_source)}\n",
+                 f"n_interactions_target = {len(ds.interactions_target)}\n",
+                 f"n_group0 = {counts[0]}\nn_group1 = {counts[1]}\n"]
+    (out / "manifest.txt").write_text("".join(manifest), encoding="utf-8")
     _say(args, f"wrote 4 dataset files to {out}")
     _say(args, f"  source: {ds.n_users_source} users, {ds.n_items_source} items, "
                f"{len(ds.interactions_source)} interactions")
@@ -295,9 +295,7 @@ def _write_sidecars(out: Path, ds: CrossDomainDataset):
     write_attributes(out / "groups.tsv", ds.target_group, group_labels=ds.group_labels)
     write_tsv(out / "overlap.tsv", ("target_user_id", "source_user_id"), *ds.overlap_arrays())
     if ds.raw_ids:
-        with open(out / "id_maps.json", "w", encoding="utf-8") as fh:
-            json.dump(ds.raw_ids, fh, sort_keys=True)
-            fh.write("\n")
+        (out / "id_maps.json").write_text(json_text(ds.raw_ids), encoding="utf-8")
 
 
 def _labels_sha256(target_ids, target_groups, overlap_targets, overlap_sources) -> str:
@@ -316,18 +314,13 @@ def _file_sha256(path) -> str:
 
 
 def _write_optimizer_state(path, arrays: dict):
-    with open(path, "wb") as fh:
-        fh.write(b"CFOS")
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-            blob = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
+    parts = [b"CFOS", struct.pack("<I", len(arrays))]
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        blob = name.encode("utf-8")
+        parts += [struct.pack("<I", len(blob)), blob, struct.pack("<I", arr.ndim),
+                  *(struct.pack("<Q", dim) for dim in arr.shape), arr]
+    Path(path).write_bytes(b"".join(parts))
 
 
 def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "full"):
@@ -338,7 +331,8 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
     backbone_mod.save_snapshot(model.final_backbone, out / "snapshot_final.bin")
     state = {
         "best_epoch": model.best_epoch,
-        "best_val_ndcg10": model.best_val_ndcg10,
+        # no validation score when no epoch ran; NaN is not JSON
+        "best_val_ndcg10": model.best_val_ndcg10 if model.log else None,
         "tracker": model.tracker.state(),
         "embedding_dim": run_cfg.embedding_dim,
         "sharing_mode": run_cfg.sharing_mode,
@@ -350,9 +344,7 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
         "snapshot_sha256": {name: _file_sha256(out / name)
                             for name in ("snapshot.bin", "snapshot_final.bin")},
     }
-    with open(out / "state.json", "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "state.json").write_text(json_text(state, indent=2), encoding="utf-8")
     arrays = {f"opt:{k}": v for k, v in model.optimizer.state_arrays().items()}
     arrays.update({f"estopt:{k}": v for k, v in model.estimator_optimizer.state_arrays().items()})
     arrays.update({f"est:{k}": v for k, v in model.estimator.parameters().items()})
@@ -413,12 +405,8 @@ def cmd_eval(args) -> int:
 
 
 def _metric_row(report) -> list:
-    row = []
-    for name in ("recall@10", "recall@20", "ndcg@10", "ndcg@20"):
-        row.append(repr(report.overall[name]))
-    for name in ("recall@10", "recall@20", "ndcg@10", "ndcg@20"):
-        row.append(repr(report.ugf[name]))
-    return row
+    names = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
+    return [report.overall[name] for name in names] + [report.ugf[name] for name in names]
 
 
 def cmd_ablate(args) -> int:
@@ -434,13 +422,10 @@ def cmd_ablate(args) -> int:
         sub.mkdir(parents=True, exist_ok=True)
         _, report = _run_and_report(ds, run_cfg, sub, args, variant=variant)
         rows.append([label] + _metric_row(report))
-    with open(out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "variant", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
-            "ugf_recall@10", "ugf_recall@20", "ugf_ndcg@10", "ugf_ndcg@20",
-        ])
-        writer.writerows(rows)
+    write_csv(out / "ablation.csv", [
+        "variant", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
+        "ugf_recall@10", "ugf_recall@20", "ugf_ndcg@10", "ugf_ndcg@20",
+    ], rows)
     _say(args, f"wrote {out / 'ablation.csv'}")
     return 0
 
@@ -459,19 +444,12 @@ def cmd_sweep(args) -> int:
     for value, cfg in points:
         model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode)
         report = metrics_mod.evaluate(model.backbone, model.split, ds, ks=run_cfg.eval_ks)
-        rows.append([
-            repr(value),
-            repr(report.overall["recall@10"]),
-            repr(report.overall["ndcg@10"]),
-            repr(report.ugf["recall@10"]),
-            repr(report.ugf["ndcg@10"]),
-        ])
+        rows.append([value, report.overall["recall@10"], report.overall["ndcg@10"],
+                     report.ugf["recall@10"], report.ugf["ndcg@10"]])
         _say(args, f"{args.axis}={value}: recall@10 {report.overall['recall@10']:.4f}, "
                    f"ugf {report.ugf['recall@10']:.4f}")
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([args.axis, "recall@10", "ndcg@10", "ugf_recall@10", "ugf_ndcg@10"])
-        writer.writerows(rows)
+    write_csv(out / "sweep.csv",
+              [args.axis, "recall@10", "ndcg@10", "ugf_recall@10", "ugf_ndcg@10"], rows)
     return 0
 
 

@@ -8,14 +8,21 @@ lexicographically smaller value becomes group 0. Raw identifiers are
 densified in first-seen order and the mapping is retained for reports.
 Users appearing in both domains' interaction files (same raw id) are the
 overlapping users.
+
+The encoders of every file crossfair writes live here too: ``json_text``,
+``write_csv`` and ``write_tsv``.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import json
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import not_
+from pathlib import Path
 
 import numpy as np
 
@@ -100,8 +107,7 @@ def read_tsv(path) -> TsvTable:
     Every body row needs at least as many cells as the header, none of them
     empty within the header's width; cells past it are kept but unchecked."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not lines:
@@ -295,9 +301,22 @@ def write_tsv(path, names, first, second):
         np.char.add(np.asarray(first).astype(str), "\t"),
         np.char.add(np.asarray(second).astype(str), "\n"),
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(names) + "\n")
-        fh.write("".join(lines.tolist()))
+    Path(path).write_text("\t".join(names) + "\n" + "".join(lines.tolist()), encoding="utf-8")
+
+
+def json_text(obj, indent=None) -> str:
+    """``obj`` as JSON with sorted keys and a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows in ``csv``'s default dialect: CRLF line ends,
+    float cells by ``repr``."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
 def write_interactions(path, pairs, user_ids=None, item_ids=None):

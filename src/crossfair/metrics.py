@@ -9,15 +9,13 @@ between the two group means (smaller is fairer).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc
 
-from .data import G0, G1
+from .data import G0, G1, json_text, write_csv
 from .errors import DataError
 
 DEFAULT_KS = (10, 20)
@@ -88,18 +86,17 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict(), indent=2)
 
     def write_csv(self, path):
         """One row per (metric, scope); scopes are overall, g0, g1, ugf."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "scope", "value"])
-            for name in self.metric_names():
-                writer.writerow([name, "overall", repr(self.overall[name])])
-                for g in (G0, G1):
-                    writer.writerow([name, f"g{g}", repr(self.per_group[g][name])])
-                writer.writerow([name, "ugf", repr(self.ugf[name])])
+        rows = []
+        for name in self.metric_names():
+            rows.append([name, "overall", self.overall[name]])
+            for g in (G0, G1):
+                rows.append([name, f"g{g}", self.per_group[g][name]])
+            rows.append([name, "ugf", self.ugf[name]])
+        write_csv(path, ["metric", "scope", "value"], rows)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:

@@ -11,14 +11,13 @@ Rademacher complexity estimate over a finite probe function class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .data import G0, G1
+from .data import G0, G1, json_text
 from .errors import DataError
 from .seeding import derive_seed, make_rng
 
@@ -101,8 +100,7 @@ class BoundReport:
     repetitions: int
 
     def to_json(self) -> str:
-        out = {k: v for k, v in self.__dict__.items()}
-        return json.dumps(out, sort_keys=True, indent=2) + "\n"
+        return json_text(vars(self), indent=2)
 
 
 def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
@@ -115,6 +113,9 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
     directly-computed target group gap for the chain check."""
     if not (0 < l_o < np.inf and 0 < l_f < np.inf):
         raise DataError("Lipschitz constants must be positive and finite")
+    for name, value in (("measured_ugf", measured_ugf), ("baseline_ugf", baseline_ugf)):
+        if value is not None and not 0 <= value < np.inf:
+            raise DataError(f"{name} must be finite and >= 0, got {value!r}")
     cells = {}
     for dom in ("s", "t"):
         for g in (G0, G1):

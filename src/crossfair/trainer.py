@@ -8,16 +8,17 @@ estimator only. Both partitions can be hash-checked every step.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
+from . import backbone as backbone_mod
 from . import metrics as metrics_mod
 from .backbone import Backbone, init as init_backbone
-from .data import G0, G1, CrossDomainDataset, SplitDataset, split_per_user
+from .data import G0, G1, CrossDomainDataset, SplitDataset, json_text, split_per_user
 from .errors import DataError, NumericalError
 from .gain import EpochSnapshot, GainEstimator, estimate_gain, estimator_step, redistribution_grads
 from .numerics import require_finite, sigmoid, softplus
@@ -401,9 +402,7 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
         log.append(stats)
         if cfg.snapshot_every > 0 and snapshot_dir is not None \
                 and (epoch + 1) % cfg.snapshot_every == 0:
-            from .backbone import save_snapshot
-
-            save_snapshot(backbone, f"{snapshot_dir}/snapshot_epoch_{epoch}.bin")
+            backbone_mod.save_snapshot(backbone, f"{snapshot_dir}/snapshot_epoch_{epoch}.bin")
         if stats.val_ndcg10 > best_val:
             best_val = stats.val_ndcg10
             best_epoch = epoch
@@ -432,10 +431,8 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
 
 def write_run_log(path, log):
     """Newline-delimited JSON, one record per epoch, stable key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for stats in log:
-            fh.write(json.dumps(stats.log_record(), sort_keys=True))
-            fh.write("\n")
+    Path(path).write_text("".join(json_text(stats.log_record()) for stats in log),
+                          encoding="utf-8")
 
 
 # Every fairness mechanism off: ``epsilon = 0`` makes each sampling

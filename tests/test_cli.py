@@ -260,6 +260,12 @@ class TestEvalCommand:
         run_dir = tmp_path / "run0"
         run("--config", cfg, "--out", run_dir, "--quiet", "train")
         report = json.loads((run_dir / "report.json").read_text())
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        state = json.loads((run_dir / "state.json").read_text(), parse_constant=refuse)
+        assert state["epochs_run"] == 0 and state["best_val_ndcg10"] is None
         # random ranking: E[recall@k] = k / n_eligible; 10 per-user positives,
         # 9 in train+val, 40 items => 31 eligible
         expected = 10.0 / 31.0
@@ -499,6 +505,16 @@ class TestTheoryInputErrors:
         out = tmp_path / "theory"
         code = self.theory(theory_run, out, flag, value)
         self.assert_refused(capsys, out, code, "Lipschitz constants must be positive and finite")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--baseline-ugf", "nan"), ("--baseline-ugf", "inf"), ("--baseline-ugf", "-0.1"),
+        ("--measured-ugf", "nan"),
+    ])
+    def test_bad_ugf(self, tmp_path, theory_run, capsys, flag, value):
+        out = tmp_path / "theory"
+        code = self.theory(theory_run, out, flag, value)
+        name = flag[2:].replace("-", "_")
+        self.assert_refused(capsys, out, code, f"{name} must be finite and >= 0, got {value}")
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -14,10 +15,12 @@ from crossfair.data import (
     SynthConfig,
     build_dataset,
     generate_synthetic,
+    json_text,
     load_attributes,
     load_interactions,
     split_per_user,
     write_attributes,
+    write_csv,
     write_interactions,
 )
 from crossfair.errors import CrossfairError, DataError
@@ -493,3 +496,32 @@ class TestWriters:
         assert labels == synth_ds.group_labels
         for u, g in enumerate(synth_ds.target_group):
             assert mapping[synth_ds.raw_ids["users_target"][u]] == g
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "value"], [["a,b", 0.1 + 0.2], ["c", 3], ["d", 1e-300]])
+        assert path.read_bytes() == (b'name,value\r\n"a,b",0.30000000000000004\r\n'
+                                     b"c,3\r\nd,1e-300\r\n")
+
+    def test_json_text(self):
+        obj = {"b": [1, 0.5], "a": {"y": None, "x": "t"}}
+        assert json_text(obj) == '{"a": {"x": "t", "y": null}, "b": [1, 0.5]}\n'
+        assert json_text(obj, indent=2) == (
+            '{\n  "a": {\n    "x": "t",\n    "y": null\n  },\n'
+            '  "b": [\n    1,\n    0.5\n  ]\n}\n'
+        )
+
+
+def test_no_module_calls_open():
+    """Every file is read and written by one ``Path`` call: ``read_text``,
+    ``read_bytes``, ``write_text`` or ``write_bytes``."""
+    package = Path(crossfair.cli.__file__).parent
+    calls = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    calls.append(f"{module.name}:{node.lineno}")
+    assert calls == []
