@@ -13,7 +13,7 @@ from .data import (
 )
 from .backbone import Backbone, init, load_snapshot, save_snapshot
 from .sampler import GroupLossTracker, SamplerConfig, temperature
-from .gain import EpochSnapshot, GainEstimator, GainReport, estimate_gain
+from .gain import GainEstimator, GainReport, estimate_gain
 from .trainer import Adam, TrainConfig, TrainedModel, train
 from .metrics import EvaluationReport, evaluate, paired_ttest, ugf
 from .theory import (
@@ -34,7 +34,6 @@ __all__ = [
     "BoundReport",
     "CrossDomainDataset",
     "EmbeddingCloud",
-    "EpochSnapshot",
     "EvaluationReport",
     "GainEstimator",
     "GainReport",

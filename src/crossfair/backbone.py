@@ -12,7 +12,6 @@ underlying row.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from pathlib import Path
 
@@ -73,10 +72,10 @@ class Backbone:
     # -- materialized tables ---------------------------------------------------
 
     def user_emb_target(self) -> np.ndarray:
-        return self.user_pool[self.target_slot].copy()
+        return self.user_pool[self.target_slot]
 
     def user_emb_source(self) -> np.ndarray:
-        return self.user_pool[self.source_slot].copy()
+        return self.user_pool[self.source_slot]
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -86,14 +85,6 @@ class Backbone:
             "item_source": self.item_source,
             "item_target": self.item_target,
         }
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in ("user_pool", "item_source", "item_target"):
-            arr = self.parameters()[name]
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
     def copy(self) -> "Backbone":
         clone = object.__new__(Backbone)

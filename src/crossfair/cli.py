@@ -254,7 +254,10 @@ def _load_run_config(args) -> RunConfig:
 
 def _out_dir(args, default: str) -> Path:
     out = Path(args.out) if args.out else Path(default)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
 
 

@@ -14,14 +14,13 @@ target embedding.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import G0, G1
 from .errors import DataError
-from .numerics import PROB_CEIL, PROB_FLOOR, clamp_prob, sigmoid
+from .numerics import PROB_CEIL, PROB_FLOOR, clamp_prob, distinct_rows, sigmoid
 from .seeding import make_rng
 
 
@@ -114,25 +113,6 @@ class GainEstimator:
             out[f"b{k}"] = self.biases[k]
         return out
 
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for name, arr in self.parameters().items():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
-
-
-@dataclass
-class EpochSnapshot:
-    """Frozen copies of the user tables at an epoch boundary."""
-
-    user_emb_target: np.ndarray
-    user_emb_source: np.ndarray
-
-    @classmethod
-    def take(cls, backbone) -> "EpochSnapshot":
-        return cls(backbone.user_emb_target(), backbone.user_emb_source())
-
 
 @dataclass
 class GainReport:
@@ -166,13 +146,11 @@ def _gain_terms(backbone, estimator, users, items, groups, with_cache=False):
     if with_cache:
         fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
     else:
-        seen = np.zeros(len(backbone.target_to_source), dtype=bool)
-        seen[users] = True
-        distinct = np.flatnonzero(seen)
+        distinct, slot = distinct_rows(users, len(backbone.target_to_source))
         fused, cache = estimator.forward(np.concatenate(
             [backbone.user_target_vectors(distinct),
              backbone.user_pool[backbone.source_slots_of_targets(distinct)]], axis=1))
-        fused, cache = fused[(np.cumsum(seen) - 1)[users]], None
+        fused, cache = fused[slot], None
     heads = {
         "users": users, "items": items, "u_t": u_t, "u_s": u_s, "i_t": i_t,
         "s_slots": s_slots, "fused": fused, "cache": cache,
@@ -251,35 +229,23 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
 # -- estimator training --------------------------------------------------------
 
 
-def estimator_step(estimator: GainEstimator, snapshot: EpochSnapshot,
-                   live_user_emb_target: np.ndarray, overlap_targets, overlap_sources,
+def estimator_inputs(backbone, overlap_targets, overlap_sources) -> np.ndarray:
+    """The estimator's input rows, [target; source] user vectors, of the
+    overlapping users ``overlap_targets[k]`` / ``overlap_sources[k]``."""
+    return np.concatenate([backbone.user_target_vectors(overlap_targets),
+                           backbone.source_user_vectors(overlap_sources)], axis=1)
+
+
+def estimator_step(estimator: GainEstimator, x_all: np.ndarray, y_all: np.ndarray,
                    optimizer, rng, batch_size: int = 2048) -> float:
-    """One optimizer sweep fitting fused(previous target, previous source)
-    to the current target embedding over the overlapping users, with dropout
-    active. Returns the mean per-user squared-error loss. The embeddings it
-    reads are asserted unchanged.
-    """
-    overlap_targets = np.asarray(overlap_targets, dtype=np.int64)
-    overlap_sources = np.asarray(overlap_sources, dtype=np.int64)
-    if overlap_targets.size == 0:
+    """One optimizer sweep, dropout active, fitting fused(``x_all``) to
+    ``y_all``: each overlapping user's [target; source] vectors from the
+    epoch start (``estimator_inputs``) to their current target vector.
+    Returns the mean per-user squared-error loss."""
+    n = len(x_all)
+    if n == 0:
         raise DataError("gain module requires overlapping users")
-
-    def digest():
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(live_user_emb_target).tobytes())
-        h.update(np.ascontiguousarray(snapshot.user_emb_target).tobytes())
-        h.update(np.ascontiguousarray(snapshot.user_emb_source).tobytes())
-        return h.hexdigest()
-
-    before = digest()
-    x_all = np.concatenate(
-        [snapshot.user_emb_target[overlap_targets], snapshot.user_emb_source[overlap_sources]],
-        axis=1,
-    )
-    y_all = live_user_emb_target[overlap_targets]
-
     total = 0.0
-    n = len(overlap_targets)
     for lo in range(0, n, batch_size):
         x = x_all[lo: lo + batch_size]
         y = y_all[lo: lo + batch_size]
@@ -292,6 +258,4 @@ def estimator_step(estimator: GainEstimator, snapshot: EpochSnapshot,
         for k in range(estimator.n_layers):
             optimizer.step(f"w{k}", estimator.weights[k], grads_w[k])
             optimizer.step(f"b{k}", estimator.biases[k], grads_b[k])
-    if digest() != before:
-        raise AssertionError("estimator_step modified backbone embeddings")
     return total / n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -50,3 +51,24 @@ def require_finite(cfg):
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not np.isfinite(value):
             raise DataError(f"{f.name} must be finite, got {value!r}")
+
+
+def distinct_rows(rows, n: int):
+    """``np.unique(rows)`` for integer rows in ``[0, n)``, and each row's slot in it."""
+    seen = np.zeros(n, dtype=bool)
+    seen[rows] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[rows]
+
+
+@contextmanager
+def read_only(arrays):
+    """Clear each array's ``writeable`` flag for the block, so a write to one
+    raises ``ValueError`` at the write; the flags are restored on exit."""
+    flags = [(arr, arr.flags.writeable) for arr in arrays]
+    try:
+        for arr, _ in flags:
+            arr.flags.writeable = False
+        yield
+    finally:
+        for arr, writeable in flags:
+            arr.flags.writeable = writeable

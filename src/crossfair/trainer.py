@@ -3,7 +3,7 @@ sampling, per-batch gain redistribution penalty, and the once-per-epoch
 estimator fit.
 
 The main objective updates the backbone only; the estimator fit updates the
-estimator only. Both partitions can be hash-checked every step.
+estimator only. Each holds the other's arrays read-only while it runs.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from . import metrics as metrics_mod
 from .backbone import Backbone, init as init_backbone
 from .data import G0, G1, CrossDomainDataset, SplitDataset, json_text, split_per_user
 from .errors import DataError, NumericalError
-from .gain import EpochSnapshot, GainEstimator, estimate_gain, estimator_step, redistribution_grads
-from .numerics import require_finite, sigmoid, softplus
+from .gain import (GainEstimator, estimate_gain, estimator_inputs, estimator_step,
+                   redistribution_grads)
+from .numerics import distinct_rows, read_only, require_finite, sigmoid, softplus
 from .sampler import (
     GroupLossTracker,
     NegativePool,
@@ -49,7 +50,6 @@ class TrainConfig:
     estimator_hidden: tuple = (128, 64)
     estimator_dropout: float = 0.2
     estimator_lr: float = 0.001
-    partition_checks: bool = False
     snapshot_every: int = 0
 
     def validate(self):
@@ -113,12 +113,7 @@ class Adam:
             if len(rows) and (rows.dtype.kind not in "iu"
                               or rows.min() < 0 or rows.max() >= len(param)):
                 raise DataError(f"sparse rows must be integers in [0, {len(param)})")
-            rows = rows.astype(np.int64, copy=False)
-            # sorted unique rows, as np.unique gives, and each input row's slot
-            touched = np.zeros(len(param), dtype=bool)
-            touched[rows] = True
-            inv = (np.cumsum(touched) - 1)[rows]
-            rows = np.flatnonzero(touched)
+            rows, inv = distinct_rows(rows.astype(np.int64, copy=False), len(param))
             width = math.prod(param.shape[1:])
             bins = (inv[:, None] * width + np.arange(width)).ravel()
             grad = np.bincount(bins, weights=grad.ravel(), minlength=len(rows) * width)
@@ -277,7 +272,9 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     """
     started = time.perf_counter()
     groups_arr = ds.target_group
-    snapshot = EpochSnapshot.take(backbone)
+    if cfg.use_estimator_loss:
+        t_ids, s_ids = ds.overlap_arrays()
+        x_fit = estimator_inputs(backbone, t_ids, s_ids)
 
     tgt_pairs = split.target_train
     src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
@@ -296,33 +293,31 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     order = rng.permutation(n)
     is_target, users, pos = is_target[order], users[order], pos[order]
 
-    est_hash = estimator.checksum() if cfg.partition_checks else None
     sum_rec = 0.0
     sum_penalty = 0.0
     sum_total = 0.0
     fair_draws = 0
-    for lo in range(0, n, cfg.batch_size):
-        hi = min(lo + cfg.batch_size, n)
-        batch, drew = _plan_batch(
-            backbone, pools, is_target[lo:hi], users[lo:hi], pos[lo:hi],
-            groups_arr, tracker, cfg, rng,
-        )
-        fair_draws += drew
-        total, rec, penalty, rank_target, grads = batch_objective(
-            backbone, estimator, batch, groups_arr, cfg
-        )
-        if not np.isfinite(total):
-            raise NumericalError(f"non-finite batch loss at epoch {epoch}")
-        sum_rec += rec
-        sum_penalty += penalty
-        sum_total += total
+    with read_only(estimator.parameters().values()):
+        for lo in range(0, n, cfg.batch_size):
+            hi = min(lo + cfg.batch_size, n)
+            batch, drew = _plan_batch(
+                backbone, pools, is_target[lo:hi], users[lo:hi], pos[lo:hi],
+                groups_arr, tracker, cfg, rng,
+            )
+            fair_draws += drew
+            total, rec, penalty, rank_target, grads = batch_objective(
+                backbone, estimator, batch, groups_arr, cfg
+            )
+            if not np.isfinite(total):
+                raise NumericalError(f"non-finite batch loss at epoch {epoch}")
+            sum_rec += rec
+            sum_penalty += penalty
+            sum_total += total
 
-        tracker.accumulate_many(groups_arr[batch["target"][0]], rank_target)
-        params = backbone.parameters()
-        for table, rows, g in grads:
-            adam.step(table, params[table], g, rows=rows)
-        if cfg.partition_checks and estimator.checksum() != est_hash:
-            raise AssertionError("training step modified estimator parameters")
+            tracker.accumulate_many(groups_arr[batch["target"][0]], rank_target)
+            params = backbone.parameters()
+            for table, rows, g in grads:
+                adam.step(table, params[table], g, rows=rows)
 
     emas = tracker.end_epoch()
     alpha0 = tracker.alpha(G0)
@@ -333,14 +328,9 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
 
     est_loss = None
     if cfg.use_estimator_loss:
-        t_ids, s_ids = ds.overlap_arrays()
-        backbone_hash = backbone.checksum()
-        est_loss = estimator_step(
-            estimator, snapshot, backbone.user_emb_target(), t_ids, s_ids,
-            est_adam, est_rng, batch_size=cfg.batch_size,
-        )
-        if backbone.checksum() != backbone_hash:
-            raise AssertionError("estimator fit modified backbone parameters")
+        with read_only(backbone.parameters().values()):
+            est_loss = estimator_step(estimator, x_fit, backbone.user_target_vectors(t_ids),
+                                      est_adam, est_rng, batch_size=cfg.batch_size)
 
     val_ndcg = metrics_mod.quick_ndcg_at_10(backbone, split, ds)
     return EpochStats(
@@ -362,20 +352,22 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
 
 
 def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "shared",
-          split: SplitDataset = None, snapshot_dir=None) -> TrainedModel:
+          snapshot_dir=None) -> TrainedModel:
     """Full training run with early stopping on validation NDCG@10. A split
-    without target validation or test positives is refused before training.
+    without target validation or test positives, and an estimator fit
+    without overlapping users, are refused before training.
 
     With ``cfg.snapshot_every`` > 0 and a snapshot directory, embedding
     snapshots are written every that many epochs.
     """
     cfg.validate()
-    if split is None:
-        split = split_per_user(ds, cfg.seed)
+    split = split_per_user(ds, cfg.seed)
     for phase, pairs in (("validation", split.target_val), ("test", split.target_test)):
         if len(pairs) == 0:
             raise DataError(f"the split has no target {phase} positives: a target user "
                             f"needs at least 10 interactions for a validation or test positive")
+    if cfg.use_estimator_loss and len(ds.overlap_arrays()[0]) == 0:
+        raise DataError("gain module requires overlapping users")
     backbone = init_backbone(ds, d, mode, cfg.seed)
     estimator = GainEstimator(
         d, hidden=cfg.estimator_hidden, dropout=cfg.estimator_dropout, seed=cfg.seed

@@ -40,9 +40,10 @@ must return the same values and raise the same messages.
 
 ``resolve_config_tables`` is the config resolver the package had before its
 keys and types came from the config dataclasses: hand-kept key tables and
-special cases. Its tables lack the two flags the package dropped,
+special cases. Its tables lack the three flags the package dropped,
 ``use_alpha`` and ``use_redistribution`` (now ``epsilon = 0`` and
-``gamma = 0``), and it keeps the root seed in TrainConfig, the seed's one
+``gamma = 0``) and ``partition_checks`` (the partition is now always held
+read-only), and it keeps the root seed in TrainConfig, the seed's one
 field since ``RunConfig.seed`` went. The resolver must return the same
 configuration and raise the same errors on the same input, except that
 the package refuses a synthetic setting next to ``synth = false``, which
@@ -732,7 +733,7 @@ def resolve_config_tables(values: dict) -> RunConfig:
         "seed": int, "learning_rate": float, "batch_size": int, "l2_reg": float, "epochs": int,
         "gamma": float, "beta": float, "patience": int, "estimator_dropout": float,
         "estimator_lr": float, "snapshot_every": int, "include_source": None,
-        "use_fair_sampling": None, "use_estimator_loss": None, "partition_checks": None,
+        "use_fair_sampling": None, "use_estimator_loss": None,
     }
     sampler_handlers = {"epsilon": float, "candidate_size": int, "negatives_per_positive": int}
     for key, value in values.items():

@@ -620,7 +620,7 @@ class TestUsageErrors:
         assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
         assert not (out / "runlog.jsonl").exists()
 
-    @pytest.mark.parametrize("key", ["use_alpha", "use_redistribution"])
+    @pytest.mark.parametrize("key", ["use_alpha", "use_redistribution", "partition_checks"])
     def test_dropped_flags_are_unknown_keys(self, tmp_path, cfg_file, capsys, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(SYNTH_CFG + f"{key} = false\n", encoding="utf-8")
@@ -628,6 +628,20 @@ class TestUsageErrors:
         assert run("--config", cfg, "--out", out, "--quiet", "train") == 1
         assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("below, reason", [
+        pytest.param("", "File exists", id="file"),
+        pytest.param("run", "Not a directory", id="below-file"),
+    ])
+    def test_out_naming_a_file(self, tmp_path, cfg_file, capsys, command, below, reason):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / below if below else blocker
+        assert run("--config", cfg_file, "--out", out, "--quiet", command) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot create output directory {out}: {reason}\n"
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -691,7 +705,8 @@ class TestUsageErrors:
                    "--run", tmp_path / "none", "--k", "ten") == 1
 
 
-FUZZ_KEYS = CONFIG_KEYS + ("use_alpha", "use_redistribution", "no_such_key")
+FUZZ_KEYS = CONFIG_KEYS + ("use_alpha", "use_redistribution", "partition_checks",
+                           "no_such_key")
 CONFIG_VALUES = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

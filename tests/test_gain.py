@@ -8,9 +8,9 @@ from crossfair.backbone import init
 from crossfair.data import G0, G1
 from crossfair.errors import DataError
 from crossfair.gain import (
-    EpochSnapshot,
     GainEstimator,
     estimate_gain,
+    estimator_inputs,
     estimator_step,
     redistribution_grads,
 )
@@ -365,15 +365,22 @@ class TestRedistributionGradient:
 
 
 class TestEstimatorStep:
+    def test_inputs_are_target_then_source_rows(self):
+        ds = small_synth(seed=3)
+        bb = init(ds, 4, "dual", seed=3)
+        t_ids, s_ids = ds.overlap_arrays()
+        want = np.concatenate([bb.user_emb_target()[t_ids], bb.user_emb_source()[s_ids]],
+                              axis=1)
+        assert np.array_equal(estimator_inputs(bb, t_ids, s_ids), want)
+
     def test_exact_fit_is_fixed_point(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
         est = zeroed_estimator(4, seed=0)  # outputs exactly 0
-        snapshot = EpochSnapshot.take(bb)
-        live = np.zeros_like(bb.user_emb_target())  # target equals output
         t_ids, s_ids = micro_ds.overlap_arrays()
+        live = np.zeros((len(t_ids), 4))  # target equals output
         adam = Adam(0.01)
         weights_before = [w.copy() for w in est.weights]
-        loss = estimator_step(est, snapshot, live, t_ids, s_ids, adam,
+        loss = estimator_step(est, estimator_inputs(bb, t_ids, s_ids), live, adam,
                               make_rng(0, "do"))
         assert loss == pytest.approx(0.0, abs=1e-18)
         for w, before in zip(est.weights, weights_before):
@@ -382,34 +389,33 @@ class TestEstimatorStep:
     def test_loss_decreases_over_steps(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=1)
         est = GainEstimator(4, hidden=(16, 8), dropout=0.2, seed=1)
-        snapshot = EpochSnapshot.take(bb)
         live = make_rng(2, "live").normal(0, 0.1, bb.user_emb_target().shape)
         t_ids, s_ids = micro_ds.overlap_arrays()
+        x, y = estimator_inputs(bb, t_ids, s_ids), live[t_ids]
         adam = Adam(0.01)
         rng = make_rng(3, "do")
-        first = estimator_step(est, snapshot, live, t_ids, s_ids, adam, rng)
+        first = estimator_step(est, x, y, adam, rng)
         last = None
         for _ in range(199):
-            last = estimator_step(est, snapshot, live, t_ids, s_ids, adam, rng)
+            last = estimator_step(est, x, y, adam, rng)
         assert last < first
 
     def test_requires_overlap(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
         est = zeroed_estimator(4)
-        snapshot = EpochSnapshot.take(bb)
         with pytest.raises(DataError, match="overlap"):
-            estimator_step(est, snapshot, bb.user_emb_target(), [], [],
+            estimator_step(est, estimator_inputs(bb, [], []), bb.user_target_vectors([]),
                            Adam(0.01), make_rng(0, "do"))
 
     def test_backbone_untouched(self, micro_ds):
         bb = init(micro_ds, 4, "dual", seed=4)
         est = GainEstimator(4, hidden=(8,), dropout=0.2, seed=4)
-        snapshot = EpochSnapshot.take(bb)
         t_ids, s_ids = micro_ds.overlap_arrays()
-        before = bb.checksum()
-        estimator_step(est, snapshot, bb.user_emb_target(), t_ids, s_ids,
+        before = {name: arr.copy() for name, arr in bb.parameters().items()}
+        estimator_step(est, estimator_inputs(bb, t_ids, s_ids), bb.user_target_vectors(t_ids),
                        Adam(0.01), make_rng(5, "do"))
-        assert bb.checksum() == before
+        for name, arr in bb.parameters().items():
+            np.testing.assert_array_equal(arr, before[name])
 
 
 class TestEstimatorWeightGradients:

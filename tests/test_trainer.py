@@ -389,6 +389,91 @@ class TestFullObjectiveGradient:
         assert worst < 1e-4
 
 
+def writable(*models):
+    """Each parameter array's ``writeable`` flag, backbone tables then
+    estimator layers."""
+    return [arr.flags.writeable for model in models for arr in model.parameters().values()]
+
+
+@pytest.fixture
+def watch_partition(monkeypatch):
+    """Record the backbone and estimator that ``train`` builds and the
+    writeable flags of both at every objective call and every estimator fit.
+    A test sets ``write_in_loop`` or ``write_in_fit`` to make that step write
+    across the partition first."""
+    seen = {"loop": [], "fit": [], "write_in_loop": False, "write_in_fit": False}
+    init_backbone, objective, fit = (trainer_mod.init_backbone, trainer_mod.batch_objective,
+                                     trainer_mod.estimator_step)
+
+    def init_recording(*args, **kwargs):
+        seen["backbone"] = init_backbone(*args, **kwargs)
+        return seen["backbone"]
+
+    def objective_recording(backbone, estimator, batch, groups, cfg):
+        seen["estimator"] = estimator
+        seen["loop"].append((writable(backbone), writable(estimator)))
+        if seen["write_in_loop"]:
+            estimator.weights[0][0, 0] += 1.0
+        return objective(backbone, estimator, batch, groups, cfg)
+
+    def fit_recording(estimator, *args, **kwargs):
+        seen["fit"].append((writable(seen["backbone"]), writable(estimator)))
+        if seen["write_in_fit"]:
+            seen["backbone"].user_pool[0, 0] += 1.0
+        return fit(estimator, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "init_backbone", init_recording)
+    monkeypatch.setattr(trainer_mod, "batch_objective", objective_recording)
+    monkeypatch.setattr(trainer_mod, "estimator_step", fit_recording)
+    return seen
+
+
+class TestParameterPartition:
+    def test_read_only_across_run(self, synth_ds, watch_partition):
+        model = train(synth_ds, run_config(epochs=3), d=8, mode="shared")
+        assert len(model.log) == 3 and len(watch_partition["fit"]) == 3
+        # the objective sees a writable backbone and a read-only estimator,
+        # the estimator fit the reverse
+        loop = watch_partition["loop"]
+        assert loop and all(flags == ([True] * 3, [False] * 6) for flags in loop)
+        assert watch_partition["fit"] == [([False] * 3, [True] * 6)] * 3
+        assert writable(model.final_backbone, model.estimator) == [True] * 9
+
+    def test_estimator_write_in_batch_loop_raises(self, synth_ds, watch_partition):
+        watch_partition["write_in_loop"] = True
+        with pytest.raises(ValueError, match="read-only"):
+            train(synth_ds, run_config(epochs=2), d=8, mode="shared")
+        assert len(watch_partition["loop"]) == 1 and watch_partition["fit"] == []
+        assert writable(watch_partition["backbone"], watch_partition["estimator"]) == [True] * 9
+
+    def test_backbone_write_in_fit_raises(self, synth_ds, watch_partition):
+        watch_partition["write_in_fit"] = True
+        with pytest.raises(ValueError, match="read-only"):
+            train(synth_ds, run_config(epochs=2), d=8, mode="shared")
+        assert len(watch_partition["fit"]) == 1
+        assert writable(watch_partition["backbone"], watch_partition["estimator"]) == [True] * 9
+
+    def test_no_overlap_refused_before_first_epoch(self, monkeypatch):
+        ds = small_synth(overlap_fraction=0.0)
+        epochs = []
+        inner = trainer_mod.train_epoch
+
+        def counting(*args, **kwargs):
+            epochs.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+        with pytest.raises(DataError, match="^gain module requires overlapping users$"):
+            train(ds, run_config(epochs=2), d=8, mode="shared")
+        assert epochs == []
+        # without the estimator fit no overlap is needed
+        for variant in ("plain", "target_only", "no_estimator_loss"):
+            model = train(ds, ablation_config(run_config(epochs=1), variant), d=8,
+                          mode="shared")
+            assert len(model.log) == 1
+        assert len(epochs) == 3
+
+
 class TestTrainRuns:
     def test_epochs_zero_returns_init(self, synth_ds):
         cfg = run_config(epochs=0)
@@ -452,11 +537,6 @@ class TestTrainRuns:
         assert sum(s.fair_draws for s in model.log) == 0
         model_fs = train(synth_ds, run_config(epochs=3), d=8, mode="shared")
         assert sum(s.fair_draws for s in model_fs.log) > 0
-
-    def test_partition_checks_across_run(self, synth_ds):
-        cfg = run_config(epochs=3, partition_checks=True)
-        model = train(synth_ds, cfg, d=8, mode="shared")
-        assert len(model.log) == 3
 
     def test_lattice_estimator_toggle_isolated(self, synth_ds):
         # with redistribution off the estimator is decoupled from the main
