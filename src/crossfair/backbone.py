@@ -12,6 +12,7 @@ underlying row.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -121,8 +122,9 @@ def restore(ds: CrossDomainDataset, snapshot: dict, d: int, mode: str) -> Backbo
     return bb
 
 
-def save_snapshot(backbone: Backbone, path):
-    """Write the four embedding tables as little-endian float32.
+def save_snapshot(backbone: Backbone, path) -> str:
+    """Write the four embedding tables as little-endian float32 and return
+    the sha256 hex digest of the bytes written.
 
     Layout: magic ``CDFA``, u32 version, then per table (user source, user
     target, item source, item target): u64 rows, u64 cols, row-major f32.
@@ -136,7 +138,9 @@ def save_snapshot(backbone: Backbone, path):
     parts = [SNAPSHOT_MAGIC, struct.pack("<I", SNAPSHOT_VERSION)]
     for arr in tables:
         parts += [struct.pack("<QQ", *arr.shape), np.ascontiguousarray(arr, dtype="<f4")]
-    Path(path).write_bytes(b"".join(parts))
+    blob = b"".join(parts)
+    Path(path).write_bytes(blob)
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_snapshot(path) -> dict:

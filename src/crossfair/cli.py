@@ -312,10 +312,6 @@ def _labels_sha256(target_ids, target_groups, overlap_targets, overlap_sources) 
                          o_t[by_target], np.asarray(overlap_sources)[by_target])
 
 
-def _file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _write_optimizer_state(path, arrays: dict):
     parts = [b"CFOS", struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
@@ -330,8 +326,10 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
     model = train(ds, ablation_config(run_cfg.train, variant), d=run_cfg.embedding_dim,
                   mode=run_cfg.sharing_mode, snapshot_dir=out)
     write_run_log(out / "runlog.jsonl", model.log)
-    backbone_mod.save_snapshot(model.backbone, out / "snapshot.bin")
-    backbone_mod.save_snapshot(model.final_backbone, out / "snapshot_final.bin")
+    snapshots = dict(model.snapshot_sha256)
+    for name, bb in (("snapshot.bin", model.backbone),
+                     ("snapshot_final.bin", model.final_backbone)):
+        snapshots[name] = backbone_mod.save_snapshot(bb, out / name)
     state = {
         "best_epoch": model.best_epoch,
         # no validation score when no epoch ran; NaN is not JSON
@@ -344,8 +342,7 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
         "dataset_sha256": ds.sha256(),
         "labels_sha256": _labels_sha256(np.arange(ds.n_users_target), ds.target_group,
                                        *ds.overlap_arrays()),
-        "snapshot_sha256": {name: _file_sha256(out / name)
-                            for name in ("snapshot.bin", "snapshot_final.bin")},
+        "snapshot_sha256": snapshots,
     }
     (out / "state.json").write_text(json_text(state, indent=2), encoding="utf-8")
     arrays = {f"opt:{k}": v for k, v in model.optimizer.state_arrays().items()}
@@ -369,17 +366,31 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_run_state(path) -> dict:
-    """``state.json`` of a run, with the settings ``eval`` rebuilds it from."""
+def _read_run(state_path, snapshot_path):
+    """A run's ``state.json`` and a snapshot it wrote. The state must hold the
+    settings ``eval`` rebuilds the run from and the digests of its dataset,
+    its labels and its snapshots; the snapshot, once parsed, must be one of
+    those snapshots."""
     try:
-        state = json.loads(Path(path).read_text(encoding="utf-8"))
+        state = json.loads(Path(state_path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read run state: {exc}") from exc
     if not (isinstance(state, dict) and isinstance(state.get("embedding_dim"), int)
             and isinstance(state.get("sharing_mode"), str) and isinstance(state.get("seed"), int)):
-        raise DataError(f"{path}: run state must hold an integer embedding_dim and seed "
+        raise DataError(f"{state_path}: run state must hold an integer embedding_dim and seed "
                         f"and a sharing_mode")
-    return state
+    for key in ("dataset_sha256", "labels_sha256", "snapshot_sha256"):
+        if key not in state:
+            raise DataError(f"{state_path}: run state has no {key}, so it cannot vouch for "
+                            f"the run's inputs: train the run again")
+    if not isinstance(state["snapshot_sha256"], dict):
+        raise DataError(f"{state_path}: snapshot_sha256 must map file names to digests")
+    snapshot = backbone_mod.load_snapshot(snapshot_path)
+    digest = hashlib.sha256(Path(snapshot_path).read_bytes()).hexdigest()
+    if digest not in state["snapshot_sha256"].values():
+        raise DataError(f"{snapshot_path} is not a snapshot the run in "
+                        f"{Path(state_path).parent} wrote (snapshot_sha256 mismatch)")
+    return state, snapshot
 
 
 def cmd_eval(args) -> int:
@@ -390,12 +401,9 @@ def cmd_eval(args) -> int:
         _check_cutoffs(ks, "--k")
     ds = run_cfg.dataset()
     run_dir = Path(args.run)
-    state = _read_run_state(run_dir / "state.json")
-    snapshot = backbone_mod.load_snapshot(run_dir / "snapshot.bin")
+    state, snapshot = _read_run(run_dir / "state.json", run_dir / "snapshot.bin")
     bb = backbone_mod.restore(ds, snapshot, state["embedding_dim"], state["sharing_mode"])
-    # runs written before the fingerprint existed get the shape check only
-    stored = state.get("dataset_sha256")
-    if stored is not None and stored != ds.sha256():
+    if state["dataset_sha256"] != ds.sha256():
         raise DataError("the dataset differs from the one the run was trained on "
                         "(dataset_sha256 mismatch): evaluate with that dataset")
     split = split_per_user(ds, state["seed"])
@@ -481,34 +489,21 @@ def _read_overlap(path):
     return tuple(_int_ids(path, column) for column in columns)
 
 
-def _check_run_inputs(snapshot_path, labels: tuple):
-    """Refuse a snapshot or labels that differ from those of the run whose
-    ``state.json`` sits next to the snapshot. Without one, or with one
-    written before these digests existed, nothing is checked."""
-    state_path = Path(snapshot_path).with_name("state.json")
-    if not state_path.exists():
-        return
-    state = _read_run_state(state_path)
-    snapshots = state.get("snapshot_sha256", {})
-    if not isinstance(snapshots, dict):
-        raise DataError(f"{state_path}: snapshot_sha256 must map file names to digests")
-    if snapshots and _file_sha256(snapshot_path) not in snapshots.values():
-        raise DataError(f"{snapshot_path} is not a snapshot the run in {state_path.parent} "
-                        f"wrote (snapshot_sha256 mismatch)")
-    stored = state.get("labels_sha256")
-    if stored is not None and stored != _labels_sha256(*labels):
-        raise DataError("--attrs and --overlap differ from the labels the run was trained "
-                        "with (labels_sha256 mismatch): use the run's groups.tsv and "
-                        "overlap.tsv")
-
-
 def cmd_theory(args) -> int:
-    snapshot = backbone_mod.load_snapshot(args.snapshot)
+    # a state.json beside the snapshot vouches for the snapshot and the labels
+    state_path = Path(args.snapshot).with_name("state.json")
+    if state_path.exists():
+        state, snapshot = _read_run(state_path, args.snapshot)
+    else:
+        state, snapshot = None, backbone_mod.load_snapshot(args.snapshot)
     attr_map, _labels = load_attributes(args.attrs)
     labels = (_int_ids(args.attrs, list(attr_map)), list(attr_map.values()),
               *_read_overlap(args.overlap))
     cloud = theory_mod.cloud_from_snapshot(snapshot, *labels)
-    _check_run_inputs(args.snapshot, labels)
+    if state is not None and state["labels_sha256"] != _labels_sha256(*labels):
+        raise DataError("--attrs and --overlap differ from the labels the run was trained "
+                        "with (labels_sha256 mismatch): use the run's groups.tsv and "
+                        "overlap.tsv")
     if args.lf == "auto":
         items = snapshot["item_emb_target"]
         rng_items = min(64, len(items))
@@ -547,9 +542,14 @@ def main(argv=None) -> int:
             "theory": cmd_theory,
         }[args.command]
         return handler(args)
+    except OSError as exc:
+        # every read turns its OSError into a DataError where it happens, so
+        # this one comes from writing an output path
+        error = UsageError(f"cannot write {exc.filename}: {exc.strerror}")
     except CrossfairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

@@ -27,11 +27,25 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .numerics import require_finite
+from .numerics import require_finite, top_k
 from .seeding import make_rng
 
 G0 = 0
 G1 = 1
+# The two groups, in the order every per-group loop and report takes them.
+GROUPS = (G0, G1)
+
+
+def group_means(values: np.ndarray, groups: np.ndarray):
+    """Each group's count of ``values`` and their mean, by group; the mean of
+    a group without values is None. ``groups`` labels each value."""
+    counts, means = {}, {}
+    for g in GROUPS:
+        sel = groups == g
+        counts[g] = int(sel.sum())
+        means[g] = float(values[sel].mean()) if counts[g] else None
+    return counts, means
+
 
 # Base ranking-noise scales of the synthetic generator, as multiples of the
 # latent score standard deviation sqrt(latent_dim). Group g1's source-domain
@@ -482,12 +496,6 @@ def _synth_internals(cfg: SynthConfig):
     }
 
 
-def _top_items(scores: np.ndarray, count: int) -> np.ndarray:
-    # Deterministic top-count per row; ties broken by ascending item id.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return order[:, :count]
-
-
 def _pairs_from_top(top: np.ndarray) -> np.ndarray:
     # (user, item) pairs from per-user rows of item ids, items ascending per user
     users = np.repeat(np.arange(len(top), dtype=np.int64), top.shape[1])
@@ -500,8 +508,8 @@ def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
     """
     internals = _synth_internals(cfg)
     ipu = cfg.interactions_per_user
-    top_t = _top_items(internals["noisy_t"], ipu)
-    top_s = _top_items(internals["noisy_s"], ipu * cfg.source_density_ratio)
+    top_t = top_k(internals["noisy_t"], ipu)
+    top_s = top_k(internals["noisy_s"], ipu * cfg.source_density_ratio)
 
     n_overlap = internals["n_overlap"]
     target_to_source = np.full(cfg.n_users_target, -1, dtype=np.int64)

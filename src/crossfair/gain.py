@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import G0, G1
+from .data import G0, G1, group_means
 from .errors import DataError
 from .numerics import PROB_CEIL, PROB_FLOOR, clamp_prob, distinct_rows, sigmoid
 from .seeding import make_rng
@@ -147,9 +147,8 @@ def _gain_terms(backbone, estimator, users, items, groups, with_cache=False):
         fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
     else:
         distinct, slot = distinct_rows(users, len(backbone.target_to_source))
-        fused, cache = estimator.forward(np.concatenate(
-            [backbone.user_target_vectors(distinct),
-             backbone.user_pool[backbone.source_slots_of_targets(distinct)]], axis=1))
+        fused, _ = estimator.forward(
+            estimator_inputs(backbone, distinct, backbone.target_to_source[distinct]))
         fused, cache = fused[slot], None
     heads = {
         "users": users, "items": items, "u_t": u_t, "u_s": u_s, "i_t": i_t,
@@ -170,13 +169,8 @@ def estimate_gain(backbone, estimator: GainEstimator, users, items, groups) -> G
     if np.size(users) == 0:
         raise DataError("empty batch")
     _, terms, sample_groups = _gain_terms(backbone, estimator, users, items, groups)
-    delta = {G0: 0.0, G1: 0.0}
-    counts = {G0: 0, G1: 0}
-    for g in (G0, G1):
-        sel = sample_groups == g
-        counts[g] = int(sel.sum())
-        if counts[g] > 0:
-            delta[g] = float(terms[sel].mean())
+    counts, means = group_means(terms, sample_groups)
+    delta = {g: 0.0 if mean is None else mean for g, mean in means.items()}
     gap = delta[G0] - delta[G1]
     return GainReport(delta_i=delta, redistribution_loss=float(gap * gap), n_samples=counts)
 
@@ -192,15 +186,14 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
     """
     heads, terms, sample_groups = _gain_terms(backbone, estimator, users, items, groups,
                                               with_cache=True)
-    n0 = int((sample_groups == G0).sum())
-    n1 = int((sample_groups == G1).sum())
-    if n0 == 0 or n1 == 0:
+    counts, means = group_means(terms, sample_groups)
+    if min(counts.values()) == 0:
         return 0.0, []
-    gap = float(terms[sample_groups == G0].mean() - terms[sample_groups == G1].mean())
+    gap = means[G0] - means[G1]
     value = gap * gap
 
     # d value / d term_k: 2*gap * (+1/n0 for g0, -1/n1 for g1)
-    coeff = np.where(sample_groups == G0, 2.0 * gap / n0, -2.0 * gap / n1)
+    coeff = np.where(sample_groups == G0, 2.0 * gap / counts[G0], -2.0 * gap / counts[G1])
 
     # Clamped probabilities are flat; zero those samples' head gradients.
     def live(p):

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .data import G0, G1, json_text, write_csv
+from .data import G0, G1, GROUPS, group_means, json_text, write_csv
 from .errors import DataError
+from .numerics import top_k
 
 DEFAULT_KS = (10, 20)
 # Users ranked at once after the one score product: each block's top-K and
@@ -27,14 +28,14 @@ DEFAULT_KS = (10, 20)
 RANK_BLOCK = 256
 
 
-def ugf(group_means) -> float:
+def ugf(means) -> float:
     """Absolute gap between the two group-mean metric values."""
-    if G0 not in group_means or G1 not in group_means:
+    if G0 not in means or G1 not in means:
         raise DataError("both group means are required")
-    for g in (G0, G1):
-        if group_means[g] is None:
+    for g in GROUPS:
+        if means[g] is None:
             raise DataError(f"group {g} has no evaluable users")
-    return abs(group_means[G0] - group_means[G1])
+    return abs(means[G0] - means[G1])
 
 
 def paired_ttest(values_a, values_b):
@@ -93,34 +94,10 @@ class EvaluationReport:
         rows = []
         for name in self.metric_names():
             rows.append([name, "overall", self.overall[name]])
-            for g in (G0, G1):
+            for g in GROUPS:
                 rows.append([name, f"g{g}", self.per_group[g][name]])
             rows.append([name, "ugf", self.ugf[name]])
         write_csv(path, ["metric", "scope", "value"], rows)
-
-
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each row's column ids of the min(k, n_cols) highest scores, by
-    descending score with ties broken by ascending id: the first columns of
-    a stable argsort of ``-scores``.
-
-    Each row's scores are partitioned for the k largest, and only the kept
-    columns are negated and sorted. A row is sorted in full when its k-th
-    score is shared by a column the partition left out, so that it could
-    have kept the wrong tied ids, or when it kept a NaN, which the partition
-    ranks above every score.
-    """
-    n = scores.shape[1]
-    k = min(k, n)
-    part = np.argpartition(scores, n - k, axis=1)[:, n - k:]
-    vals = -np.take_along_axis(scores, part, axis=1)
-    order = np.lexsort((part, vals), axis=1)
-    top = np.take_along_axis(part, order, axis=1)
-    kth = np.take_along_axis(vals, order[:, -1:], axis=1)
-    redo = ((scores == -kth).sum(axis=1) > (vals == kth).sum(axis=1)) | np.isnan(kth[:, 0])
-    if np.any(redo):
-        top[redo] = np.argsort(-scores[redo], axis=1, kind="stable")[:, :k]
-    return top
 
 
 def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> EvaluationReport:
@@ -173,20 +150,14 @@ def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> Evaluat
         per_user[f"ndcg@{k}"] = dcg / idcg
 
     user_groups = ds.target_group[users]
-    overall, group_vals, gaps = {}, {G0: {}, G1: {}}, {}
+    overall, group_vals, gaps = {}, {g: {} for g in GROUPS}, {}
     for name, vals in per_user.items():
         overall[name] = float(vals.mean())
-        means = {}
-        for g in (G0, G1):
-            sel = user_groups == g
-            means[g] = float(vals[sel].mean()) if np.any(sel) else None
+        counts, means = group_means(vals, user_groups)
+        for g in GROUPS:
             group_vals[g][name] = means[g]
         gaps[name] = ugf(means)
-    n_users = {
-        "overall": int(len(users)),
-        "g0": int((user_groups == G0).sum()),
-        "g1": int((user_groups == G1).sum()),
-    }
+    n_users = {"overall": int(len(users)), **{f"g{g}": counts[g] for g in GROUPS}}
     return EvaluationReport(
         ks=ks, overall=overall, per_group=group_vals, ugf=gaps, n_users=n_users,
         per_user={"users": users, **per_user},

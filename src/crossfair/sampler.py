@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import G0, G1
+from .data import GROUPS
 from .errors import DataError, NumericalError
 from .numerics import require_finite, softmax
 
@@ -48,14 +48,13 @@ class GroupLossTracker:
     previous smoothed value.
     """
 
-    def __init__(self, beta: float = 0.9, groups=(G0, G1)):
+    def __init__(self, beta: float = 0.9):
         if not 0.0 <= beta < 1.0:
             raise DataError("beta must lie in [0, 1)")
         self.beta = beta
-        self.groups = tuple(groups)
-        self.ema = {g: None for g in self.groups}
-        self._sums = {g: 0.0 for g in self.groups}
-        self._counts = {g: 0 for g in self.groups}
+        self.ema = {g: None for g in GROUPS}
+        self._sums = {g: 0.0 for g in GROUPS}
+        self._counts = {g: 0 for g in GROUPS}
         self.epochs_completed = 0
 
     def accumulate_many(self, groups, losses):
@@ -63,17 +62,17 @@ class GroupLossTracker:
         losses = np.asarray(losses, dtype=np.float64)
         if not np.all(np.isfinite(losses)):
             raise NumericalError("non-finite loss in batch")
-        known = np.isin(groups, self.groups)
+        known = np.isin(groups, GROUPS)
         if not np.all(known):
             raise DataError(f"unknown group {groups[~known][0].item()!r}")
-        for g in self.groups:
+        for g in GROUPS:
             mask = groups == g
             self._sums[g] += float(losses[mask].sum())
             self._counts[g] += int(mask.sum())
 
     def end_epoch(self) -> dict:
         emas = {}
-        for g in self.groups:
+        for g in GROUPS:
             if self._counts[g] > 0:
                 current = self._sums[g] / self._counts[g]
             elif self.ema[g] is not None:
@@ -85,8 +84,8 @@ class GroupLossTracker:
             else:
                 emas[g] = self.beta * self.ema[g] + (1.0 - self.beta) * current
         self.ema = emas
-        self._sums = {g: 0.0 for g in self.groups}
-        self._counts = {g: 0 for g in self.groups}
+        self._sums = {g: 0.0 for g in GROUPS}
+        self._counts = {g: 0 for g in GROUPS}
         self.epochs_completed += 1
         return dict(emas)
 
@@ -94,9 +93,9 @@ class GroupLossTracker:
         """Relative gap of the group's smoothed loss against the group average."""
         if group not in self.ema:
             raise DataError(f"unknown group {group!r}")
-        if any(self.ema[g] is None for g in self.groups):
+        if any(self.ema[g] is None for g in GROUPS):
             raise DataError("alpha undefined before the first completed epoch")
-        avg = sum(self.ema[g] for g in self.groups) / len(self.groups)
+        avg = sum(self.ema[g] for g in GROUPS) / len(GROUPS)
         if abs(avg) <= ALPHA_EPS:
             raise NumericalError("degenerate losses: group average is ~0")
         return (self.ema[group] - avg) / avg
@@ -104,7 +103,7 @@ class GroupLossTracker:
     def state(self) -> dict:
         return {
             "beta": self.beta,
-            "ema": {str(g): self.ema[g] for g in self.groups},
+            "ema": {str(g): self.ema[g] for g in GROUPS},
             "epochs_completed": self.epochs_completed,
         }
 

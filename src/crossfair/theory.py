@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .data import G0, G1, json_text
+from .data import G0, G1, GROUPS, json_text
 from .errors import DataError
 from .seeding import derive_seed, make_rng
 
@@ -118,7 +118,7 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
             raise DataError(f"{name} must be finite and >= 0, got {value!r}")
     cells = {}
     for dom in ("s", "t"):
-        for g in (G0, G1):
+        for g in GROUPS:
             cells[(dom, g)] = cloud.select(domain=dom, group=g)
             if len(cells[(dom, g)]) == 0:
                 raise DataError(f"no users in cell (domain={dom}, group={g})")

@@ -18,7 +18,7 @@ import numpy as np
 from . import backbone as backbone_mod
 from . import metrics as metrics_mod
 from .backbone import Backbone, init as init_backbone
-from .data import G0, G1, CrossDomainDataset, SplitDataset, json_text, split_per_user
+from .data import G0, G1, GROUPS, CrossDomainDataset, SplitDataset, json_text, split_per_user
 from .errors import DataError, NumericalError
 from .gain import (GainEstimator, estimate_gain, estimator_inputs, estimator_step,
                    redistribution_grads)
@@ -195,6 +195,8 @@ class TrainedModel:
     optimizer: Adam = None
     estimator_optimizer: Adam = None
     final_backbone: Backbone = None
+    # sha256 hex digest of each epoch snapshot written, by file name
+    snapshot_sha256: dict = field(default_factory=dict)
 
 
 def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, groups,
@@ -255,7 +257,7 @@ def _plan_batch(backbone, pools, is_target, users, pos, groups, tracker, cfg, rn
         taus = None
         if fair and domain == "target":
             taus = np.array([temperature(tracker.alpha(g), cfg.sampler.epsilon)
-                             for g in (G0, G1)])[groups[d_users]]
+                             for g in GROUPS])[groups[d_users]]
         neg = batch_sample_negatives(
             backbone, pools[domain], d_users, taus, cfg.sampler.candidate_size, rng
         )
@@ -354,11 +356,12 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
 def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "shared",
           snapshot_dir=None) -> TrainedModel:
     """Full training run with early stopping on validation NDCG@10. A split
-    without target validation or test positives, and an estimator fit
-    without overlapping users, are refused before training.
+    where a group has no target validation or test positives, and an
+    estimator fit without overlapping users, are refused before training.
 
     With ``cfg.snapshot_every`` > 0 and a snapshot directory, embedding
-    snapshots are written every that many epochs.
+    snapshots are written every that many epochs; ``snapshot_sha256`` of the
+    returned model holds their digests.
     """
     cfg.validate()
     split = split_per_user(ds, cfg.seed)
@@ -366,6 +369,12 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
         if len(pairs) == 0:
             raise DataError(f"the split has no target {phase} positives: a target user "
                             f"needs at least 10 interactions for a validation or test positive")
+        present = np.bincount(ds.target_group[pairs[:, 0]], minlength=len(GROUPS))
+        if not present.all():
+            g = int(np.argmin(present))
+            raise DataError(f"the split has no target {phase} positives in group {g} "
+                            f"({ds.group_labels[g]}): a user of that group needs at least 10 "
+                            f"interactions for a validation or test positive")
     if cfg.use_estimator_loss and len(ds.overlap_arrays()[0]) == 0:
         raise DataError("gain module requires overlapping users")
     backbone = init_backbone(ds, d, mode, cfg.seed)
@@ -383,6 +392,7 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
     est_rng = make_rng(cfg.seed, "estimator-dropout")
 
     log = []
+    snapshots = {}
     best_epoch = -1
     best_val = -np.inf
     since_best = 0
@@ -394,7 +404,8 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
         log.append(stats)
         if cfg.snapshot_every > 0 and snapshot_dir is not None \
                 and (epoch + 1) % cfg.snapshot_every == 0:
-            backbone_mod.save_snapshot(backbone, f"{snapshot_dir}/snapshot_epoch_{epoch}.bin")
+            name = f"snapshot_epoch_{epoch}.bin"
+            snapshots[name] = backbone_mod.save_snapshot(backbone, Path(snapshot_dir) / name)
         if stats.val_ndcg10 > best_val:
             best_val = stats.val_ndcg10
             best_epoch = epoch
@@ -418,6 +429,7 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
         optimizer=adam,
         estimator_optimizer=est_adam,
         final_backbone=backbone,
+        snapshot_sha256=snapshots,
     )
 
 

@@ -34,6 +34,10 @@ before it ranked users in blocks: one ``top_k`` over the whole users x
 items score matrix and one users x items relevance mask. The evaluator
 must return the same report and per-user arrays bit for bit.
 
+``top_items_argsort`` is the per-user top-item pick the synthetic
+generator had before it used ``top_k``: the first columns of a stable
+argsort of each whole row. The generator must give the same dataset.
+
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
 must return the same values and raise the same messages.
@@ -61,11 +65,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from crossfair.cli import RunConfig
-from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_internals, _top_items
+from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_internals
 from crossfair.errors import DataError, NumericalError, UsageError
-from crossfair.numerics import clamp_prob, sigmoid, softmax
+from crossfair.numerics import clamp_prob, sigmoid, softmax, top_k
 from crossfair.gain import redistribution_grads
-from crossfair.metrics import DEFAULT_KS, EvaluationReport, top_k, ugf
+from crossfair.metrics import DEFAULT_KS, EvaluationReport, ugf
 from crossfair.sampler import _draw_rows, batch_candidates, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import bpr_terms
@@ -663,6 +667,12 @@ def read_state_bundle(path) -> dict:
     return out
 
 
+def top_items_argsort(scores, count):
+    # Deterministic top-count per row; ties broken by ascending item id.
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return order[:, :count]
+
+
 def synthetic_rank_quality(cfg):
     """Oracle source-domain ranking quality per group.
 
@@ -675,7 +685,7 @@ def synthetic_rank_quality(cfg):
     n_overlap = internals["n_overlap"]
     groups = internals["groups"]
     ipu = cfg.interactions_per_user
-    true_top = _top_items(internals["true_s"][:n_overlap], ipu)
+    true_top = top_items_argsort(internals["true_s"][:n_overlap], ipu)
     noisy_order = np.argsort(-internals["noisy_s"][:n_overlap], axis=1, kind="stable")
     ranks = np.empty_like(noisy_order)
     rows = np.arange(n_overlap)[:, None]

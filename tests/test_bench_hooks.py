@@ -13,6 +13,8 @@ import pytest
 import crossfair.data
 import crossfair.trainer
 
+from conftest import small_synth
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -53,3 +55,23 @@ def test_batch_sample_negatives_signature():
     # the tracer's sampler.draw wrapper reads users as the third positional argument
     params = inspect.signature(crossfair.trainer.batch_sample_negatives).parameters
     assert list(params)[:3] == ["backbone", "pool", "users"]
+
+
+def test_epoch_stats_fields_the_benchmark_reads(monkeypatch):
+    # the worker's epoch wrapper reads n_samples and val_ndcg10 from what
+    # train_epoch returns, for train_samples_per_s and time_to_target_s
+    seen = []
+    inner = crossfair.trainer.train_epoch
+
+    def recording(*args, **kwargs):
+        seen.append(inner(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(crossfair.trainer, "train_epoch", recording)
+    cfg = crossfair.trainer.TrainConfig(epochs=2, batch_size=256, estimator_hidden=(8,))
+    model = crossfair.trainer.train(small_synth(), cfg, d=4)
+    assert len(seen) == 2
+    for stats, logged in zip(seen, model.log):
+        assert stats is logged
+        assert isinstance(stats.n_samples, int) and stats.n_samples > 0
+        assert isinstance(stats.val_ndcg10, float) and 0.0 <= stats.val_ndcg10 <= 1.0

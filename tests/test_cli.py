@@ -232,16 +232,6 @@ class TestEvalCommand:
         assert err.startswith("error: the dataset differs") and "\n" not in err
         assert not (tmp_path / "e" / "report.json").exists()
 
-    def test_state_without_fingerprint_still_evaluates(self, tmp_path, cfg_file):
-        run_dir = tmp_path / "run"
-        run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
-        state = json.loads((run_dir / "state.json").read_text())
-        del state["dataset_sha256"]
-        (run_dir / "state.json").write_text(json.dumps(state), encoding="utf-8")
-        out = tmp_path / "e"
-        assert run("--config", cfg_file, "--out", out, "--quiet", "eval", "--run", run_dir) == 0
-        assert (out / "report.json").read_bytes() == (run_dir / "report.json").read_bytes()
-
     def test_summary_at_smallest_cutoff(self, tmp_path, cfg_file, capsys):
         run_dir = tmp_path / "run"
         run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
@@ -585,6 +575,64 @@ class TestTheoryChecksRunInputs:
         assert self.theory(tmp_path / "snapshot.bin", other_run, tmp_path / "theory") == 0
 
 
+class TestRunState:
+    """``eval`` and ``theory`` read a run's ``state.json`` the same way: it must
+    hold every digest, and it vouches only for the snapshots the run wrote."""
+
+    def eval(self, cfg_file, run_dir, out):
+        return run("--config", cfg_file, "--out", out, "--quiet", "eval", "--run", run_dir)
+
+    def theory(self, snapshot, out):
+        return run("--out", out, "--quiet", "theory", "--snapshot", snapshot,
+                   "--attrs", snapshot.parent / "groups.tsv",
+                   "--overlap", snapshot.parent / "overlap.tsv")
+
+    def test_eval_refuses_another_runs_snapshot(self, tmp_path, cfg_file, theory_run,
+                                                other_run, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(theory_run, run_dir)
+        shutil.copyfile(other_run / "snapshot.bin", run_dir / "snapshot.bin")
+        out = tmp_path / "e"
+        capsys.readouterr()
+        assert self.eval(cfg_file, run_dir, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'snapshot.bin'} is not a snapshot the run in {run_dir} wrote "
+            f"(snapshot_sha256 mismatch)\n")
+        assert not (out / "report.json").exists()
+
+    def test_theory_accepts_epoch_snapshot(self, tmp_path):
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(SYNTH_CFG + "snapshot_every = 1\n", encoding="utf-8")
+        run_dir = tmp_path / "run"
+        assert run("--config", cfg, "--out", run_dir, "--quiet", "train") == 0
+        state = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        names = ["snapshot.bin", "snapshot_final.bin",
+                 *(f"snapshot_epoch_{epoch}.bin" for epoch in range(3))]
+        assert sorted(state["snapshot_sha256"]) == sorted(names)
+        assert self.theory(run_dir / "snapshot_epoch_0.bin", tmp_path / "theory") == 0
+        assert (tmp_path / "theory" / "bound.json").exists()
+
+    @pytest.mark.parametrize("key", ["dataset_sha256", "labels_sha256", "snapshot_sha256"])
+    @pytest.mark.parametrize("command", ["eval", "theory"])
+    def test_state_without_digest_refused(self, tmp_path, cfg_file, theory_run, capsys,
+                                          command, key):
+        run_dir = tmp_path / "run"
+        shutil.copytree(theory_run, run_dir)
+        state = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        del state[key]
+        (run_dir / "state.json").write_text(json.dumps(state), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        if command == "eval":
+            assert self.eval(cfg_file, run_dir, out) == 2
+        else:
+            assert self.theory(run_dir / "snapshot.bin", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run_dir / 'state.json'}: run state has no {key}, so it cannot vouch "
+            f"for the run's inputs: train the run again\n")
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -643,6 +691,22 @@ class TestUsageErrors:
             f"error: cannot create output directory {out}: {reason}\n"
         assert blocker.read_text(encoding="utf-8") == "keep\n"
 
+    def test_ablate_variant_directory_naming_a_file(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "abl"
+        out.mkdir()
+        (out / "full").write_text("keep\n", encoding="utf-8")
+        assert run("--config", cfg_file, "--out", out, "--quiet", "ablate") == 1
+        assert capsys.readouterr().err == f"error: cannot write {out / 'full'}: File exists\n"
+        assert (out / "full").read_text(encoding="utf-8") == "keep\n"
+
+    def test_eval_report_naming_a_directory(self, tmp_path, cfg_file, theory_run, capsys):
+        out = tmp_path / "ev"
+        (out / "report.json").mkdir(parents=True)
+        assert run("--config", cfg_file, "--out", out, "--quiet", "eval",
+                   "--run", theory_run) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot write {out / 'report.json'}: Is a directory\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_is_data_error(self, tmp_path, capsys, key, value):
@@ -683,6 +747,50 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             "error: the split has no target validation positives: a target user needs "
             "at least 10 interactions for a validation or test positive\n")
+        assert not list(out.rglob("snapshot*.bin"))
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate"],
+                                         ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
+                             ids=["train", "ablate", "sweep"])
+    def test_group_without_heldout_positives_refused_before_training(
+            self, tmp_path, cfg_file, capsys, command, monkeypatch):
+        # group B's target users keep 5 interactions each: no validation positive
+        data = tmp_path / "data"
+        assert run("--config", cfg_file, "--out", data, "--quiet", "synth") == 0
+        group_b = {line.split("\t")[0] for line in
+                   (data / "attributes.tsv").read_text(encoding="utf-8").splitlines()[1:]
+                   if line.endswith("\tB")}
+        header, *rows = (data / "interactions_target.tsv").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        kept, seen = [], {}
+        for row in rows:
+            user = row.split("\t")[0]
+            seen[user] = seen.get(user, 0) + 1
+            if user not in group_b or seen[user] <= 5:
+                kept.append(row)
+        (data / "interactions_target.tsv").write_text(header + "".join(kept), encoding="utf-8")
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(
+            f"source_interactions = {data / 'interactions_source.tsv'}\n"
+            f"target_interactions = {data / 'interactions_target.tsv'}\n"
+            f"attributes = {data / 'attributes.tsv'}\n"
+            "embedding_dim = 8\nepochs = 2\nbatch_size = 128\nseed = 3\n",
+            encoding="utf-8",
+        )
+        epochs = []
+        inner = trainer_mod.train_epoch
+
+        def counting(*args, **kwargs):
+            epochs.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", *command) == 2
+        assert capsys.readouterr().err == (
+            "error: the split has no target validation positives in group 1 (B): a user of "
+            "that group needs at least 10 interactions for a validation or test positive\n")
+        assert epochs == []
         assert not list(out.rglob("snapshot*.bin"))
 
     def test_synth_false_with_synthetic_key_is_usage_error(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import crossfair.cli
+import crossfair.data as data_mod
 from crossfair.cli import _read_overlap
 from crossfair.data import (
     CrossDomainDataset,
@@ -32,7 +33,10 @@ from oracles import (
     read_overlap_loop,
     split_per_user_loop,
     synthetic_rank_quality,
+    top_items_argsort,
 )
+from test_acceptance import SEEDS, disparity_fixture
+from test_cli import SYNTH_CFG
 
 
 def rows(pairs):
@@ -430,7 +434,43 @@ class TestValidateRejects:
                     ds.validate()
 
 
+def random_synth_configs(n, seed=0):
+    """Small synthetic configs with random sizes, densities and knobs."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(n):
+        n_items_source, n_items_target = rng.integers(5, 60, size=2)
+        ratio = int(rng.integers(1, 4))
+        ipu = int(rng.integers(1, min(n_items_target, n_items_source // ratio) + 1))
+        configs.append(SynthConfig(
+            n_users_source=int(rng.integers(20, 60)), n_users_target=int(rng.integers(2, 40)),
+            overlap_fraction=float(rng.random() * 0.5), n_items_source=int(n_items_source),
+            n_items_target=int(n_items_target), latent_dim=int(rng.integers(1, 9)),
+            group_split=float(rng.uniform(0.2, 0.8)), source_disparity=float(rng.uniform(1, 4)),
+            domain_shift=float(rng.random()), interactions_per_user=ipu,
+            source_density_ratio=ratio, rng_seed=int(rng.integers(1000))))
+    return configs
+
+
+SYNTH_REFERENCE_CASES = [
+    *(pytest.param(disparity_fixture(seed), id=f"acceptance-{seed}") for seed in SEEDS),
+    pytest.param(crossfair.cli.resolve_config(dict(
+        line.split(" = ") for line in SYNTH_CFG.splitlines()
+        if " = " in line)).synth, id="cli-config"),
+    *(pytest.param(cfg, id=f"random-{i}") for i, cfg in enumerate(random_synth_configs(6))),
+]
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("cfg", SYNTH_REFERENCE_CASES)
+    def test_top_items_match_argsort_reference(self, monkeypatch, cfg):
+        got = generate_synthetic(cfg)
+        monkeypatch.setattr(data_mod, "top_k", top_items_argsort)
+        want = generate_synthetic(cfg)
+        assert got.sha256() == want.sha256()
+        assert got.raw_ids == want.raw_ids
+        assert got.group_labels == want.group_labels
+
     def test_determinism(self):
         a = small_synth(seed=7)
         b = small_synth(seed=7)

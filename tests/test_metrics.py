@@ -10,16 +10,13 @@ import crossfair.metrics as metrics_mod
 from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import DataError
-from crossfair.metrics import (
-    evaluate,
-    paired_ttest,
-    top_k,
-    ugf,
-)
+from crossfair.metrics import evaluate, paired_ttest, ugf
+from crossfair.numerics import top_k
 from crossfair.trainer import TrainConfig, train
 
 from conftest import small_synth
-from oracles import evaluate_whole_matrix, ndcg_at_k, rank_items, recall_at_k
+from oracles import (evaluate_whole_matrix, ndcg_at_k, rank_items, recall_at_k,
+                     top_items_argsort)
 
 
 class TestRankItems:
@@ -49,10 +46,6 @@ class TestRankItems:
         assert tied == sorted(tied)
 
 
-def stable_argsort_top(scores, k):
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
-
-
 class TestTopK:
     """``top_k`` must give exactly the first columns of the stable argsort."""
 
@@ -60,7 +53,7 @@ class TestTopK:
         rng = np.random.default_rng(0)
         scores = np.round(rng.normal(size=(300, 200)), 1)
         for k in (1, 10, 50, 199):
-            np.testing.assert_array_equal(top_k(scores, k), stable_argsort_top(scores, k))
+            np.testing.assert_array_equal(top_k(scores, k), top_items_argsort(scores, k))
         # the k-th score shared inside and outside the kept columns
         row = np.array([[3.0, 1.0, 2.0, 1.0, 1.0, 0.0]])
         np.testing.assert_array_equal(top_k(row, 3), [[0, 2, 1]])
@@ -76,7 +69,7 @@ class TestTopK:
         scores[0] = -np.inf
         for k in (5, 20, 30, 45):
             np.testing.assert_array_equal(top_k(scores, k),
-                                          stable_argsort_top(scores, k))
+                                          top_items_argsort(scores, k))
 
     def test_random_tied_blocks_with_infinities_and_nan(self):
         # small integer scores tie often; the partition ranks NaN above +inf
@@ -90,7 +83,7 @@ class TestTopK:
             scores[(cell >= 0.16) & (cell < 0.22)] = np.nan
             for k in range(1, cols + 3):
                 np.testing.assert_array_equal(top_k(scores, k),
-                                              stable_argsort_top(scores, k))
+                                              top_items_argsort(scores, k))
 
 
 class TestRecall:

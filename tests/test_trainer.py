@@ -473,6 +473,29 @@ class TestParameterPartition:
             assert len(model.log) == 1
         assert len(epochs) == 3
 
+    @pytest.mark.parametrize("phase", ["validation", "test"])
+    def test_group_without_heldout_positives_refused_before_first_epoch(self, monkeypatch,
+                                                                         phase):
+        ds = small_synth()
+        split = split_per_user(ds, 5)
+        # drop group 1's positives of one held-out phase from the split
+        held = {"validation": "target_val", "test": "target_test"}[phase]
+        pairs = getattr(split, held)
+        setattr(split, held, pairs[ds.target_group[pairs[:, 0]] == G0])
+        monkeypatch.setattr(trainer_mod, "split_per_user", lambda *args: split)
+        epochs = []
+        inner = trainer_mod.train_epoch
+
+        def counting(*args, **kwargs):
+            epochs.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+        with pytest.raises(DataError, match=f"^the split has no target {phase} positives "
+                                            f"in group 1 \\(B\\): "):
+            train(ds, run_config(epochs=2), d=8, mode="shared")
+        assert epochs == []
+
 
 class TestTrainRuns:
     def test_epochs_zero_returns_init(self, synth_ds):
