@@ -143,8 +143,9 @@ def save_snapshot(backbone: Backbone, path) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def load_snapshot(path) -> dict:
-    """Read a snapshot file back into float64 arrays."""
+def load_snapshot(path) -> tuple[dict, str]:
+    """Read a snapshot file back into float64 arrays. Returns the tables by
+    name and the sha256 hex digest of the bytes parsed."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -169,4 +170,4 @@ def load_snapshot(path) -> dict:
         arr = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=off)
         out[name] = arr.reshape(rows, cols).astype(np.float64)
         off += nbytes
-    return out
+    return out, hashlib.sha256(blob).hexdigest()

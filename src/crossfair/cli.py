@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import json
 import struct
 import sys
@@ -40,7 +39,7 @@ from .data import (
     write_tsv,
 )
 from .errors import CrossfairError, DataError, UsageError
-from .trainer import VARIANTS, TrainConfig, ablation_config, train, write_run_log
+from .trainer import VARIANTS, TrainConfig, ablation_config, preflight, train, write_run_log
 
 @dataclass
 class RunConfig:
@@ -78,6 +77,8 @@ class RunConfig:
             raise UsageError(f"unknown sharing_mode {self.sharing_mode!r}")
         _check_cutoffs(self.eval_ks, "eval_ks")
         self.train.validate()
+        if self.embedding_dim < 1:
+            raise DataError("embedding dimension must be >= 1")
         return self
 
     def dataset(self) -> CrossDomainDataset:
@@ -103,8 +104,6 @@ def _schema(cls, path=(), schema=None) -> dict:
 
 
 CONFIG_SCHEMA = _schema(RunConfig)
-# ``synth = true`` asks for the synthetic data block with default settings.
-CONFIG_KEYS = ("synth", *CONFIG_SCHEMA)
 
 
 def parse_config_file(path) -> dict:
@@ -322,9 +321,10 @@ def _write_optimizer_state(path, arrays: dict):
     Path(path).write_bytes(b"".join(parts))
 
 
-def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "full"):
-    model = train(ds, ablation_config(run_cfg.train, variant), d=run_cfg.embedding_dim,
-                  mode=run_cfg.sharing_mode, snapshot_dir=out)
+def _run_and_report(ds, run_cfg: RunConfig, cfg: TrainConfig, split, out: Path, args):
+    """Train ``cfg`` on its ``preflight`` split, write the artifacts and test it."""
+    model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode,
+                  snapshot_dir=out, split=split)
     write_run_log(out / "runlog.jsonl", model.log)
     snapshots = dict(model.snapshot_sha256)
     for name, bb in (("snapshot.bin", model.backbone),
@@ -361,8 +361,10 @@ def _run_and_report(ds, run_cfg: RunConfig, out: Path, args, variant: str = "ful
 def cmd_train(args) -> int:
     run_cfg = _load_run_config(args).validate()
     ds = run_cfg.dataset()
+    cfg = ablation_config(run_cfg.train, args.ablate)
+    split = preflight(ds, cfg)
     out = _out_dir(args, "run_out")
-    _run_and_report(ds, run_cfg, out, args, variant=args.ablate)
+    _run_and_report(ds, run_cfg, cfg, split, out, args)
     return 0
 
 
@@ -385,8 +387,7 @@ def _read_run(state_path, snapshot_path):
                             f"the run's inputs: train the run again")
     if not isinstance(state["snapshot_sha256"], dict):
         raise DataError(f"{state_path}: snapshot_sha256 must map file names to digests")
-    snapshot = backbone_mod.load_snapshot(snapshot_path)
-    digest = hashlib.sha256(Path(snapshot_path).read_bytes()).hexdigest()
+    snapshot, digest = backbone_mod.load_snapshot(snapshot_path)
     if digest not in state["snapshot_sha256"].values():
         raise DataError(f"{snapshot_path} is not a snapshot the run in "
                         f"{Path(state_path).parent} wrote (snapshot_sha256 mismatch)")
@@ -424,15 +425,16 @@ def cmd_ablate(args) -> int:
     run_cfg = _load_run_config(args).validate()
     _require_cutoffs(run_cfg.eval_ks, (10, 20), "ablate")
     ds = run_cfg.dataset()
+    cfgs = {variant: ablation_config(run_cfg.train, variant)
+            for variant, (label, _) in VARIANTS.items() if label is not None}
+    splits = {variant: preflight(ds, cfg) for variant, cfg in cfgs.items()}
     out = _out_dir(args, "ablate_out")
     rows = []
-    for variant, (label, _) in VARIANTS.items():
-        if label is None:
-            continue
+    for variant, cfg in cfgs.items():
         sub = out / variant
         sub.mkdir(parents=True, exist_ok=True)
-        _, report = _run_and_report(ds, run_cfg, sub, args, variant=variant)
-        rows.append([label] + _metric_row(report))
+        _, report = _run_and_report(ds, run_cfg, cfg, splits[variant], sub, args)
+        rows.append([VARIANTS[variant][0]] + _metric_row(report))
     write_csv(out / "ablation.csv", [
         "variant", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
         "ugf_recall@10", "ugf_recall@20", "ugf_ndcg@10", "ugf_ndcg@20",
@@ -450,10 +452,11 @@ def cmd_sweep(args) -> int:
         cfg = copy.deepcopy(run_cfg)
         points.append((_set_key(cfg, args.axis, text), cfg.validate().train))
     ds = run_cfg.dataset()
+    splits = [preflight(ds, cfg) for _, cfg in points]
     out = _out_dir(args, "sweep_out")
     rows = []
-    for value, cfg in points:
-        model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode)
+    for (value, cfg), split in zip(points, splits):
+        model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode, split=split)
         report = metrics_mod.evaluate(model.backbone, model.split, ds, ks=run_cfg.eval_ks)
         rows.append([value, report.overall["recall@10"], report.overall["ndcg@10"],
                      report.ugf["recall@10"], report.ugf["ndcg@10"]])
@@ -495,7 +498,7 @@ def cmd_theory(args) -> int:
     if state_path.exists():
         state, snapshot = _read_run(state_path, args.snapshot)
     else:
-        state, snapshot = None, backbone_mod.load_snapshot(args.snapshot)
+        state, snapshot = None, backbone_mod.load_snapshot(args.snapshot)[0]
     attr_map, _labels = load_attributes(args.attrs)
     labels = (_int_ids(args.attrs, list(attr_map)), list(attr_map.values()),
               *_read_overlap(args.overlap))
@@ -505,10 +508,8 @@ def cmd_theory(args) -> int:
                         "with (labels_sha256 mismatch): use the run's groups.tsv and "
                         "overlap.tsv")
     if args.lf == "auto":
-        items = snapshot["item_emb_target"]
-        rng_items = min(64, len(items))
-        probe = items[:rng_items]
-        l_f = theory_mod.lipschitz_estimate(lambda z: z @ probe.T, cloud.points, seed=0)
+        # f(z) = P z with P the first 64 target item rows
+        l_f = theory_mod.lipschitz_estimate(snapshot["item_emb_target"][:64])
     else:
         try:
             l_f = float(args.lf)

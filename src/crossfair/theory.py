@@ -206,26 +206,14 @@ def deviation_bound(rademacher: float, b: float, n: int, delta: float) -> float:
     return 2.0 * rademacher + b * np.sqrt(np.log(2.0 / delta) / (2.0 * n))
 
 
-def lipschitz_estimate(fn, points, n_pairs: int = 10000, seed: int = 0) -> float:
-    """Empirical lower bound on the Lipschitz constant of a vector map:
-    max over sampled point pairs of |f(a)-f(b)| / |a-b|."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if len(pts) < 2:
-        raise DataError("need at least two points")
-    rng = make_rng(seed, "lipschitz-pairs")
-    ia = rng.integers(0, len(pts), size=n_pairs)
-    ib = rng.integers(0, len(pts), size=n_pairs)
-    keep = ia != ib
-    ia, ib = ia[keep], ib[keep]
-    a, b = pts[ia], pts[ib]
-    denom = np.linalg.norm(a - b, axis=1)
-    keep = denom > 0
-    if not np.any(keep):
-        raise DataError("all sampled pairs are degenerate")
-    fa = np.atleast_2d(np.asarray(fn(a[keep]), dtype=np.float64))
-    fb = np.atleast_2d(np.asarray(fn(b[keep]), dtype=np.float64))
-    num = np.linalg.norm(fa - fb, axis=1)
-    return float(np.max(num / denom[keep]))
+def lipschitz_estimate(matrix) -> float:
+    """Euclidean Lipschitz constant of the linear map z -> matrix @ z: the
+    largest singular value of ``matrix``. An empty matrix gives 0; one with
+    a non-finite entry gives NaN, which ``theorem1_bound`` refuses."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if not np.all(np.isfinite(m)):
+        return float("nan")  # where the SVD behind the norm would raise LinAlgError
+    return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
 def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,

@@ -353,16 +353,10 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     )
 
 
-def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "shared",
-          snapshot_dir=None) -> TrainedModel:
-    """Full training run with early stopping on validation NDCG@10. A split
-    where a group has no target validation or test positives, and an
-    estimator fit without overlapping users, are refused before training.
-
-    With ``cfg.snapshot_every`` > 0 and a snapshot directory, embedding
-    snapshots are written every that many epochs; ``snapshot_sha256`` of the
-    returned model holds their digests.
-    """
+def preflight(ds: CrossDomainDataset, cfg: TrainConfig) -> SplitDataset:
+    """The split ``train`` uses, after every refusal that needs no training:
+    an invalid config, a group without target validation or test positives,
+    and an estimator fit without overlapping users."""
     cfg.validate()
     split = split_per_user(ds, cfg.seed)
     for phase, pairs in (("validation", split.target_val), ("test", split.target_test)):
@@ -377,6 +371,20 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
                             f"interactions for a validation or test positive")
     if cfg.use_estimator_loss and len(ds.overlap_arrays()[0]) == 0:
         raise DataError("gain module requires overlapping users")
+    return split
+
+
+def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "shared",
+          snapshot_dir=None, split: SplitDataset | None = None) -> TrainedModel:
+    """Full training run with early stopping on validation NDCG@10, after
+    ``preflight``; a caller that ran ``preflight(ds, cfg)`` passes its split.
+
+    With ``cfg.snapshot_every`` > 0 and a snapshot directory, embedding
+    snapshots are written every that many epochs; ``snapshot_sha256`` of the
+    returned model holds their digests.
+    """
+    if split is None:
+        split = preflight(ds, cfg)
     backbone = init_backbone(ds, d, mode, cfg.seed)
     estimator = GainEstimator(
         d, hidden=cfg.estimator_hidden, dropout=cfg.estimator_dropout, seed=cfg.seed

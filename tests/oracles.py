@@ -10,7 +10,9 @@ The per-user functions (one BPR triple, one candidate set, one softmax
 draw, one probability head, one ranking) and the brute-force enumerations
 (W1 over all matchings, Rademacher complexity over all sign vectors) are
 the per-sample definitions the batched trainer, sampler, gain heads,
-evaluator and bound code must agree with.
+evaluator and bound code must agree with. ``lipschitz_sampled`` is the
+sampled pair search ``theory --lf auto`` used for L_f before it computed the
+spectral norm; the exact constant must bound every ratio it finds.
 
 ``plan_batch_masked`` and ``batch_objective_masked`` are the batch path the
 trainer had before a batch became one (users, pos, neg) triple per domain:
@@ -562,6 +564,28 @@ def rademacher_exhaustive(sample_values):
         total += np.max(values @ signs) / n
     estimate = total / (2 ** n)
     return float(estimate), float(2.0 * estimate)
+
+
+def lipschitz_sampled(fn, points, n_pairs: int = 10000, seed: int = 0) -> float:
+    """Empirical lower bound on the Lipschitz constant of a vector map: max
+    over sampled point pairs of |f(a)-f(b)| / |a-b|."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if len(pts) < 2:
+        raise DataError("need at least two points")
+    rng = make_rng(seed, "lipschitz-pairs")
+    ia = rng.integers(0, len(pts), size=n_pairs)
+    ib = rng.integers(0, len(pts), size=n_pairs)
+    keep = ia != ib
+    ia, ib = ia[keep], ib[keep]
+    a, b = pts[ia], pts[ib]
+    denom = np.linalg.norm(a - b, axis=1)
+    keep = denom > 0
+    if not np.any(keep):
+        raise DataError("all sampled pairs are degenerate")
+    fa = np.atleast_2d(np.asarray(fn(a[keep]), dtype=np.float64))
+    fb = np.atleast_2d(np.asarray(fn(b[keep]), dtype=np.float64))
+    num = np.linalg.norm(fa - fb, axis=1)
+    return float(np.max(num / denom[keep]))
 
 
 def read_tsv_rows_loop(path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,10 +122,11 @@ class TestSnapshotFile:
     def test_roundtrip(self, tmp_path, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=5)
         path = tmp_path / "snap.bin"
-        save_snapshot(bb, path)
+        written = save_snapshot(bb, path)
         blob = path.read_bytes()
         assert blob[:4] == b"CDFA"
-        tables = load_snapshot(path)
+        tables, digest = load_snapshot(path)
+        assert digest == written == hashlib.sha256(blob).hexdigest()
         assert tables["user_emb_target"].shape == (6, 4)
         assert tables["user_emb_source"].shape == (4, 4)
         np.testing.assert_allclose(
@@ -145,7 +148,7 @@ class TestSnapshotFile:
             raise AssertionError("restore drew random numbers")
 
         monkeypatch.setattr(backbone_mod, "make_rng", no_rng)
-        restored = restore(synth_ds, load_snapshot(path), 8, mode)
+        restored = restore(synth_ds, load_snapshot(path)[0], 8, mode)
         assert (restored.mode, restored.d) == (mode, 8)
         np.testing.assert_array_equal(restored.target_slot, trained.target_slot)
         np.testing.assert_array_equal(restored.source_slot, trained.source_slot)

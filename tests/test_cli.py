@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossfair.trainer as trainer_mod
-from crossfair.cli import CONFIG_KEYS, CONFIG_SCHEMA, main, parse_config_file, resolve_config
+from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
+from crossfair.cli import CONFIG_SCHEMA, main, parse_config_file, resolve_config
 from crossfair.errors import CrossfairError, UsageError
 
-from oracles import SYNTH_KEYS, adam_step_add_at, read_state_bundle, resolve_config_tables
+from oracles import (SYNTH_KEYS, adam_step_add_at, lipschitz_sampled, read_state_bundle,
+                     resolve_config_tables)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# ``synth = true`` asks for the synthetic data block with default settings.
+CONFIG_KEYS = ("synth", *CONFIG_SCHEMA)
 FLOAT_KEYS = [key for key, (_, kind) in CONFIG_SCHEMA.items() if kind is float]
 
 SYNTH_CFG = """
@@ -51,6 +56,16 @@ def cfg_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def write_tables(path, tables):
+    """A snapshot file holding ``tables``, in the order ``load_snapshot`` reads."""
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC + struct.pack("<I", 1))
+        for name in ("user_emb_source", "user_emb_target", "item_emb_source",
+                     "item_emb_target"):
+            fh.write(struct.pack("<QQ", *tables[name].shape))
+            fh.write(tables[name].astype("<f4").tobytes())
 
 
 class TestSynthCommand:
@@ -357,25 +372,28 @@ class TestTheoryCommand:
         assert bound["rhs"] >= 0
         assert bound["preserved"] in (True, False)
 
+    def test_auto_lf_is_spectral_norm_of_probe(self, tmp_path, theory_run):
+        out = tmp_path / "theory"
+        assert run("--out", out, "--quiet", "theory",
+                   "--snapshot", theory_run / "snapshot.bin",
+                   "--attrs", theory_run / "groups.tsv",
+                   "--overlap", theory_run / "overlap.tsv", "--lf", "auto") == 0
+        l_f = json.loads((out / "bound.json").read_text())["l_f"]
+        tables, _ = load_snapshot(theory_run / "snapshot.bin")
+        probe = tables["item_emb_target"][:64]
+        assert l_f == float(np.linalg.norm(probe, 2))
+        sources = np.loadtxt(theory_run / "overlap.tsv", dtype=np.int64, skiprows=1)[:, 1]
+        points = np.vstack([tables["user_emb_target"], tables["user_emb_source"][sources]])
+        assert l_f >= lipschitz_sampled(lambda z: z @ probe.T, points, seed=0)
+
     def test_identical_groups_zero_bound(self, tmp_path, cfg_file):
         run_dir = tmp_path / "run"
         run("--config", cfg_file, "--out", run_dir, "--quiet", "train")
         # collapse every embedding row to one point: all distances vanish
-        from crossfair.backbone import load_snapshot, SNAPSHOT_MAGIC
-        import struct
-
-        tables = load_snapshot(run_dir / "snapshot.bin")
+        tables, _ = load_snapshot(run_dir / "snapshot.bin")
         # outside the run directory: a run's state.json vouches only for its own snapshots
         flat = tmp_path / "flat.bin"
-        with open(flat, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(struct.pack("<I", 1))
-            for name in ("user_emb_source", "user_emb_target",
-                         "item_emb_source", "item_emb_target"):
-                arr = np.ones_like(tables[name])
-                rows, cols = arr.shape
-                fh.write(struct.pack("<QQ", rows, cols))
-                fh.write(arr.astype("<f4").tobytes())
+        write_tables(flat, {name: np.ones_like(table) for name, table in tables.items()})
         out = tmp_path / "theory0"
         assert run("--out", out, "--quiet", "theory",
                    "--snapshot", flat,
@@ -494,6 +512,17 @@ class TestTheoryInputErrors:
     def test_bad_lipschitz_constant(self, tmp_path, theory_run, capsys, flag, value):
         out = tmp_path / "theory"
         code = self.theory(theory_run, out, flag, value)
+        self.assert_refused(capsys, out, code, "Lipschitz constants must be positive and finite")
+
+    def test_non_finite_probe_row(self, tmp_path, theory_run, capsys):
+        tables, _ = load_snapshot(theory_run / "snapshot.bin")
+        tables["item_emb_target"][0, 0] = np.nan
+        snapshot = tmp_path / "nan.bin"
+        write_tables(snapshot, tables)
+        out = tmp_path / "theory"
+        code = run("--out", out, "--quiet", "theory", "--snapshot", snapshot,
+                   "--attrs", theory_run / "groups.tsv",
+                   "--overlap", theory_run / "overlap.tsv", "--lf", "auto")
         self.assert_refused(capsys, out, code, "Lipschitz constants must be positive and finite")
 
     @pytest.mark.parametrize("flag, value", [
@@ -733,6 +762,17 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", [["train"], ["ablate"],
                                          ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
                              ids=["train", "ablate", "sweep"])
+    def test_zero_embedding_dim_refused_before_outputs(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + "embedding_dim = 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", *command) == 2
+        assert capsys.readouterr().err == "error: embedding dimension must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate"],
+                                         ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
+                             ids=["train", "ablate", "sweep"])
     def test_split_without_heldout_positives_refused_before_training(self, tmp_path, capsys,
                                                                      command):
         # 8 interactions per user leave no validation or test positive
@@ -747,7 +787,7 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             "error: the split has no target validation positives: a target user needs "
             "at least 10 interactions for a validation or test positive\n")
-        assert not list(out.rglob("snapshot*.bin"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["train"], ["ablate"],
                                          ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
@@ -791,7 +831,7 @@ class TestUsageErrors:
             "error: the split has no target validation positives in group 1 (B): a user of "
             "that group needs at least 10 interactions for a validation or test positive\n")
         assert epochs == []
-        assert not list(out.rglob("snapshot*.bin"))
+        assert not out.exists()
 
     def test_synth_false_with_synthetic_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
