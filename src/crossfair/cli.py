@@ -416,6 +416,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _preflight_each(ds, cfgs) -> list:
+    """``preflight`` of each config in turn, splitting the data once per seed."""
+    splits = {}
+    for cfg in cfgs:
+        if cfg.seed not in splits:
+            splits[cfg.seed] = split_per_user(ds, cfg.seed)
+    return [preflight(ds, cfg, splits[cfg.seed]) for cfg in cfgs]
+
+
 def _metric_row(report) -> list:
     names = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
     return [report.overall[name] for name in names] + [report.ugf[name] for name in names]
@@ -427,7 +436,7 @@ def cmd_ablate(args) -> int:
     ds = run_cfg.dataset()
     cfgs = {variant: ablation_config(run_cfg.train, variant)
             for variant, (label, _) in VARIANTS.items() if label is not None}
-    splits = {variant: preflight(ds, cfg) for variant, cfg in cfgs.items()}
+    splits = dict(zip(cfgs, _preflight_each(ds, cfgs.values())))
     out = _out_dir(args, "ablate_out")
     rows = []
     for variant, cfg in cfgs.items():
@@ -452,7 +461,7 @@ def cmd_sweep(args) -> int:
         cfg = copy.deepcopy(run_cfg)
         points.append((_set_key(cfg, args.axis, text), cfg.validate().train))
     ds = run_cfg.dataset()
-    splits = [preflight(ds, cfg) for _, cfg in points]
+    splits = _preflight_each(ds, [cfg for _, cfg in points])
     out = _out_dir(args, "sweep_out")
     rows = []
     for (value, cfg), split in zip(points, splits):

@@ -108,6 +108,10 @@ class TsvTable:
             index = [self.header.index(name) for name in names]
         except ValueError:
             raise DataError(f"{self.path}: {missing}") from None
+        width = len(self.header)
+        if len(self.fields) == width * len(self.starts):
+            # no row is narrower than the header, so here each is as wide
+            return [self.fields[c::width] for c in index]
         return [list(map(self.fields.__getitem__, (self.starts + c).tolist())) for c in index]
 
     def lineno(self, row: int) -> int:

@@ -13,19 +13,49 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .data import G0, G1, GROUPS, group_means, json_text, write_csv
 from .errors import DataError
-from .numerics import top_k
 
 DEFAULT_KS = (10, 20)
-# Users ranked at once after the one score product: each block's top-K and
-# relevance mask are its only further users x items arrays. Ranking is per
-# row, so the blocks give the bits of one whole-matrix pass; the product is
-# not split, because BLAS does not give a row block of ``U @ I.T`` the bits
-# of the same rows of the whole product.
+# Relevant pairs placed at once after the one score product: each block's
+# comparison against its rows' scores is its only further users x items
+# array. Placing is per row, so the blocks give the bits of one whole-matrix
+# pass; the product is not split, because BLAS does not give a row block of
+# ``U @ I.T`` the bits of the same rows of the whole product.
 RANK_BLOCK = 256
+
+
+def rank_positions(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   width: int) -> np.ndarray:
+    """Where each (row, col) pair lands in its row of a stable argsort of
+    ``-scores`` (higher score first, ties by ascending column, NaN last), as
+    a 0-based position; any position from ``width`` on reads ``width``.
+
+    A pair's position is the count of its row's scores above its own plus
+    the count of equal scores in lower columns. The first count is one ``>``
+    pass over the rows of ``RANK_BLOCK`` pairs at a time; the second, and
+    the NaN case, where ``>`` counts nothing, are taken only for the few
+    pairs whose first count is below ``width``.
+    """
+    vals = scores[rows, cols]
+    pos = np.full(len(rows), width, dtype=np.int64)
+    columns = np.arange(scores.shape[1])
+    for lo in range(0, len(rows), RANK_BLOCK):
+        r, v, c = rows[lo:lo + RANK_BLOCK], vals[lo:lo + RANK_BLOCK], cols[lo:lo + RANK_BLOCK]
+        # a run of consecutive rows is read in place, any other set is copied
+        block = scores[r[0]:r[-1] + 1] if np.all(np.diff(r) == 1) else scores[r]
+        above = np.count_nonzero(block > v[:, None], axis=1)
+        near = np.flatnonzero(above < width)
+        row, v, c = block[near], v[near], c[near]
+        nan = np.isnan(v)
+        same = row == v[:, None]
+        same[nan] = np.isnan(row[nan])
+        placed = above[near] + np.count_nonzero(same & (columns < c[:, None]), axis=1)
+        # a NaN ranks after every other score, none of which ``>`` counted
+        placed[nan] += np.count_nonzero(~same[nan], axis=1)
+        pos[lo + near] = np.minimum(placed, width)
+    return pos
 
 
 def ugf(means) -> float:
@@ -55,6 +85,8 @@ def paired_ttest(values_a, values_b):
         return (0.0, 1.0) if mean == 0.0 else (math.copysign(math.inf, mean), 0.0)
     t = mean / (sd / math.sqrt(n))
     df = n - 1
+    from scipy.special import betainc  # imported here, so no command pays for it
+
     # two-sided p via the regularized incomplete beta function
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return float(t), p
@@ -127,17 +159,16 @@ def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> Evaluat
         scores[rows[kept], pairs[kept, 1]] = -np.inf
 
     kmax = max(ks)
+    width = min(kmax, ds.n_items_target)
     rel_rows = row_of[relevant[:, 0]]
     rel_counts = np.bincount(rel_rows, minlength=len(users))
+    # by row, so a block of one positive per user reads its rows in place
     order = np.argsort(rel_rows, kind="stable")
-    rel_rows, rel_items = rel_rows[order], relevant[order, 1]
-    hits = np.zeros((len(users), min(kmax, ds.n_items_target)), dtype=bool)
-    for lo in range(0, len(users), RANK_BLOCK):
-        hi = min(lo + RANK_BLOCK, len(users))
-        a, b = np.searchsorted(rel_rows, (lo, hi))
-        rel_mask = np.zeros((hi - lo, ds.n_items_target), dtype=bool)
-        rel_mask[rel_rows[a:b] - lo, rel_items[a:b]] = True
-        hits[lo:hi] = rel_mask[np.arange(hi - lo)[:, None], top_k(scores[lo:hi], kmax)]
+    rel_rows = rel_rows[order]
+    pos = rank_positions(scores, rel_rows, relevant[order, 1], width)
+    hits = np.zeros((len(users), width), dtype=bool)
+    kept = pos < width
+    hits[rel_rows[kept], pos[kept]] = True
 
     log_weights = 1.0 / np.log2(np.arange(2, kmax + 2))
     per_user = {}

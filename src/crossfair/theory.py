@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .data import G0, G1, GROUPS, json_text
 from .errors import DataError
@@ -52,6 +50,10 @@ class EmbeddingCloud:
 
 
 def _matching_cost(a: np.ndarray, b: np.ndarray) -> float:
+    # scipy is imported where it is used, so only ``theory`` pays for it
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     d = cdist(a, b)
     rows, cols = linear_sum_assignment(d)
     return float(d[rows, cols].sum())

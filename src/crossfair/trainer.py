@@ -353,12 +353,15 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     )
 
 
-def preflight(ds: CrossDomainDataset, cfg: TrainConfig) -> SplitDataset:
+def preflight(ds: CrossDomainDataset, cfg: TrainConfig,
+              split: SplitDataset | None = None) -> SplitDataset:
     """The split ``train`` uses, after every refusal that needs no training:
     an invalid config, a group without target validation or test positives,
-    and an estimator fit without overlapping users."""
+    and an estimator fit without overlapping users. A caller that holds
+    ``split_per_user(ds, cfg.seed)`` already passes it as ``split``."""
     cfg.validate()
-    split = split_per_user(ds, cfg.seed)
+    if split is None:
+        split = split_per_user(ds, cfg.seed)
     for phase, pairs in (("validation", split.target_val), ("test", split.target_test)):
         if len(pairs) == 0:
             raise DataError(f"the split has no target {phase} positives: a target user "

@@ -3,6 +3,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crossfair.cli
 import crossfair.trainer as trainer_mod
 from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
 from crossfair.cli import CONFIG_SCHEMA, main, parse_config_file, resolve_config
+from crossfair.data import split_per_user
 from crossfair.errors import CrossfairError, UsageError
 
 from oracles import (SYNTH_KEYS, adam_step_add_at, lipschitz_sampled, read_state_bundle,
@@ -318,6 +322,42 @@ class TestAblateCommand:
             "got 5,10\n"
         )
         assert not out.exists()
+
+
+def count_splits(monkeypatch):
+    """Count the calls of ``split_per_user`` from the CLI and the trainer."""
+    calls = []
+
+    def counted(ds, seed):
+        calls.append(seed)
+        return split_per_user(ds, seed)
+
+    for module in (crossfair.cli, trainer_mod):
+        monkeypatch.setattr(module, "split_per_user", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("ablate",),
+    ("sweep", "--axis", "gamma", "--values", "0,0.5,1"),
+], ids=["ablate", "sweep-gamma"])
+def test_data_split_once_per_seed(tmp_path, cfg_file, monkeypatch, argv):
+    calls = count_splits(monkeypatch)
+    assert run("--config", cfg_file, "--out", tmp_path / "out", "--quiet", *argv) == 0
+    assert calls == [3]
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy's optimizer, distances and special functions load only where
+    ``theory`` and the paired t test use them."""
+    code = ("import sys, crossfair.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.special') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(crossfair.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout == "[]\n"
 
 
 class TestSweepCommand:

@@ -31,6 +31,7 @@ from oracles import (
     load_attributes_loop,
     load_interactions_loop,
     read_overlap_loop,
+    read_tsv_rows_loop,
     split_per_user_loop,
     synthetic_rank_quality,
     top_items_argsort,
@@ -178,6 +179,22 @@ class TestLoaderMessages:
         loaded = load_interactions(p)
         assert loaded.pairs.tolist() == [[0, 0], [1, 1]]
         assert loaded.user_ids == ["a", "b"] and loaded.item_ids == ["x", "y"]
+
+
+@pytest.mark.parametrize("body, uniform", [
+    ("a\tx\t1\nb\ty\t2\n\nc\tz\t3\n", True),
+    ("a\tx\t1\nb\ty\t2\t\tq\nc\tz\t3\n", False),
+], ids=["uniform", "ragged"])
+def test_columns_match_line_loop(tmp_path, body, uniform):
+    """Rows exactly as wide as the header are sliced; a file with a wider
+    row is gathered row by row. Both give the line loop's cells."""
+    p = write(tmp_path / "x.tsv", "ts\tuser_id\titem_id\n" + body)
+    table = data_mod.read_tsv(p)
+    assert (len(table.fields) == 3 * len(table.starts)) == uniform
+    header, rows = read_tsv_rows_loop(p)
+    for names in (["user_id", "item_id"], ["ts"], ["item_id", "ts", "user_id"]):
+        want = [[cells[header.index(name)] for _, cells in rows] for name in names]
+        assert table.columns(names, "missing") == want
 
 
 # Every separator str.splitlines honours, and cells built to collide: ids

@@ -10,7 +10,7 @@ import crossfair.metrics as metrics_mod
 from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import DataError
-from crossfair.metrics import evaluate, paired_ttest, ugf
+from crossfair.metrics import evaluate, paired_ttest, rank_positions, ugf
 from crossfair.numerics import top_k
 from crossfair.trainer import TrainConfig, train
 
@@ -284,3 +284,65 @@ class TestBlocksMatchWholeMatrix:
         bb = init(ds, 8, "shared", seed=6)
         bb.item_target[:] = 0.0
         self.check(monkeypatch, block, bb, split_per_user(ds, 6), ds, (10, 20), phase)
+
+    @pytest.mark.parametrize("block", [1, 3, 10_000])
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_ties_across_cutoffs(self, monkeypatch, block, phase):
+        # items in runs of three share one row, so a relevant item ties with
+        # lower and higher ids and tied runs straddle every cutoff
+        ds = small_synth(seed=7, interactions_per_user=12)
+        bb = init(ds, 8, "shared", seed=7)
+        bb.item_target[:] = bb.item_target[np.arange(ds.n_items_target) // 3 * 3]
+        self.check(monkeypatch, block, bb, split_per_user(ds, 7), ds, (1, 4, 10, 20), phase)
+
+    @pytest.mark.parametrize("block", [1, 3, 10_000])
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_nan_and_infinite_columns(self, monkeypatch, block, phase):
+        ds = small_synth(seed=8, interactions_per_user=12)
+        bb = init(ds, 8, "shared", seed=8)
+        split = split_per_user(ds, 8)
+        relevant = split.target_val if phase == "val" else split.target_test
+        nan_item, inf_item = np.bincount(relevant[:, 1]).argsort()[-2:]
+        bb.user_pool[:, 0] = np.abs(bb.user_pool[:, 0]) + 0.1
+        bb.item_target[nan_item] = np.nan
+        bb.item_target[inf_item] = 0.0
+        bb.item_target[inf_item, 0] = np.inf  # +inf for every user
+        self.check(monkeypatch, block, bb, split, ds, (1, 10, 20), phase)
+
+    @pytest.mark.parametrize("ks", [(1,), (1, 10, 20)])
+    @pytest.mark.parametrize("block", [1, 3, 7, 10_000])
+    @pytest.mark.parametrize("phase", ["val", "test"])
+    def test_several_positives_per_user(self, monkeypatch, block, phase, ks):
+        ds = small_synth(seed=9, interactions_per_user=25)
+        split = split_per_user(ds, 9)
+        relevant = split.target_val if phase == "val" else split.target_test
+        assert np.bincount(relevant[:, 0]).min() >= 2
+        bb = init(ds, 8, "shared", seed=9)
+        self.check(monkeypatch, block, bb, split, ds, ks, phase)
+
+
+class TestRankPositions:
+    """``rank_positions`` places each pair where a stable argsort of
+    ``-scores`` puts it, capped at the width."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_argsort(self, data):
+        n_rows = data.draw(st.integers(1, 6))
+        n_cols = data.draw(st.integers(1, 12))
+        cells = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, np.nan, np.inf, -np.inf])
+        scores = np.array(data.draw(st.lists(cells, min_size=n_rows * n_cols,
+                                             max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+        n_pairs = data.draw(st.integers(1, 10))
+        rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n_pairs,
+                                           max_size=n_pairs)), dtype=np.int64)
+        cols = np.array(data.draw(st.lists(st.integers(0, n_cols - 1), min_size=n_pairs,
+                                           max_size=n_pairs)), dtype=np.int64)
+        width = data.draw(st.integers(1, n_cols + 2))
+        block = data.draw(st.sampled_from([1, 2, 3, 256]))
+        order = top_items_argsort(scores, n_cols)
+        want = np.minimum(np.argmax(order[rows] == cols[:, None], axis=1), width)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics_mod, "RANK_BLOCK", block)
+            got = rank_positions(scores, rows, cols, width)
+        np.testing.assert_array_equal(got, want)
