@@ -12,7 +12,7 @@ from .data import (
     split_per_user,
 )
 from .backbone import Backbone, init, load_snapshot, save_snapshot
-from .sampler import GroupLossTracker, SamplerConfig, temperature
+from .sampler import GroupLossTracker, temperature
 from .gain import GainEstimator, GainReport, estimate_gain
 from .trainer import Adam, TrainConfig, TrainedModel, train
 from .metrics import EvaluationReport, evaluate, paired_ttest, ugf
@@ -38,7 +38,6 @@ __all__ = [
     "GainEstimator",
     "GainReport",
     "GroupLossTracker",
-    "SamplerConfig",
     "SplitDataset",
     "SynthConfig",
     "TrainConfig",

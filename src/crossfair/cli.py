@@ -164,6 +164,8 @@ def _set_key(cfg: RunConfig, key: str, value: str):
 def _check_cutoffs(ks: tuple, what: str):
     if not ks or min(ks) < 1:
         raise UsageError(f"{what}: expected positive cutoffs, got {ks!r}")
+    if len(set(ks)) < len(ks):
+        raise UsageError(f"{what}: expected distinct cutoffs, got {ks!r}")
 
 
 def _require_cutoffs(ks: tuple, needed: tuple, command: str):

@@ -11,32 +11,14 @@ temperature below one and therefore harder negatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import GROUPS
 from .errors import DataError, NumericalError
-from .numerics import require_finite, softmax
+from .numerics import softmax
 
 ALPHA_EPS = 1e-12
-
-
-@dataclass
-class SamplerConfig:
-    epsilon: float = 1.0
-    candidate_size: int = 8
-    negatives_per_positive: int = 1
-
-    def validate(self):
-        require_finite(self)
-        if self.epsilon < 0:
-            raise DataError("epsilon must be >= 0")
-        if self.candidate_size < 1:
-            raise DataError("candidate_size must be >= 1")
-        if self.negatives_per_positive < 1:
-            raise DataError("negatives_per_positive must be >= 1")
-        return self
 
 
 class GroupLossTracker:

@@ -26,7 +26,6 @@ from .numerics import distinct_rows, read_only, require_finite, sigmoid, softplu
 from .sampler import (
     GroupLossTracker,
     NegativePool,
-    SamplerConfig,
     batch_sample_negatives,
     temperature,
 )
@@ -40,7 +39,6 @@ class TrainConfig:
     l2_reg: float = 1e-4
     epochs: int = 30
     gamma: float = 0.5
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     beta: float = 0.9
     use_fair_sampling: bool = True
     use_estimator_loss: bool = True
@@ -51,6 +49,9 @@ class TrainConfig:
     estimator_dropout: float = 0.2
     estimator_lr: float = 0.001
     snapshot_every: int = 0
+    epsilon: float = 1.0
+    candidate_size: int = 8
+    negatives_per_positive: int = 1
 
     def validate(self):
         require_finite(self)
@@ -69,7 +70,11 @@ class TrainConfig:
             raise DataError("patience must be >= 1")
         if min(self.estimator_hidden, default=1) < 1:
             raise DataError("estimator_hidden sizes must be >= 1")
-        self.sampler.validate()
+        if self.epsilon < 0:
+            raise DataError("epsilon must be >= 0")
+        for key in ("candidate_size", "negatives_per_positive"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} must be >= 1")
         return self
 
 
@@ -256,10 +261,10 @@ def _plan_batch(backbone, pools, is_target, users, pos, groups, tracker, cfg, rn
         d_users = users[mask]
         taus = None
         if fair and domain == "target":
-            taus = np.array([temperature(tracker.alpha(g), cfg.sampler.epsilon)
+            taus = np.array([temperature(tracker.alpha(g), cfg.epsilon)
                              for g in GROUPS])[groups[d_users]]
         neg = batch_sample_negatives(
-            backbone, pools[domain], d_users, taus, cfg.sampler.candidate_size, rng
+            backbone, pools[domain], d_users, taus, cfg.candidate_size, rng
         )
         batch[domain] = (d_users, pos[mask], neg)
     return batch, len(batch["target"][0]) if fair else 0
@@ -285,7 +290,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
         raise DataError("no training interactions")
     is_target = np.arange(n) < len(tgt_pairs)
     users, pos = np.concatenate([tgt_pairs, src_pairs]).T
-    k = cfg.sampler.negatives_per_positive
+    k = cfg.negatives_per_positive
     if k > 1:
         # each positive is replicated; every copy draws its own candidate set
         is_target = np.repeat(is_target, k)
@@ -452,14 +457,13 @@ def write_run_log(path, log):
 
 # Every fairness mechanism off: ``epsilon = 0`` makes each sampling
 # temperature exp(0) = 1, and ``gamma = 0`` drops the redistribution penalty.
-_PLAIN = {"sampler": {"epsilon": 0.0}, "use_fair_sampling": False, "gamma": 0.0,
+_PLAIN = {"epsilon": 0.0, "use_fair_sampling": False, "gamma": 0.0,
           "use_estimator_loss": False}
 # Named training variants: the row label in the ``ablate`` table (None for a
-# variant that table leaves out) and the TrainConfig fields it overrides; a
-# dict value overrides fields of a nested config.
+# variant that table leaves out) and the TrainConfig fields it overrides.
 VARIANTS = {
     "full": ("full", {}),
-    "no_alpha": ("w/o alpha", {"sampler": {"epsilon": 0.0}}),
+    "no_alpha": ("w/o alpha", {"epsilon": 0.0}),
     "no_fair_sampling": ("w/o fair sampling", {"use_fair_sampling": False}),
     "no_redistribution": ("w/o redistribution loss", {"gamma": 0.0}),
     "no_estimator_loss": ("w/o estimator loss", {"use_estimator_loss": False}),
@@ -468,14 +472,8 @@ VARIANTS = {
 }
 
 
-def _override(cfg, changes: dict):
-    return replace(cfg, **{name: _override(getattr(cfg, name), value)
-                           if isinstance(value, dict) else value
-                           for name, value in changes.items()})
-
-
 def ablation_config(base: TrainConfig, variant: str) -> TrainConfig:
     """``base`` with the overrides of the named variant in ``VARIANTS``."""
     if variant not in VARIANTS:
         raise DataError(f"unknown variant {variant!r}")
-    return _override(base, VARIANTS[variant][1])
+    return replace(base, **VARIANTS[variant][1])

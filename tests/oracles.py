@@ -266,20 +266,20 @@ def plan_batch_masked(backbone, pools, domains, users, pos, groups_arr, tracker,
         if fair:
             taus = np.array(
                 [
-                    temperature(tracker.alpha(G0), cfg.sampler.epsilon),
-                    temperature(tracker.alpha(G1), cfg.sampler.epsilon),
+                    temperature(tracker.alpha(G0), cfg.epsilon),
+                    temperature(tracker.alpha(G1), cfg.epsilon),
                 ]
             )[groups_arr[t_users]]
             fair_draws = len(t_users)
         neg[tgt] = batch_sample_negatives_flagged(
-            backbone, pools["target"], t_users, taus, cfg.sampler.candidate_size, rng,
+            backbone, pools["target"], t_users, taus, cfg.candidate_size, rng,
             uniform=not fair,
         )
     if np.any(~tgt):
         s_users = users[~tgt]
         neg[~tgt] = batch_sample_negatives_flagged(
             backbone, pools["source"], s_users, None,
-            cfg.sampler.candidate_size, rng, uniform=True,
+            cfg.candidate_size, rng, uniform=True,
         )
 
     overlap_tgt = tgt & (backbone.target_to_source[users] >= 0)
@@ -768,8 +768,8 @@ def resolve_config_tables(values: dict) -> RunConfig:
         "gamma": float, "beta": float, "patience": int, "estimator_dropout": float,
         "estimator_lr": float, "snapshot_every": int, "include_source": None,
         "use_fair_sampling": None, "use_estimator_loss": None,
+        "epsilon": float, "candidate_size": int, "negatives_per_positive": int,
     }
-    sampler_handlers = {"epsilon": float, "candidate_size": int, "negatives_per_positive": int}
     for key, value in values.items():
         if key in handlers:
             attr, conv = handlers[key]
@@ -778,8 +778,6 @@ def resolve_config_tables(values: dict) -> RunConfig:
             conv = train_handlers[key]
             parsed = _as_bool(value, key) if conv is None else _convert(key, value, conv)
             setattr(cfg.train, key, parsed)
-        elif key in sampler_handlers:
-            setattr(cfg.train.sampler, key, _convert(key, value, sampler_handlers[key]))
         elif key == "estimator_hidden":
             cfg.train.estimator_hidden = _convert(key, value, _int_list)
         elif key == "eval_ks":

@@ -22,7 +22,6 @@ from crossfair.numerics import softmax
 from crossfair.sampler import (
     GroupLossTracker,
     NegativePool,
-    SamplerConfig,
     batch_sample_negatives,
     temperature,
 )
@@ -68,7 +67,7 @@ def disparity_fixture(seed):
 def disparity_train_config(seed):
     return TrainConfig(
         learning_rate=0.01, batch_size=2048, l2_reg=1e-4, epochs=30,
-        gamma=1.0, sampler=SamplerConfig(epsilon=1.0, candidate_size=8),
+        gamma=1.0, epsilon=1.0, candidate_size=8,
         seed=seed, patience=10,
     )
 
@@ -223,7 +222,7 @@ class TestCriterion2Gradients:
 
         ds = micro_dataset()
         split = split_per_user(ds, seed=11)
-        cfg = TrainConfig(gamma=0.8, l2_reg=1e-3, sampler=SamplerConfig())
+        cfg = TrainConfig(gamma=0.8, l2_reg=1e-3)
         bb = init(ds, 4, "shared", seed=3)
         est = GainEstimator(4, hidden=(8, 4), dropout=0.2, seed=3)
         est.weights[-1] = make_rng(7, "w").normal(0, 0.3, est.weights[-1].shape)
@@ -443,7 +442,7 @@ class TestCriterion9ParameterPartition:
         ))
         cfg = TrainConfig(
             learning_rate=0.01, batch_size=256, epochs=10, gamma=1.0,
-            sampler=SamplerConfig(candidate_size=4), seed=2,
+            candidate_size=4, seed=2,
         )
         model = train(ds, cfg, d=8, mode="shared")
         assert len(model.log) == 10

@@ -12,20 +12,22 @@ import pytest
 
 import crossfair.data
 import crossfair.trainer
+from crossfair.cli import parse_config_file, resolve_config
 
 from conftest import small_synth
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load_perfbench("tracer")
+workloads = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("layer, module_name, attr",
@@ -75,3 +77,17 @@ def test_epoch_stats_fields_the_benchmark_reads(monkeypatch):
         assert stats is logged
         assert isinstance(stats.n_samples, int) and stats.n_samples > 0
         assert isinstance(stats.val_ndcg10, float) and 0.0 <= stats.val_ndcg10 <= 1.0
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_config_resolves(tmp_path, name):
+    # the worker hands this file to ``crossfair``; a renamed or retyped
+    # config key would fail every run of the workload
+    path = tmp_path / "run.cfg"
+    path.write_text(workloads.config_text(name, tmp_path), encoding="utf-8")
+    cfg = resolve_config(parse_config_file(path)).validate()
+    train = workloads.WORKLOADS[name]["train"]
+    assert cfg.train.epsilon == train["epsilon"]
+    assert cfg.train.candidate_size == train["candidate_size"]
+    assert cfg.sharing_mode == train["sharing_mode"]
+    assert cfg.eval_ks == tuple(int(k) for k in train["eval_ks"].split(","))

@@ -892,6 +892,19 @@ class TestUsageErrors:
         assert run("--config", cfg_file, "--out", tmp_path / "e", "--quiet", "eval",
                    "--run", tmp_path / "none", "--k", "ten") == 1
 
+    @pytest.mark.parametrize("what, extra_key, argv", [
+        pytest.param("eval_ks", "eval_ks = 10,20,10\n", ["train"], id="train"),
+        pytest.param("--k", "", ["eval", "--run", "none", "--k", "10,20,10"], id="eval"),
+    ])
+    def test_repeated_cutoff_refused(self, tmp_path, capsys, what, extra_key, argv):
+        cfg = tmp_path / "ks.cfg"
+        cfg.write_text(SYNTH_CFG + extra_key, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", *argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {what}: expected distinct cutoffs, got (10, 20, 10)\n"
+        assert not out.exists()
+
 
 FUZZ_KEYS = CONFIG_KEYS + ("use_alpha", "use_redistribution", "partition_checks",
                            "no_such_key")

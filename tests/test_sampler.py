@@ -13,12 +13,12 @@ from crossfair.errors import DataError, NumericalError
 from crossfair.sampler import (
     GroupLossTracker,
     NegativePool,
-    SamplerConfig,
     batch_candidates,
     batch_sample_negatives,
     temperature,
 )
 from crossfair.seeding import make_rng
+from crossfair.trainer import TrainConfig
 
 from conftest import micro_dataset, small_synth
 from oracles import (
@@ -381,7 +381,7 @@ class TestSampleNegative:
         tr.accumulate_many([G0], [1.0])
         tr.accumulate_many([G1], [1.5])
         tr.end_epoch()
-        cfg = SamplerConfig(epsilon=0.5, candidate_size=4)
+        cfg = TrainConfig(epsilon=0.5, candidate_size=4)
         item = sample_negative(bb, tr, cfg, pool, 0, G0, make_rng(0, "s"))
         assert item == 7
 
@@ -389,7 +389,7 @@ class TestSampleNegative:
         pool = make_pool(8, [], micro_ds.n_users_target)
         bb = init(micro_ds, 4, "shared", seed=0)
         tr = GroupLossTracker()
-        cfg = SamplerConfig(epsilon=1.0, candidate_size=8)
+        cfg = TrainConfig(epsilon=1.0, candidate_size=8)
         rng = make_rng(9, "u")
         counts = np.zeros(8)
         for _ in range(4000):
@@ -418,7 +418,7 @@ class TestSampleNegative:
         for idx in range(8):
             bb.item_target[idx] = [idx * 0.4, 0.0]
         pool = make_pool(8, [(0, 1), (0, 5)], micro_ds.n_users_target)
-        cfg = SamplerConfig(epsilon=1.0, candidate_size=4)
+        cfg = TrainConfig(epsilon=1.0, candidate_size=4)
         tr = GroupLossTracker()
         if fair:
             tr.accumulate_many([G0, G1], [1.5, 1.0])

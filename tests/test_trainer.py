@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import DataError
 from crossfair.gain import GainEstimator
-from crossfair.sampler import GroupLossTracker, NegativePool, SamplerConfig
+from crossfair.sampler import GroupLossTracker, NegativePool
 from crossfair.seeding import make_rng
 from crossfair.trainer import (
     Adam,
@@ -183,7 +184,7 @@ def test_adam_step_bit_identical_to_add_at(run):
 def run_config(**overrides):
     base = dict(
         learning_rate=0.01, batch_size=64, l2_reg=1e-4, epochs=3, gamma=0.5,
-        sampler=SamplerConfig(epsilon=1.0, candidate_size=4), seed=5, patience=10,
+        epsilon=1.0, candidate_size=4, seed=5, patience=10,
         estimator_hidden=(16, 8),
     )
     base.update(overrides)
@@ -497,6 +498,21 @@ class TestParameterPartition:
         assert epochs == []
 
 
+class TestVariantTable:
+    @pytest.mark.parametrize("variant", list(trainer_mod.VARIANTS))
+    def test_variant_changes_exactly_its_overrides(self, variant):
+        base = TrainConfig()
+        cfg = ablation_config(base, variant)
+        overrides = trainer_mod.VARIANTS[variant][1]
+        changed = {f.name: getattr(cfg, f.name) for f in fields(TrainConfig)
+                   if getattr(cfg, f.name) != getattr(base, f.name)}
+        assert changed == overrides
+
+    def test_unknown_variant_refused(self):
+        with pytest.raises(DataError, match="^unknown variant 'nope'$"):
+            ablation_config(TrainConfig(), "nope")
+
+
 class TestTrainRuns:
     def test_epochs_zero_returns_init(self, synth_ds):
         cfg = run_config(epochs=0)
@@ -535,7 +551,7 @@ class TestTrainRuns:
 
     def test_plain_variant_matches_manual_flags(self, synth_ds):
         via_helper = ablation_config(run_config(epochs=2), "plain")
-        manual = run_config(epochs=2, sampler=SamplerConfig(epsilon=0.0, candidate_size=4),
+        manual = run_config(epochs=2, epsilon=0.0, candidate_size=4,
                             use_fair_sampling=False, gamma=0.0, use_estimator_loss=False)
         a = train(synth_ds, via_helper, d=8, mode="shared")
         b = train(synth_ds, manual, d=8, mode="shared")
@@ -575,14 +591,13 @@ class TestTrainRuns:
         a = train(synth_ds, run_config(epochs=3, use_fair_sampling=False), d=8,
                   mode="shared")
         b = train(synth_ds, run_config(epochs=3, use_fair_sampling=False,
-                                       sampler=SamplerConfig(epsilon=0.0, candidate_size=4)),
+                                       epsilon=0.0, candidate_size=4),
                   d=8, mode="shared")
         np.testing.assert_array_equal(a.backbone.user_pool, b.backbone.user_pool)
 
     def test_multiple_negatives_per_positive(self, synth_ds):
-        cfg = run_config(epochs=2,
-                         sampler=SamplerConfig(epsilon=1.0, candidate_size=4,
-                                               negatives_per_positive=3))
+        cfg = run_config(epochs=2, epsilon=1.0, candidate_size=4,
+                         negatives_per_positive=3)
         model = train(synth_ds, cfg, d=8, mode="shared")
         single = run_config(epochs=2)
         ref = train(synth_ds, single, d=8, mode="shared")
