@@ -302,17 +302,6 @@ def _write_sidecars(out: Path, ds: CrossDomainDataset):
         (out / "id_maps.json").write_text(json_text(ds.raw_ids), encoding="utf-8")
 
 
-def _labels_sha256(target_ids, target_groups, overlap_targets, overlap_sources) -> str:
-    """``arrays_sha256`` of the target ids and their groups, ordered by id,
-    and of the overlap's target and source ids, ordered by target id: the
-    labels ``theory`` reads, in whatever row order its input files hold."""
-    t_ids = np.asarray(target_ids, dtype=np.int64)
-    o_t = np.asarray(overlap_targets, dtype=np.int64)
-    by_id, by_target = np.argsort(t_ids), np.argsort(o_t)
-    return arrays_sha256(t_ids[by_id], np.asarray(target_groups)[by_id],
-                         o_t[by_target], np.asarray(overlap_sources)[by_target])
-
-
 def _write_optimizer_state(path, arrays: dict):
     parts = [b"CFOS", struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
@@ -324,7 +313,7 @@ def _write_optimizer_state(path, arrays: dict):
 
 
 def _run_and_report(ds, run_cfg: RunConfig, cfg: TrainConfig, split, out: Path, args):
-    """Train ``cfg`` on its ``preflight`` split, write the artifacts and test it."""
+    """Train ``cfg`` on ``split``, write the artifacts and test it."""
     model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode,
                   snapshot_dir=out, split=split)
     write_run_log(out / "runlog.jsonl", model.log)
@@ -342,8 +331,8 @@ def _run_and_report(ds, run_cfg: RunConfig, cfg: TrainConfig, split, out: Path, 
         "seed": run_cfg.train.seed,
         "epochs_run": len(model.log),
         "dataset_sha256": ds.sha256(),
-        "labels_sha256": _labels_sha256(np.arange(ds.n_users_target), ds.target_group,
-                                       *ds.overlap_arrays()),
+        "labels_sha256": arrays_sha256(np.arange(ds.n_users_target), ds.target_group,
+                                      *ds.overlap_arrays()),
         "snapshot_sha256": snapshots,
     }
     (out / "state.json").write_text(json_text(state, indent=2), encoding="utf-8")
@@ -418,15 +407,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _preflight_each(ds, cfgs) -> list:
-    """``preflight`` of each config in turn, splitting the data once per seed."""
-    splits = {}
-    for cfg in cfgs:
-        if cfg.seed not in splits:
-            splits[cfg.seed] = split_per_user(ds, cfg.seed)
-    return [preflight(ds, cfg, splits[cfg.seed]) for cfg in cfgs]
-
-
 def _metric_row(report) -> list:
     names = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
     return [report.overall[name] for name in names] + [report.ugf[name] for name in names]
@@ -438,13 +418,16 @@ def cmd_ablate(args) -> int:
     ds = run_cfg.dataset()
     cfgs = {variant: ablation_config(run_cfg.train, variant)
             for variant, (label, _) in VARIANTS.items() if label is not None}
-    splits = dict(zip(cfgs, _preflight_each(ds, cfgs.values())))
+    # no variant overrides the seed, so every variant trains on one split
+    split = split_per_user(ds, run_cfg.train.seed)
+    for cfg in cfgs.values():
+        preflight(ds, cfg, split)
     out = _out_dir(args, "ablate_out")
     rows = []
     for variant, cfg in cfgs.items():
         sub = out / variant
         sub.mkdir(parents=True, exist_ok=True)
-        _, report = _run_and_report(ds, run_cfg, cfg, splits[variant], sub, args)
+        _, report = _run_and_report(ds, run_cfg, cfg, split, sub, args)
         rows.append([VARIANTS[variant][0]] + _metric_row(report))
     write_csv(out / "ablation.csv", [
         "variant", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
@@ -462,11 +445,16 @@ def cmd_sweep(args) -> int:
     for text in args.values.split(","):
         cfg = copy.deepcopy(run_cfg)
         points.append((_set_key(cfg, args.axis, text), cfg.validate().train))
+    if len({value for value, _ in points}) < len(points):
+        raise UsageError(f"--values: expected distinct {args.axis} values, got {args.values}")
     ds = run_cfg.dataset()
-    splits = _preflight_each(ds, [cfg for _, cfg in points])
+    # no sweep axis is the seed, so every point trains on one split
+    split = split_per_user(ds, run_cfg.train.seed)
+    for _, cfg in points:
+        preflight(ds, cfg, split)
     out = _out_dir(args, "sweep_out")
     rows = []
-    for (value, cfg), split in zip(points, splits):
+    for value, cfg in points:
         model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode, split=split)
         report = metrics_mod.evaluate(model.backbone, model.split, ds, ks=run_cfg.eval_ks)
         rows.append([value, report.overall["recall@10"], report.overall["ndcg@10"],
@@ -481,19 +469,13 @@ def cmd_sweep(args) -> int:
 def _int_ids(path, values) -> np.ndarray:
     """Dense integer user ids from TSV cells; an error names the first cell
     that is not an int64."""
-    try:
-        return np.fromiter(map(int, values), np.int64, len(values))
-    except (ValueError, OverflowError):
-        bad = next(value for value in values if not _is_int64(value))
-    raise DataError(f"{path}: user id {bad!r} is not a dense integer id")
-
-
-def _is_int64(cell: str) -> bool:
-    try:
-        np.int64(int(cell))
-    except (ValueError, OverflowError):
-        return False
-    return True
+    ids = np.empty(len(values), np.int64)
+    for k, value in enumerate(values):
+        try:
+            ids[k] = int(value)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: user id {value!r} is not a dense integer id") from None
+    return ids
 
 
 def _read_overlap(path):
@@ -503,6 +485,17 @@ def _read_overlap(path):
     return tuple(_int_ids(path, column) for column in columns)
 
 
+def _read_labels(attrs, overlap):
+    """Target ids and their groups by ascending id, then the overlap's target
+    and source ids by ascending target id, whatever the files' row order."""
+    attr_map, _ = load_attributes(attrs)
+    t_ids = _int_ids(attrs, list(attr_map))
+    groups = np.fromiter(attr_map.values(), np.int64, len(attr_map))
+    o_t, o_s = _read_overlap(overlap)
+    by_id, by_target = np.argsort(t_ids), np.argsort(o_t)
+    return t_ids[by_id], groups[by_id], o_t[by_target], o_s[by_target]
+
+
 def cmd_theory(args) -> int:
     # a state.json beside the snapshot vouches for the snapshot and the labels
     state_path = Path(args.snapshot).with_name("state.json")
@@ -510,11 +503,9 @@ def cmd_theory(args) -> int:
         state, snapshot = _read_run(state_path, args.snapshot)
     else:
         state, snapshot = None, backbone_mod.load_snapshot(args.snapshot)[0]
-    attr_map, _labels = load_attributes(args.attrs)
-    labels = (_int_ids(args.attrs, list(attr_map)), list(attr_map.values()),
-              *_read_overlap(args.overlap))
+    labels = _read_labels(args.attrs, args.overlap)
     cloud = theory_mod.cloud_from_snapshot(snapshot, *labels)
-    if state is not None and state["labels_sha256"] != _labels_sha256(*labels):
+    if state is not None and state["labels_sha256"] != arrays_sha256(*labels):
         raise DataError("--attrs and --overlap differ from the labels the run was trained "
                         "with (labels_sha256 mismatch): use the run's groups.tsv and "
                         "overlap.tsv")

@@ -77,16 +77,22 @@ class GainEstimator:
         out = h @ self.weights[-1].T + self.biases[-1]
         return out, {"acts": acts, "masks": masks}
 
-    def input_gradient(self, cache, upstream: np.ndarray) -> np.ndarray:
-        """Gradient of (output . upstream) with respect to the input rows."""
-        g = np.atleast_2d(upstream) @ self.weights[-1]
-        for layer in range(self.n_layers - 2, -1, -1):
-            h = cache["acts"][layer + 1]
-            mask = cache["masks"][layer]
+    def _back(self, cache, g: np.ndarray, layer: int) -> np.ndarray:
+        """Gradient ``g`` of layer ``layer``'s output carried to its input: times
+        its weights, then, above layer 0, the input's dropout mask and ReLU gate."""
+        g = g @ self.weights[layer]
+        if layer > 0:
+            mask = cache["masks"][layer - 1]
             if mask is not None:
                 g = g * mask
-            g = g * (h > 0)
-            g = g @ self.weights[layer]
+            g = g * (cache["acts"][layer] > 0)
+        return g
+
+    def input_gradient(self, cache, upstream: np.ndarray) -> np.ndarray:
+        """Gradient of (output . upstream) with respect to the input rows."""
+        g = np.atleast_2d(upstream)
+        for layer in range(self.n_layers - 1, -1, -1):
+            g = self._back(cache, g, layer)
         return g
 
     def weight_gradients(self, cache, d_out: np.ndarray):
@@ -98,12 +104,7 @@ class GainEstimator:
             grads_w[layer] = g.T @ cache["acts"][layer]
             grads_b[layer] = g.sum(axis=0)
             if layer > 0:
-                h = cache["acts"][layer]
-                mask = cache["masks"][layer - 1]
-                g = g @ self.weights[layer]
-                if mask is not None:
-                    g = g * mask
-                g = g * (h > 0)
+                g = self._back(cache, g, layer)
         return grads_w, grads_b
 
     def parameters(self) -> dict:

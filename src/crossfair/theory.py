@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import G0, G1, GROUPS, json_text
+from .data import G0, G1, GROUPS, _has_repeat, json_text
 from .errors import DataError
 from .seeding import derive_seed, make_rng
 
@@ -225,8 +225,8 @@ def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
     Target points are the listed target users' rows, by ascending id, with
     their groups; source points are the source-view rows of the overlapping
     (target, source) pairs, by ascending target id, labeled with the target
-    user's group. Every id must index the snapshot's user tables, and every
-    overlap target must be a listed target user.
+    user's group. Every id must index the snapshot's user tables, no target or
+    source id may repeat, and every overlap target must be a listed target user.
     """
     emb_t, emb_s = snapshot["user_emb_target"], snapshot["user_emb_source"]
     t_ids = np.asarray(target_ids, dtype=np.int64)
@@ -245,6 +245,9 @@ def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
     o_t, o_s = o_t[order], o_s[order]
     if np.any(t_ids[1:] == t_ids[:-1]) or np.any(o_t[1:] == o_t[:-1]):
         raise DataError("a target user id is listed twice")
+    if _has_repeat(o_s):
+        ids, counts = np.unique(o_s, return_counts=True)
+        raise DataError(f"overlap source user id {ids[counts > 1][0]} is listed twice")
     listed = np.isin(o_t, t_ids)
     if not np.all(listed):
         raise DataError(f"overlap target user {o_t[~listed][0]} has no group attribute")

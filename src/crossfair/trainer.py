@@ -250,24 +250,20 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, g
     return total, rec_sum, penalty, rank_target, grads
 
 
-def _plan_batch(backbone, pools, is_target, users, pos, groups, tracker, cfg, rng):
-    """Split a shuffled slice by domain and draw one negative per row, target
-    rows first. Returns ({"target": (users, pos, neg), "source": (users, pos,
-    neg)}, the number of fair draws). A domain without rows draws nothing
-    from ``rng``."""
-    fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
+def _plan_batch(backbone, pools, is_target, users, pos, group_taus, groups, size, rng):
+    """Split a shuffled slice by domain and draw one negative per row from
+    ``size`` candidates, target rows first and at their group's temperature
+    in ``group_taus`` unless it is None. Returns {domain: (users, pos, neg)}.
+    A domain without rows draws nothing from ``rng``."""
     batch = {}
     for domain, mask in (("target", is_target), ("source", ~is_target)):
         d_users = users[mask]
         taus = None
-        if fair and domain == "target":
-            taus = np.array([temperature(tracker.alpha(g), cfg.epsilon)
-                             for g in GROUPS])[groups[d_users]]
-        neg = batch_sample_negatives(
-            backbone, pools[domain], d_users, taus, cfg.candidate_size, rng
-        )
+        if group_taus is not None and domain == "target":
+            taus = group_taus[groups[d_users]]
+        neg = batch_sample_negatives(backbone, pools[domain], d_users, taus, size, rng)
         batch[domain] = (d_users, pos[mask], neg)
-    return batch, len(batch["target"][0]) if fair else 0
+    return batch
 
 
 def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
@@ -299,6 +295,10 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
         n *= k
     order = rng.permutation(n)
     is_target, users, pos = is_target[order], users[order], pos[order]
+    # the group losses are smoothed once per epoch, so its temperatures hold throughout
+    group_taus = None
+    if cfg.use_fair_sampling and tracker.epochs_completed >= 1:
+        group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon) for g in GROUPS])
 
     sum_rec = 0.0
     sum_penalty = 0.0
@@ -307,11 +307,12 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     with read_only(estimator.parameters().values()):
         for lo in range(0, n, cfg.batch_size):
             hi = min(lo + cfg.batch_size, n)
-            batch, drew = _plan_batch(
+            batch = _plan_batch(
                 backbone, pools, is_target[lo:hi], users[lo:hi], pos[lo:hi],
-                groups_arr, tracker, cfg, rng,
+                group_taus, groups_arr, cfg.candidate_size, rng,
             )
-            fair_draws += drew
+            if group_taus is not None:
+                fair_draws += len(batch["target"][0])
             total, rec, penalty, rank_target, grads = batch_objective(
                 backbone, estimator, batch, groups_arr, cfg
             )
@@ -385,14 +386,13 @@ def preflight(ds: CrossDomainDataset, cfg: TrainConfig,
 def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "shared",
           snapshot_dir=None, split: SplitDataset | None = None) -> TrainedModel:
     """Full training run with early stopping on validation NDCG@10, after
-    ``preflight``; a caller that ran ``preflight(ds, cfg)`` passes its split.
+    ``preflight(ds, cfg, split)``.
 
     With ``cfg.snapshot_every`` > 0 and a snapshot directory, embedding
     snapshots are written every that many epochs; ``snapshot_sha256`` of the
     returned model holds their digests.
     """
-    if split is None:
-        split = preflight(ds, cfg)
+    split = preflight(ds, cfg, split)
     backbone = init_backbone(ds, d, mode, cfg.seed)
     estimator = GainEstimator(
         d, hidden=cfg.estimator_hidden, dropout=cfg.estimator_dropout, seed=cfg.seed

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import crossfair.cli
 import crossfair.trainer as trainer_mod
 from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
-from crossfair.cli import CONFIG_SCHEMA, main, parse_config_file, resolve_config
-from crossfair.data import split_per_user
+from crossfair.cli import CONFIG_SCHEMA, _read_labels, main, parse_config_file, resolve_config
+from crossfair.data import arrays_sha256, split_per_user
 from crossfair.errors import CrossfairError, UsageError
 
 from oracles import (SYNTH_KEYS, adam_step_add_at, lipschitz_sampled, read_state_bundle,
@@ -393,6 +393,21 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, values", [("gamma", "0.5,0.50"),
+                                              ("candidate_size", "4,2,04")])
+    def test_repeated_value_refused_before_data(self, tmp_path, cfg_file, capsys,
+                                                monkeypatch, axis, values):
+        def no_data(self):
+            raise AssertionError("data made before the values were checked")
+
+        monkeypatch.setattr(crossfair.cli.RunConfig, "dataset", no_data)
+        out = tmp_path / "sweep"
+        assert run("--config", cfg_file, "--out", out, "--quiet", "sweep",
+                   "--axis", axis, "--values", values) == 1
+        assert capsys.readouterr().err == (
+            f"error: --values: expected distinct {axis} values, got {values}\n")
+        assert not out.exists()
+
     def test_unknown_axis_usage_error(self, tmp_path, cfg_file):
         assert run("--config", cfg_file, "--out", tmp_path / "s", "--quiet",
                    "sweep", "--axis", "nonsense", "--values", "1") == 1
@@ -475,8 +490,9 @@ class TestTheoryInputErrors:
         ("-1\t0\n", "overlap target user id -1 is not a row"),
         ("0\t-1\n", "overlap source user id -1 is not a row"),
         ("0\t0\n0\t1\n", "listed twice"),
+        ("0\t0\n1\t1\n59\t0\n", "overlap source user id 0 is listed twice"),
     ], ids=["non-integer", "target-past-end", "source-past-end", "negative-target",
-            "negative-source", "repeated-target"])
+            "negative-source", "repeated-target", "repeated-source"])
     def test_bad_overlap_row(self, tmp_path, theory_run, capsys, rows, words):
         overlap = tmp_path / "overlap.tsv"
         overlap.write_text("target_user_id\tsource_user_id\n" + rows, encoding="utf-8")
@@ -638,6 +654,17 @@ class TestTheoryChecksRunInputs:
             header, *rows = (theory_run / name).read_text(encoding="utf-8").splitlines(True)
             (labels / name).write_text(header + "".join(rows[::-1]), encoding="utf-8")
         assert self.theory(theory_run / "snapshot_final.bin", labels, tmp_path / "theory") == 0
+
+    def test_labels_digest(self, tmp_path, theory_run):
+        state = json.loads((theory_run / "state.json").read_text(encoding="utf-8"))
+        assert state["labels_sha256"] == (
+            "745a9430131c04c131ffcad8021cc547de2bc8d30b3011e5721890e0d9ae5add")
+        # theory reads the labels in one order, whatever the files' row order
+        for name in ("groups.tsv", "overlap.tsv"):
+            header, *rows = (theory_run / name).read_text(encoding="utf-8").splitlines(True)
+            (tmp_path / name).write_text(header + "".join(rows[::-1]), encoding="utf-8")
+        labels = _read_labels(tmp_path / "groups.tsv", tmp_path / "overlap.tsv")
+        assert arrays_sha256(*labels) == state["labels_sha256"]
 
     def test_without_state_nothing_is_checked(self, tmp_path, theory_run, other_run):
         shutil.copyfile(theory_run / "snapshot.bin", tmp_path / "snapshot.bin")

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import crossfair.metrics as metrics_mod
 import crossfair.trainer as trainer_mod
 from crossfair.backbone import init
-from crossfair.data import G0, G1, split_per_user
+from crossfair.data import G0, G1, GROUPS, split_per_user
 from crossfair.errors import DataError
 from crossfair.gain import GainEstimator
-from crossfair.sampler import GroupLossTracker, NegativePool
+from crossfair.sampler import GroupLossTracker, NegativePool, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import (
     Adam,
@@ -288,8 +288,13 @@ def _assert_same_batch(ds, bb, est, pools, tracker, cfg, domains, users, pos, se
     groups = ds.target_group
     plan, want_drew = plan_batch_masked(bb, pools, domains, users, pos, groups, tracker, cfg,
                                         make_rng(seed, "plan"))
-    batch, drew = _plan_batch(bb, pools, domains == 1, users, pos, groups, tracker, cfg,
-                              make_rng(seed, "plan"))
+    # the epoch's temperatures, as ``train_epoch`` takes them from the tracker
+    group_taus = None
+    if cfg.use_fair_sampling and tracker.epochs_completed >= 1:
+        group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon) for g in GROUPS])
+    batch = _plan_batch(bb, pools, domains == 1, users, pos, group_taus, groups,
+                        cfg.candidate_size, make_rng(seed, "plan"))
+    drew = 0 if group_taus is None else len(batch["target"][0])
     assert drew == want_drew
     for domain, mask in (("target", domains == 1), ("source", domains == 0)):
         for got, want in zip(batch[domain], (plan.users[mask], plan.pos[mask], plan.neg[mask])):
@@ -495,6 +500,39 @@ class TestParameterPartition:
         with pytest.raises(DataError, match=f"^the split has no target {phase} positives "
                                             f"in group 1 \\(B\\): "):
             train(ds, run_config(epochs=2), d=8, mode="shared")
+        assert epochs == []
+
+
+class TestHandedSplitChecked:
+    """``train`` runs ``preflight`` on a split it is handed, as on one it makes."""
+
+    @staticmethod
+    def count_epochs(monkeypatch):
+        epochs = []
+        inner = trainer_mod.train_epoch
+
+        def counting(*args, **kwargs):
+            epochs.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "train_epoch", counting)
+        return epochs
+
+    def test_bad_config_refused(self, synth_ds, monkeypatch):
+        epochs = self.count_epochs(monkeypatch)
+        with pytest.raises(DataError, match="^learning rates must be positive$"):
+            train(synth_ds, run_config(learning_rate=-0.01, epochs=1), d=4,
+                  split=split_per_user(synth_ds, 5))
+        assert epochs == []
+
+    def test_split_without_group_validation_positives_refused(self, synth_ds, monkeypatch):
+        split = split_per_user(synth_ds, 5)
+        val = split.target_val
+        split.target_val = val[synth_ds.target_group[val[:, 0]] == G0]
+        epochs = self.count_epochs(monkeypatch)
+        with pytest.raises(DataError, match="^the split has no target validation positives "
+                                            "in group 1 \\(B\\): "):
+            train(synth_ds, run_config(epochs=2), d=8, mode="shared", split=split)
         assert epochs == []
 
 
