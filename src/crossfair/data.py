@@ -20,8 +20,6 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import not_
 from pathlib import Path
 
 import numpy as np
@@ -64,60 +62,130 @@ class LoadedInteractions:
     item_ids: list
 
 
-def _row_widths(text: str) -> np.ndarray:
-    """Cells per row of newline-joined rows: one more than the row's tabs,
-    counted over the UTF-8 bytes, where no multi-byte character holds a tab
-    or newline byte."""
-    codes = np.frombuffer(text.encode("utf-8"), np.uint8)
-    seps = codes[(codes == 9) | (codes == 10)]
-    return np.diff(np.flatnonzero(seps == 10), prepend=-1, append=len(seps))
+# Whether a byte, leading a line, makes the line not blank: ASCII and not
+# whitespace. A line led by any other byte is decided by ``str.strip``.
+_SOLID = np.arange(256) < 128
+_SOLID[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = False
+# _LOW[k] keeps the k low bytes of a little-endian word.
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(8)], np.uint64)
+
+
+def _line_bounds(codes: np.ndarray, n: int):
+    """Start and end byte offsets of the lines ``str.splitlines`` finds in
+    the first ``n`` UTF-8 bytes of ``codes``, which holds at least two more.
+    The breaks are the bytes \\n \\v \\f \\r \\x1c \\x1d \\x1e, with \\r\\n one
+    break, and the encodings of U+0085, U+2028 and U+2029; there is no line
+    after a final break. In valid UTF-8 an ASCII byte is never inside a
+    multi-byte character, and C2 and E2 only lead one."""
+    pos = np.flatnonzero((codes[:n] - 10 < 4) | (codes[:n] - 28 < 3)
+                         | (codes[:n] == 0xC2) | (codes[:n] == 0xE2))
+    byte, after = codes[pos], codes[pos + 1]
+    width = np.where(byte == 0xC2, 2 * (after == 0x85),
+                     np.where(byte == 0xE2, 3 * ((after == 0x80) & (codes[pos + 2] - 0xA8 < 2)),
+                              1 + ((byte == 13) & (after == 10))))
+    keep = (width > 0) & ~((byte == 10) & (codes[pos - 1] == 13))
+    starts = np.concatenate([[0], pos[keep] + width[keep]])
+    lines = len(starts) - (starts[-1] == n)  # no line after a final break
+    return starts[:lines], np.append(pos[keep], n)[:lines]
+
+
+def _first_seen(key: np.ndarray):
+    """Codes numbering the distinct values of ``key`` in order of first
+    occurrence, and the row where each code first occurs."""
+    order = np.argsort(key)
+    ordered = key[order]
+    head = np.ones(len(key), bool)  # each sorted position that starts a value's run
+    head[1:] = ordered[1:] != ordered[:-1]
+    first = np.minimum.reduceat(order, np.flatnonzero(head))
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    codes = np.empty_like(order)
+    codes[order] = rank[np.cumsum(head) - 1]
+    return codes, first[seen]
 
 
 class TsvTable:
-    """A TSV file split into cells once.
+    """A TSV file's lines and cells, as byte offsets into the file.
 
     ``header`` holds the first line's cells. The body is every later line
-    that is not blank or whitespace-only, as one flat ``fields`` list: body
-    row ``r`` owns the cells from ``starts[r]`` up to the next row's start.
+    that is not blank or whitespace-only. Cell ``c < len(header)`` of body
+    row ``r`` is the file's bytes ``_begins[r, c]`` up to ``_stops[r, c]``.
     """
 
-    def __init__(self, path, lines, body):
+    def __init__(self, path, raw: bytes):
         self.path = path
-        self.header = lines[0].split("\t")
-        self._lines = lines
-        if body:
-            text = "\n".join(body)
-            widths = _row_widths(text)
-            self.fields = text.replace("\n", "\t").split("\t")
-        else:
-            widths, self.fields = np.zeros(0, np.int64), []
-        self.starts = np.cumsum(widths) - widths
-        bad = widths < len(self.header)
-        if "" in self.fields:
-            empty = np.flatnonzero(np.fromiter(map(not_, self.fields), bool, len(self.fields)))
-            row = np.searchsorted(self.starts, empty, side="right") - 1
-            bad[row[empty - self.starts[row] < len(self.header)]] = True
+        self._raw = raw
+        n = len(raw)
+        # eight zero bytes past the end: room for a word read at any offset
+        codes = np.frombuffer(raw + bytes(8), np.uint8)
+        self._words = np.ndarray((n + 1,), "<u8", codes, 0, (1,))
+        self._starts, self._ends = _line_bounds(codes, n)
+        if not len(self._starts):
+            raise DataError(f"{path}: empty file")
+        self.header = self._line(0).split("\t")
+        keep = _SOLID[codes[self._starts]]
+        for k in np.flatnonzero(~keep).tolist():
+            keep[k] = bool(self._line(k).strip())
+        self._body = np.flatnonzero(keep[1:]) + 1  # file line index of each body row
+        first, last = self._starts[self._body], self._ends[self._body]
+        tabs = np.append(np.flatnonzero(codes == 9), n)
+        # Cell c ends at the row's tab number c + 1, or at the line's end. A
+        # row narrower than the header ends its last cell at the line's end,
+        # so every later cell begins past its end: the empty-cell check
+        # below is the width check too.
+        cut = tabs.take(np.searchsorted(tabs, first)[:, None] + np.arange(len(self.header)),
+                        mode="clip")
+        self._stops = np.minimum(cut, last[:, None])
+        self._begins = np.column_stack([first, self._stops[:, :-1] + 1])
+        bad = (self._stops <= self._begins).any(axis=1)
         if bad.any():
             row = int(np.argmax(bad))
-            raise DataError(f"{path}:{self.lineno(row)}: malformed row {body[row]!r}")
+            raise DataError(f"{path}:{self.lineno(row)}: malformed row "
+                            f"{self._line(self._body[row])!r}")
 
-    def columns(self, names, missing: str) -> list:
-        """The body cells under each named header column, as lists; the
-        ``missing`` message ends the load when the header lacks a name."""
+    def _line(self, k) -> str:
+        return self._raw[self._starts[k]:self._ends[k]].decode("utf-8")
+
+    def _key_chunk(self, begins, sizes, j):
+        """Bytes 7j to 7j + 7 of each cell, zeroed past its end, with their
+        count in the top byte: no two cells share all of their chunks, not
+        even ``a`` and ``a\\x00``."""
+        size = np.clip(sizes - 7 * j, 0, 7)
+        word = self._words[np.minimum(begins + 7 * j, len(self._raw))]
+        return word & _LOW[size] | size.astype(np.uint64) << 56
+
+    def densify(self, names, missing: str) -> list:
+        """Each named column as (dense codes, raw ids by code): the distinct
+        cells numbered in first-seen order. The ``missing`` message ends the
+        load when the header lacks a name."""
         try:
             index = [self.header.index(name) for name in names]
         except ValueError:
             raise DataError(f"{self.path}: {missing}") from None
-        width = len(self.header)
-        if len(self.fields) == width * len(self.starts):
-            # no row is narrower than the header, so here each is as wide
-            return [self.fields[c::width] for c in index]
-        return [list(map(self.fields.__getitem__, (self.starts + c).tolist())) for c in index]
+        out = []
+        for c in index:
+            begins, stops = self._begins[:, c], self._stops[:, c]
+            sizes = stops - begins
+            key = self._key_chunk(begins, sizes, 0)
+            for j in range(1, -(-int(sizes.max(initial=1)) // 7)):  # ids past 7 bytes
+                # two codes, each below the row count, make one key
+                key = _first_seen(key)[0] * len(key) + _first_seen(
+                    self._key_chunk(begins, sizes, j))[0]
+            codes, first = _first_seen(key)
+            ids = [self._raw[b:e].decode("utf-8")
+                   for b, e in zip(begins[first].tolist(), stops[first].tolist())]
+            out.append((codes, ids))
+        return out
+
+    def columns(self, names, missing: str) -> list:
+        """The body cells under each named header column, as lists of str."""
+        return [np.array(ids, dtype=object)[codes].tolist()
+                for codes, ids in self.densify(names, missing)]
 
     def lineno(self, row: int) -> int:
         """1-based file line of body row ``row``, skipped lines counted."""
-        kept = (n for n, line in enumerate(self._lines[1:], start=2) if line.strip())
-        return next(islice(kept, row, None))
+        return int(self._body[row]) + 1
 
 
 def read_tsv(path) -> TsvTable:
@@ -125,19 +193,11 @@ def read_tsv(path) -> TsvTable:
     Every body row needs at least as many cells as the header, none of them
     empty within the header's width; cells past it are kept but unchecked."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        raw = Path(path).read_bytes()
+        raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    return TsvTable(path, lines, list(filter(str.strip, islice(lines, 1, None))))
-
-
-def _densify(column):
-    """First-seen dense codes of a column of raw ids, and the ids by code."""
-    ids = list(dict.fromkeys(column))
-    lookup = dict(zip(ids, range(len(ids))))
-    return np.fromiter(map(lookup.__getitem__, column), np.int64, len(column)), ids
+    return TsvTable(path, raw)
 
 
 def load_interactions(path) -> LoadedInteractions:
@@ -146,12 +206,10 @@ def load_interactions(path) -> LoadedInteractions:
     Raw ids are densified in first-seen order. Duplicate pairs keep their
     first occurrence.
     """
-    users, items = read_tsv(path).columns(
+    (u, user_ids), (i, item_ids) = read_tsv(path).densify(
         ("user_id", "item_id"), "header must name user_id and item_id columns")
-    if not users:
+    if not len(u):
         raise DataError(f"{path}: no interactions")
-    u, user_ids = _densify(users)
-    i, item_ids = _densify(items)
     _, first = np.unique(u * len(item_ids) + i, return_index=True)
     first.sort()
     return LoadedInteractions(pairs=np.column_stack([u[first], i[first]]),
@@ -166,16 +224,14 @@ def load_attributes(path):
     conflicting values is an error.
     """
     table = read_tsv(path)
-    users, attrs = table.columns(
+    (codes, user_ids), (values, labels) = table.densify(
         ("user_id", "attribute"), "header must name user_id and attribute columns")
-    codes, user_ids = _densify(users)
-    values, labels = _densify(attrs)
     _, first = np.unique(codes, return_index=True)  # each user's first row
     conflict = values != values[first[codes]]
     if conflict.any():
         row = int(np.argmax(conflict))
         raise DataError(f"{path}:{table.lineno(row)}: conflicting attribute for user "
-                        f"{users[row]!r}")
+                        f"{user_ids[codes[row]]!r}")
     names = sorted(labels)
     if len(names) != 2:
         raise DataError(

@@ -222,11 +222,12 @@ def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
                         overlap_targets, overlap_sources) -> EmbeddingCloud:
     """Build the labeled two-domain cloud used by the bound report.
 
-    Target points are the listed target users' rows, by ascending id, with
-    their groups; source points are the source-view rows of the overlapping
-    (target, source) pairs, by ascending target id, labeled with the target
-    user's group. Every id must index the snapshot's user tables, no target or
-    source id may repeat, and every overlap target must be a listed target user.
+    Target points are the listed target users' rows, with their groups;
+    source points are the source-view rows of the overlapping (target,
+    source) pairs, labeled with the target user's group. Both lists come in
+    ascending target id (``cli._read_labels`` orders them). Every id must
+    index the snapshot's user tables, no target or source id may repeat, and
+    every overlap target must be a listed target user.
     """
     emb_t, emb_s = snapshot["user_emb_target"], snapshot["user_emb_source"]
     t_ids = np.asarray(target_ids, dtype=np.int64)
@@ -239,12 +240,12 @@ def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
         if np.any(bad):
             raise DataError(f"{name} user id {ids[bad][0]} is not a row of the "
                             f"snapshot's {n_rows}-row user table")
-    order = np.argsort(t_ids)
-    t_ids, groups = t_ids[order], np.asarray(target_groups, dtype=np.int64)[order]
-    order = np.argsort(o_t)
-    o_t, o_s = o_t[order], o_s[order]
-    if np.any(t_ids[1:] == t_ids[:-1]) or np.any(o_t[1:] == o_t[:-1]):
-        raise DataError("a target user id is listed twice")
+    for name, step in (("target user", np.diff(t_ids)), ("overlap target", np.diff(o_t))):
+        if np.any(step == 0):
+            raise DataError("a target user id is listed twice")
+        if np.any(step < 0):
+            raise DataError(f"{name} ids must be listed in ascending order")
+    groups = np.asarray(target_groups, dtype=np.int64)
     if _has_repeat(o_s):
         ids, counts = np.unique(o_s, return_counts=True)
         raise DataError(f"overlap source user id {ids[counts > 1][0]} is listed twice")

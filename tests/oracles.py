@@ -42,7 +42,10 @@ argsort of each whole row. The generator must give the same dataset.
 
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
-must return the same values and raise the same messages.
+must return the same values and raise the same messages. ``densify_dict``
+is the first-seen ``dict`` the reader numbered a column of ``str`` cells
+with before it sorted packed byte keys; ``TsvTable.densify`` must return the
+same codes and ids.
 
 ``resolve_config_tables`` is the config resolver the package had before its
 keys and types came from the config dataclasses: hand-kept key tables and
@@ -607,6 +610,13 @@ def read_tsv_rows_loop(path):
             raise DataError(f"{path}:{lineno}: malformed row {line!r}")
         rows.append((lineno, cols))
     return header, rows
+
+
+def densify_dict(column):
+    """First-seen dense codes of a column of raw ids, and the ids by code."""
+    ids = list(dict.fromkeys(column))
+    lookup = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(lookup.__getitem__, column), np.int64, len(column)), ids
 
 
 def load_interactions_loop(path):

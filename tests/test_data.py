@@ -28,6 +28,7 @@ from crossfair.errors import CrossfairError, DataError
 
 from conftest import micro_dataset, small_synth
 from oracles import (
+    densify_dict,
     load_attributes_loop,
     load_interactions_loop,
     read_overlap_loop,
@@ -181,16 +182,15 @@ class TestLoaderMessages:
         assert loaded.user_ids == ["a", "b"] and loaded.item_ids == ["x", "y"]
 
 
-@pytest.mark.parametrize("body, uniform", [
-    ("a\tx\t1\nb\ty\t2\n\nc\tz\t3\n", True),
-    ("a\tx\t1\nb\ty\t2\t\tq\nc\tz\t3\n", False),
+@pytest.mark.parametrize("body", [
+    "a\tx\t1\nb\ty\t2\n\nc\tz\t3\n",
+    "a\tx\t1\nb\ty\t2\t\tq\nc\tz\t3\n",
 ], ids=["uniform", "ragged"])
-def test_columns_match_line_loop(tmp_path, body, uniform):
-    """Rows exactly as wide as the header are sliced; a file with a wider
-    row is gathered row by row. Both give the line loop's cells."""
+def test_columns_match_line_loop(tmp_path, body):
+    """Rows exactly as wide as the header, or a row wider than it: the
+    columns are the line loop's cells."""
     p = write(tmp_path / "x.tsv", "ts\tuser_id\titem_id\n" + body)
     table = data_mod.read_tsv(p)
-    assert (len(table.fields) == 3 * len(table.starts)) == uniform
     header, rows = read_tsv_rows_loop(p)
     for names in (["user_id", "item_id"], ["ts"], ["item_id", "ts", "user_id"]):
         want = [[cells[header.index(name)] for _, cells in rows] for name in names]
@@ -283,6 +283,46 @@ def test_loader_matches_line_loop(tmp_path_factory, load, oracle, columns):
         assert same_values(got, want), (got, want)
 
     check()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SEPARATORS + BLANKS + [
+    "a", "\t", "é", "用户", "\xa0", "\u3000", "\r\r\n"]), max_size=16),
+       st.sampled_from(["", "\n", "\r", "\r\n", "\x85", "\u2029"]))
+def test_line_bounds_match_splitlines(pieces, end):
+    """The lines found on the UTF-8 bytes are ``str.splitlines``' lines, with
+    or without a final break, a trailing ``\\r`` or ``\\r\\r\\n`` included."""
+    text = "".join(pieces) + end
+    raw = text.encode("utf-8")
+    starts, ends = data_mod._line_bounds(np.frombuffer(raw + bytes(8), np.uint8), len(raw))
+    lines = [raw[s:e].decode("utf-8") for s, e in zip(starts.tolist(), ends.tolist())]
+    assert lines == text.splitlines()
+
+
+# Ids of every byte length from 1 to 23, across the key's 7-byte chunk edges
+# and the 8-byte word edges: equal but for trailing NULs or for the last
+# byte, or with a multi-byte character at the start or the end.
+DENSE_IDS = sorted({stem for n in range(1, 24) for stem in (
+    "a" * n, "a" * (n - 1) + "\x00", "a" * (n - 1) + "b", "\x00" * n, "b" + "\x00" * (n - 1),
+    "用" + "a" * max(n - 3, 0), "a" * max(n - 2, 0) + "é")})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(DENSE_IDS), st.lists(st.sampled_from(DENSE_IDS), max_size=60),
+       st.randoms(use_true_random=False))
+def test_densify_matches_first_seen_dict(tmp_path_factory, ids, extra, rnd):
+    """Every id above, once each and again at random rows: the codes and the
+    id lists equal a first-seen ``dict``'s, in both columns."""
+    column = ids + extra
+    rnd.shuffle(column)
+    other = column[::-1]
+    path = tmp_path_factory.mktemp("tsv") / "x.tsv"
+    path.write_bytes("".join(f"{a}\t{b}\n" for a, b in zip(["user_id"] + column, [
+        "item_id"] + other)).encode("utf-8"))
+    table = data_mod.read_tsv(path)
+    for (codes, got), want in zip(table.densify(("user_id", "item_id"), "missing"),
+                                  (densify_dict(column), densify_dict(other))):
+        assert codes.tolist() == want[0].tolist() and got == want[1]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

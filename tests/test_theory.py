@@ -274,3 +274,18 @@ class TestCloudFromSnapshot:
             cloud.select(domain="s"),
             bb.user_emb_source()[[0, 1, 3]],
         )
+
+    @pytest.mark.parametrize("labels, message", [
+        (([1, 0, 2], [0, 1, 1], [0, 2], [0, 1]),
+         "target user ids must be listed in ascending order"),
+        (([0, 1, 2], [0, 1, 1], [2, 0], [1, 0]),
+         "overlap target ids must be listed in ascending order"),
+        (([0, 1, 1], [0, 1, 1], [0], [0]), "a target user id is listed twice"),
+        (([0, 1, 2], [0, 1, 1], [2, 2], [0, 1]), "a target user id is listed twice"),
+    ], ids=["unordered-targets", "unordered-overlap", "repeated-target", "repeated-overlap"])
+    def test_labels_must_ascend(self, labels, message):
+        """The labels come ordered; an unordered list is refused, not sorted."""
+        snapshot = {"user_emb_target": np.zeros((3, 2)), "user_emb_source": np.zeros((2, 2))}
+        with pytest.raises(DataError) as info:
+            cloud_from_snapshot(snapshot, *map(np.array, labels))
+        assert str(info.value) == message
