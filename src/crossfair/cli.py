@@ -271,6 +271,8 @@ def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     if cfg.synth is None:
         cfg.synth = SynthConfig(rng_seed=cfg.train.seed)
+    else:
+        cfg.validate()  # refuses data files next to synthetic settings, as train does
     ds = generate_synthetic(cfg.synth)
     out = _out_dir(args, "synth_out")
     write_interactions(out / "interactions_source.tsv", ds.interactions_source,
@@ -479,10 +481,10 @@ def _int_ids(path, values) -> np.ndarray:
 
 
 def _read_overlap(path):
-    """(target ids, source ids) from an overlap TSV."""
-    columns = read_tsv(path).columns(("target_user_id", "source_user_id"),
+    """(target ids, source ids) from an overlap TSV, each distinct id parsed once."""
+    columns = read_tsv(path).densify(("target_user_id", "source_user_id"),
                                      "header must name target_user_id and source_user_id")
-    return tuple(_int_ids(path, column) for column in columns)
+    return tuple(_int_ids(path, ids)[codes] for codes, ids in columns)
 
 
 def _read_labels(attrs, overlap):

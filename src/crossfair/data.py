@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .numerics import require_finite, top_k
+from .numerics import require_finite
 from .seeding import make_rng
 
 G0 = 0
@@ -177,11 +177,6 @@ class TsvTable:
                    for b, e in zip(begins[first].tolist(), stops[first].tolist())]
             out.append((codes, ids))
         return out
-
-    def columns(self, names, missing: str) -> list:
-        """The body cells under each named header column, as lists of str."""
-        return [np.array(ids, dtype=object)[codes].tolist()
-                for codes, ids in self.densify(names, missing)]
 
     def lineno(self, row: int) -> int:
         """1-based file line of body row ``row``, skipped lines counted."""
@@ -556,10 +551,23 @@ def _synth_internals(cfg: SynthConfig):
     }
 
 
+def _top_items(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ids of its k highest scores, ascending: the set the first k
+    columns of a stable argsort of ``-scores`` give. A row whose k-th score
+    is tied across the cut, where the partition may keep the wrong ids, is
+    sorted in full."""
+    top = np.sort(np.argpartition(scores, -k, axis=1)[:, -k:], axis=1)
+    kth = np.take_along_axis(scores, top, axis=1).min(axis=1, keepdims=True)
+    redo = (scores >= kth).sum(axis=1) > k
+    if redo.any():
+        top[redo] = np.sort(np.argsort(-scores[redo], axis=1, kind="stable")[:, :k], axis=1)
+    return top
+
+
 def _pairs_from_top(top: np.ndarray) -> np.ndarray:
-    # (user, item) pairs from per-user rows of item ids, items ascending per user
+    # (user, item) pairs from per-user rows of ascending item ids
     users = np.repeat(np.arange(len(top), dtype=np.int64), top.shape[1])
-    return np.column_stack([users, np.sort(top, axis=1).ravel()])
+    return np.column_stack([users, top.ravel()])
 
 
 def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
@@ -568,8 +576,8 @@ def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
     """
     internals = _synth_internals(cfg)
     ipu = cfg.interactions_per_user
-    top_t = top_k(internals["noisy_t"], ipu)
-    top_s = top_k(internals["noisy_s"], ipu * cfg.source_density_ratio)
+    top_t = _top_items(internals["noisy_t"], ipu)
+    top_s = _top_items(internals["noisy_s"], ipu * cfg.source_density_ratio)
 
     n_overlap = internals["n_overlap"]
     target_to_source = np.full(cfg.n_users_target, -1, dtype=np.int64)

@@ -60,30 +60,6 @@ def distinct_rows(rows, n: int):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[rows]
 
 
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each row's column ids of the min(k, n_cols) highest scores, by
-    descending score with ties broken by ascending id: the first columns of
-    a stable argsort of ``-scores``.
-
-    Each row's scores are partitioned for the k largest, and only the kept
-    columns are negated and sorted. A row is sorted in full when its k-th
-    score is shared by a column the partition left out, so that it could
-    have kept the wrong tied ids, or when it kept a NaN, which the partition
-    ranks above every score.
-    """
-    n = scores.shape[1]
-    k = min(k, n)
-    part = np.argpartition(scores, n - k, axis=1)[:, n - k:]
-    vals = -np.take_along_axis(scores, part, axis=1)
-    order = np.lexsort((part, vals), axis=1)
-    top = np.take_along_axis(part, order, axis=1)
-    kth = np.take_along_axis(vals, order[:, -1:], axis=1)
-    redo = ((scores == -kth).sum(axis=1) > (vals == kth).sum(axis=1)) | np.isnan(kth[:, 0])
-    if np.any(redo):
-        top[redo] = np.argsort(-scores[redo], axis=1, kind="stable")[:, :k]
-    return top
-
-
 @contextmanager
 def read_only(arrays):
     """Clear each array's ``writeable`` flag for the block, so a write to one

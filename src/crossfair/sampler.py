@@ -34,9 +34,9 @@ class GroupLossTracker:
         if not 0.0 <= beta < 1.0:
             raise DataError("beta must lie in [0, 1)")
         self.beta = beta
-        self.ema = {g: None for g in GROUPS}
-        self._sums = {g: 0.0 for g in GROUPS}
-        self._counts = {g: 0 for g in GROUPS}
+        self.ema = None  # smoothed loss by group id, from the first completed epoch on
+        self._sums = np.zeros(len(GROUPS))
+        self._counts = np.zeros(len(GROUPS), np.int64)
         self.epochs_completed = 0
 
     def accumulate_many(self, groups, losses):
@@ -47,45 +47,39 @@ class GroupLossTracker:
         known = np.isin(groups, GROUPS)
         if not np.all(known):
             raise DataError(f"unknown group {groups[~known][0].item()!r}")
-        for g in GROUPS:
-            mask = groups == g
-            self._sums[g] += float(losses[mask].sum())
-            self._counts[g] += int(mask.sum())
+        self._sums += [losses[groups == g].sum() for g in GROUPS]
+        self._counts += [np.count_nonzero(groups == g) for g in GROUPS]
 
     def end_epoch(self) -> dict:
-        emas = {}
-        for g in GROUPS:
-            if self._counts[g] > 0:
-                current = self._sums[g] / self._counts[g]
-            elif self.ema[g] is not None:
-                current = self.ema[g]
-            else:
-                raise DataError(f"group {g!r} has no samples in the first epoch")
-            if self.epochs_completed == 0:
-                emas[g] = current
-            else:
-                emas[g] = self.beta * self.ema[g] + (1.0 - self.beta) * current
-        self.ema = emas
-        self._sums = {g: 0.0 for g in GROUPS}
-        self._counts = {g: 0 for g in GROUPS}
+        seen = self._counts > 0
+        if self.ema is None:
+            if not seen.all():
+                raise DataError(f"group {GROUPS[np.argmin(seen)]!r} has no samples "
+                                "in the first epoch")
+            self.ema = self._sums / self._counts
+        else:
+            current = np.divide(self._sums, self._counts, out=self.ema.copy(), where=seen)
+            self.ema = self.beta * self.ema + (1.0 - self.beta) * current
+        self._sums, self._counts = np.zeros_like(self._sums), np.zeros_like(self._counts)
         self.epochs_completed += 1
-        return dict(emas)
+        return dict(zip(GROUPS, self.ema.tolist()))
 
     def alpha(self, group) -> float:
         """Relative gap of the group's smoothed loss against the group average."""
-        if group not in self.ema:
+        if group not in GROUPS:
             raise DataError(f"unknown group {group!r}")
-        if any(self.ema[g] is None for g in GROUPS):
+        if self.ema is None:
             raise DataError("alpha undefined before the first completed epoch")
-        avg = sum(self.ema[g] for g in GROUPS) / len(GROUPS)
+        avg = self.ema.mean()  # (e0 + e1) / 2
         if abs(avg) <= ALPHA_EPS:
             raise NumericalError("degenerate losses: group average is ~0")
-        return (self.ema[group] - avg) / avg
+        return float((self.ema[group] - avg) / avg)
 
     def state(self) -> dict:
+        ema = [None] * len(GROUPS) if self.ema is None else self.ema.tolist()
         return {
             "beta": self.beta,
-            "ema": {str(g): self.ema[g] for g in GROUPS},
+            "ema": {str(g): ema[g] for g in GROUPS},
             "epochs_completed": self.epochs_completed,
         }
 

@@ -64,8 +64,9 @@ class TrainConfig:
         for key in ("beta", "estimator_dropout"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise DataError(f"{key} must lie in [0, 1)")
-        if self.epochs < 0:
-            raise DataError("epochs must be >= 0")
+        for key in ("epochs", "snapshot_every"):
+            if getattr(self, key) < 0:
+                raise DataError(f"{key} must be >= 0")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
         if min(self.estimator_hidden, default=1) < 1:

@@ -32,13 +32,14 @@ branch summed duplicate rows with one ``np.bincount``: ``np.unique`` plus
 ``np.add.at``. The optimiser must reproduce it bit for bit.
 
 ``evaluate_whole_matrix`` is the full-ranking evaluation the package had
-before it ranked users in blocks: one ``top_k`` over the whole users x
-items score matrix and one users x items relevance mask. The evaluator
-must return the same report and per-user arrays bit for bit.
+before it ranked users in blocks: one ``top_items_argsort`` over the whole
+users x items score matrix and one users x items relevance mask. The
+evaluator must return the same report and per-user arrays bit for bit.
 
 ``top_items_argsort`` is the per-user top-item pick the synthetic
-generator had before it used ``top_k``: the first columns of a stable
-argsort of each whole row. The generator must give the same dataset.
+generator had before it partitioned each row: the first columns of a
+stable argsort of each whole row. The generator's ``_top_items`` must keep
+the same set of ids, and so give the same dataset.
 
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
@@ -72,7 +73,7 @@ from scipy.spatial.distance import cdist
 from crossfair.cli import RunConfig
 from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_internals
 from crossfair.errors import DataError, NumericalError, UsageError
-from crossfair.numerics import clamp_prob, sigmoid, softmax, top_k
+from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.gain import redistribution_grads
 from crossfair.metrics import DEFAULT_KS, EvaluationReport, ugf
 from crossfair.sampler import _draw_rows, batch_candidates, temperature
@@ -471,7 +472,7 @@ def evaluate_whole_matrix(backbone, split, ds, ks=DEFAULT_KS, phase="test"):
         scores[rows[kept], pairs[kept, 1]] = -np.inf
 
     kmax = max(ks)
-    top = top_k(scores, kmax)
+    top = top_items_argsort(scores, kmax)
 
     rel_rows = row_of[relevant[:, 0]]
     rel_mask = np.zeros((len(users), ds.n_items_target), dtype=bool)

@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import crossfair.cli
 import crossfair.trainer as trainer_mod
 from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
 from crossfair.cli import CONFIG_SCHEMA, _read_labels, main, parse_config_file, resolve_config
-from crossfair.data import arrays_sha256, split_per_user
+from crossfair.data import SynthConfig, arrays_sha256, split_per_user
 from crossfair.errors import CrossfairError, UsageError
 
 from oracles import (SYNTH_KEYS, adam_step_add_at, lipschitz_sampled, read_state_bundle,
@@ -95,6 +96,29 @@ class TestSynthCommand:
         cfg.write_text("synth = true\nn_items_source = 4\nn_items_target = 4\n"
                        "interactions_per_user = 9\n", encoding="utf-8")
         assert run("--config", cfg, "--out", tmp_path / "x", "--quiet", "synth") == 2
+
+    def test_data_files_next_to_synthetic_settings_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("source_interactions = x\ntarget_interactions = y\nattributes = z\n"
+                       "n_users_target = 50\n", encoding="utf-8")
+        out = tmp_path / "data"
+        assert run("--config", cfg, "--out", out, "--quiet", "synth") == 1
+        assert capsys.readouterr().err == \
+            "error: specify either data files or synthetic settings, not both\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["seed = 5\n",
+                                      "seed = 5\nsource_interactions = x\nattributes = z\n"],
+                             ids=["no-data-keys", "data-files"])
+    def test_no_synthetic_setting_writes_default_dataset(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "data"
+        assert run("--config", cfg, "--out", out, "--quiet", "synth") == 0
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+        default = SynthConfig(rng_seed=5)
+        assert manifest[:len(fields(default))] == [
+            f"{f.name} = {getattr(default, f.name)}" for f in fields(default)]
 
 
 class TestTrainCommand:
@@ -824,6 +848,23 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert run("--config", cfg, "--out", out, "--quiet", *command) == 2
         assert capsys.readouterr().err == f"error: {key} must lie in [0, 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", "-1", "epochs must be >= 0"),
+        ("snapshot_every", "-1", "snapshot_every must be >= 0"),
+        ("patience", "0", "patience must be >= 1"),
+    ])
+    @pytest.mark.parametrize("command", [["train"], ["ablate"],
+                                         ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
+                             ids=["train", "ablate", "sweep"])
+    def test_epoch_counts_refused_before_outputs(self, tmp_path, capsys, command, key, value,
+                                                 message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", *command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["train"], ["ablate"],

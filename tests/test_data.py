@@ -187,14 +187,14 @@ class TestLoaderMessages:
     "a\tx\t1\nb\ty\t2\t\tq\nc\tz\t3\n",
 ], ids=["uniform", "ragged"])
 def test_columns_match_line_loop(tmp_path, body):
-    """Rows exactly as wide as the header, or a row wider than it: the
-    columns are the line loop's cells."""
+    """Rows exactly as wide as the header, or a row wider than it: each
+    column's ids gathered by code are the line loop's cells."""
     p = write(tmp_path / "x.tsv", "ts\tuser_id\titem_id\n" + body)
     table = data_mod.read_tsv(p)
     header, rows = read_tsv_rows_loop(p)
     for names in (["user_id", "item_id"], ["ts"], ["item_id", "ts", "user_id"]):
         want = [[cells[header.index(name)] for _, cells in rows] for name in names]
-        assert table.columns(names, "missing") == want
+        assert [[ids[c] for c in codes] for codes, ids in table.densify(names, "missing")] == want
 
 
 # Every separator str.splitlines honours, and cells built to collide: ids
@@ -522,7 +522,8 @@ class TestSynthetic:
     @pytest.mark.parametrize("cfg", SYNTH_REFERENCE_CASES)
     def test_top_items_match_argsort_reference(self, monkeypatch, cfg):
         got = generate_synthetic(cfg)
-        monkeypatch.setattr(data_mod, "top_k", top_items_argsort)
+        monkeypatch.setattr(data_mod, "_top_items",
+                            lambda scores, k: np.sort(top_items_argsort(scores, k), axis=1))
         want = generate_synthetic(cfg)
         assert got.sha256() == want.sha256()
         assert got.raw_ids == want.raw_ids
