@@ -16,15 +16,7 @@ from .sampler import GroupLossTracker, temperature
 from .gain import GainEstimator, GainReport, estimate_gain
 from .trainer import Adam, TrainConfig, TrainedModel, train
 from .metrics import EvaluationReport, evaluate, paired_ttest, ugf
-from .theory import (
-    BoundReport,
-    EmbeddingCloud,
-    deviation_bound,
-    lipschitz_estimate,
-    rademacher_estimate,
-    theorem1_bound,
-    wasserstein1,
-)
+from .theory import BoundReport, lipschitz_estimate, theorem1_bound, wasserstein1
 
 __version__ = "0.1.0"
 
@@ -33,7 +25,6 @@ __all__ = [
     "Backbone",
     "BoundReport",
     "CrossDomainDataset",
-    "EmbeddingCloud",
     "EvaluationReport",
     "GainEstimator",
     "GainReport",
@@ -42,7 +33,6 @@ __all__ = [
     "SynthConfig",
     "TrainConfig",
     "TrainedModel",
-    "deviation_bound",
     "estimate_gain",
     "evaluate",
     "generate_synthetic",
@@ -53,7 +43,6 @@ __all__ = [
     "load_interactions",
     "load_snapshot",
     "paired_ttest",
-    "rademacher_estimate",
     "save_snapshot",
     "split_per_user",
     "temperature",

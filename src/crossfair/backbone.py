@@ -29,14 +29,6 @@ INIT_STD = 0.1
 
 class Backbone:
     def __init__(self, ds: CrossDomainDataset, d: int, mode: str, seed: int):
-        n_slots = self._lay_out(ds, d, mode)
-        rng = make_rng(seed, "backbone-init")
-        self.user_pool = rng.normal(0.0, INIT_STD, size=(n_slots, d))
-        self.item_source = rng.normal(0.0, INIT_STD, size=(ds.n_items_source, d))
-        self.item_target = rng.normal(0.0, INIT_STD, size=(ds.n_items_target, d))
-
-    def _lay_out(self, ds: CrossDomainDataset, d: int, mode: str) -> int:
-        """Set the shape and the slot maps; returns the number of user slots."""
         if d < 1:
             raise DataError("embedding dimension must be >= 1")
         if mode not in ("shared", "dual"):
@@ -54,7 +46,11 @@ class Backbone:
         fresh = self.source_slot < 0
         n_fresh = int(fresh.sum())
         self.source_slot[fresh] = ds.n_users_target + np.arange(n_fresh)
-        return ds.n_users_target + n_fresh
+
+        rng = make_rng(seed, "backbone-init")
+        self.user_pool = rng.normal(0.0, INIT_STD, size=(ds.n_users_target + n_fresh, d))
+        self.item_source = rng.normal(0.0, INIT_STD, size=(ds.n_items_source, d))
+        self.item_target = rng.normal(0.0, INIT_STD, size=(ds.n_items_target, d))
 
     # -- views ---------------------------------------------------------------
 
@@ -99,27 +95,6 @@ class Backbone:
 def init(ds: CrossDomainDataset, d: int, mode: str, seed: int) -> Backbone:
     """Gaussian(0, 0.1) initialized backbone, deterministic under the seed."""
     return Backbone(ds, d, mode, seed)
-
-
-def restore(ds: CrossDomainDataset, snapshot: dict, d: int, mode: str) -> Backbone:
-    """Backbone holding a loaded snapshot's tables, each of which must have
-    the dataset's row count and ``d`` columns; draws no random numbers."""
-    for name, rows in (("user_emb_source", ds.n_users_source),
-                       ("user_emb_target", ds.n_users_target),
-                       ("item_emb_source", ds.n_items_source),
-                       ("item_emb_target", ds.n_items_target)):
-        if snapshot[name].shape != (rows, d):
-            raise DataError(
-                f"snapshot table {name} has shape {snapshot[name].shape} but the dataset "
-                f"needs {(rows, d)}: evaluate with the dataset the run was trained on"
-            )
-    bb = object.__new__(Backbone)
-    bb.user_pool = np.zeros((bb._lay_out(ds, d, mode), d))
-    bb.user_pool[bb.target_slot] = snapshot["user_emb_target"]
-    bb.user_pool[bb.source_slot] = snapshot["user_emb_source"]
-    bb.item_source = snapshot["item_emb_source"]
-    bb.item_target = snapshot["item_emb_target"]
-    return bb
 
 
 def save_snapshot(backbone: Backbone, path) -> str:

@@ -38,7 +38,7 @@ from .data import (
     write_interactions,
     write_tsv,
 )
-from .errors import CrossfairError, DataError, UsageError
+from .errors import CrossfairError, DataError, NumericalError, UsageError
 from .trainer import VARIANTS, TrainConfig, ablation_config, preflight, train, write_run_log
 
 @dataclass
@@ -343,7 +343,8 @@ def _run_and_report(ds, run_cfg: RunConfig, cfg: TrainConfig, split, out: Path, 
     arrays.update({f"est:{k}": v for k, v in model.estimator.parameters().items()})
     _write_optimizer_state(out / "optstate.bin", arrays)
     _write_sidecars(out, ds)
-    report = metrics_mod.evaluate(model.backbone, model.split, ds, ks=run_cfg.eval_ks)
+    report = metrics_mod.evaluate(model.backbone.user_emb_target(), model.backbone.item_target,
+                                  model.split, ds, ks=run_cfg.eval_ks)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     report.write_csv(out / "report.csv")
     _say(args, f"run complete: best epoch {model.best_epoch}, "
@@ -396,12 +397,22 @@ def cmd_eval(args) -> int:
     ds = run_cfg.dataset()
     run_dir = Path(args.run)
     state, snapshot = _read_run(run_dir / "state.json", run_dir / "snapshot.bin")
-    bb = backbone_mod.restore(ds, snapshot, state["embedding_dim"], state["sharing_mode"])
+    d = state["embedding_dim"]
+    for name, rows in (("user_emb_source", ds.n_users_source),
+                       ("user_emb_target", ds.n_users_target),
+                       ("item_emb_source", ds.n_items_source),
+                       ("item_emb_target", ds.n_items_target)):
+        if snapshot[name].shape != (rows, d):
+            raise DataError(
+                f"snapshot table {name} has shape {snapshot[name].shape} but the dataset "
+                f"needs {(rows, d)}: evaluate with the dataset the run was trained on"
+            )
     if state["dataset_sha256"] != ds.sha256():
         raise DataError("the dataset differs from the one the run was trained on "
                         "(dataset_sha256 mismatch): evaluate with that dataset")
     split = split_per_user(ds, state["seed"])
-    report = metrics_mod.evaluate(bb, split, ds, ks=ks)
+    report = metrics_mod.evaluate(snapshot["user_emb_target"], snapshot["item_emb_target"],
+                                  split, ds, ks=ks)
     out = _out_dir(args, "eval_out")
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     report.write_csv(out / "report.csv")
@@ -458,7 +469,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for value, cfg in points:
         model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode, split=split)
-        report = metrics_mod.evaluate(model.backbone, model.split, ds, ks=run_cfg.eval_ks)
+        report = metrics_mod.evaluate(model.backbone.user_emb_target(),
+                                      model.backbone.item_target, model.split, ds,
+                                      ks=run_cfg.eval_ks)
         rows.append([value, report.overall["recall@10"], report.overall["ndcg@10"],
                      report.ugf["recall@10"], report.ugf["ndcg@10"]])
         _say(args, f"{args.axis}={value}: recall@10 {report.overall['recall@10']:.4f}, "
@@ -506,7 +519,7 @@ def cmd_theory(args) -> int:
     else:
         state, snapshot = None, backbone_mod.load_snapshot(args.snapshot)[0]
     labels = _read_labels(args.attrs, args.overlap)
-    cloud = theory_mod.cloud_from_snapshot(snapshot, *labels)
+    points = theory_mod.cloud_from_snapshot(snapshot, *labels)
     if state is not None and state["labels_sha256"] != arrays_sha256(*labels):
         raise DataError("--attrs and --overlap differ from the labels the run was trained "
                         "with (labels_sha256 mismatch): use the run's groups.tsv and "
@@ -520,7 +533,7 @@ def cmd_theory(args) -> int:
         except ValueError:
             raise UsageError(f"--lf expects 'auto' or a number, got {args.lf!r}")
     bound = theory_mod.theorem1_bound(
-        cloud, l_o=args.lo, l_f=l_f, subsample_n=args.subsample,
+        *points, l_o=args.lo, l_f=l_f, subsample_n=args.subsample,
         repetitions=args.repetitions, seed=args.seed or 0,
         measured_ugf=args.measured_ugf, baseline_ugf=args.baseline_ugf,
     )
@@ -546,7 +559,11 @@ def main(argv=None) -> int:
             "sweep": cmd_sweep,
             "theory": cmd_theory,
         }[args.command]
-        return handler(args)
+        # an overflow or invalid value ends the command instead of warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return handler(args)
+    except FloatingPointError as exc:
+        error = NumericalError(f"numerical failure: {exc}")
     except OSError as exc:
         # every read turns its OSError into a DataError where it happens, so
         # this one comes from writing an output path

@@ -132,10 +132,12 @@ class EvaluationReport:
         write_csv(path, ["metric", "scope", "value"], rows)
 
 
-def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> EvaluationReport:
-    """Full-ranking evaluation over every user with relevant items in the
-    requested phase. During validation only training positives are excluded
-    from the candidate ranking; during test, validation positives too.
+def evaluate(user_emb, item_emb, split, ds, ks=DEFAULT_KS,
+             phase: str = "test") -> EvaluationReport:
+    """Full-ranking evaluation of the target user table ``user_emb`` against
+    the target item table ``item_emb``, over every user with relevant items
+    in the requested phase. During validation only training positives are
+    excluded from the candidate ranking; during test, validation positives too.
     """
     ks = tuple(sorted(ks))
     if phase == "val":
@@ -152,7 +154,7 @@ def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> Evaluat
 
     row_of = np.full(ds.n_users_target, -1, dtype=np.int64)
     row_of[users] = np.arange(len(users))
-    scores = backbone.user_target_vectors(users) @ backbone.item_target.T
+    scores = user_emb[users] @ item_emb.T
     for pairs in excluded:
         rows = row_of[pairs[:, 0]]
         kept = rows >= 0
@@ -197,4 +199,5 @@ def evaluate(backbone, split, ds, ks=DEFAULT_KS, phase: str = "test") -> Evaluat
 
 def quick_ndcg_at_10(backbone, split, ds) -> float:
     """Validation NDCG@10 used for early stopping."""
-    return evaluate(backbone, split, ds, ks=(10,), phase="val").overall["ndcg@10"]
+    return evaluate(backbone.user_emb_target(), backbone.item_target, split, ds,
+                    ks=(10,), phase="val").overall["ndcg@10"]

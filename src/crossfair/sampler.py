@@ -88,7 +88,11 @@ def temperature(alpha: float, epsilon: float) -> float:
     """Softmax temperature exp(-epsilon * alpha); 1 when epsilon is 0."""
     if epsilon < 0:
         raise DataError("epsilon must be >= 0")
-    return math.exp(-epsilon * alpha)
+    try:
+        return math.exp(-epsilon * alpha)
+    except OverflowError:
+        raise NumericalError(f"temperature exp(-epsilon * alpha) overflows at epsilon "
+                             f"{epsilon:g}, alpha {alpha:g}") from None
 
 
 class NegativePool:

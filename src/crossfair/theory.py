@@ -5,8 +5,7 @@ subsamples via minimum-cost perfect matching under the Euclidean ground
 metric. The target-domain group gap is bounded by the Lipschitz-scaled sum
 of the source group gap, four group-vs-domain shift terms, and twice the
 domain shift; a sufficient-condition check compares that bound against a
-supplied baseline gap. Uniform-convergence constants come from an empirical
-Rademacher complexity estimate over a finite probe function class.
+supplied baseline gap.
 """
 
 from __future__ import annotations
@@ -21,32 +20,6 @@ from .seeding import derive_seed, make_rng
 
 DEFAULT_SUBSAMPLE = 256
 DEFAULT_REPETITIONS = 8
-
-
-@dataclass
-class EmbeddingCloud:
-    """Labeled user-representation points: domain 's'/'t' and group 0/1."""
-
-    points: np.ndarray
-    domain: np.ndarray
-    group: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.domain = np.asarray(self.domain)
-        self.group = np.asarray(self.group, dtype=np.int64)
-        if len(self.points) != len(self.domain) or len(self.points) != len(self.group):
-            raise DataError("cloud labels must parallel the point set")
-        if not np.all(np.isfinite(self.points)):
-            raise DataError("cloud contains non-finite coordinates")
-
-    def select(self, domain=None, group=None) -> np.ndarray:
-        mask = np.ones(len(self.points), dtype=bool)
-        if domain is not None:
-            mask &= self.domain == domain
-        if group is not None:
-            mask &= self.group == group
-        return self.points[mask]
 
 
 def _matching_cost(a: np.ndarray, b: np.ndarray) -> float:
@@ -105,14 +78,23 @@ class BoundReport:
         return json_text(vars(self), indent=2)
 
 
-def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
-                   subsample_n: int = DEFAULT_SUBSAMPLE,
+def theorem1_bound(target, target_group, source, source_group, l_o: float = 1.0,
+                   l_f: float = 1.0, subsample_n: int = DEFAULT_SUBSAMPLE,
                    repetitions: int = DEFAULT_REPETITIONS, seed: int = 0,
                    measured_ugf: float | None = None,
                    baseline_ugf: float | None = None) -> BoundReport:
     """Assemble the upper bound L_o*L_f*(source group gap + four shift terms
     + 2*domain shift) from empirical transport distances, alongside the
-    directly-computed target group gap for the chain check."""
+    directly-computed target group gap for the chain check. ``target`` and
+    ``source`` hold each domain's points, one per row, and ``target_group``
+    and ``source_group`` the points' groups."""
+    full = {"t": np.asarray(target, dtype=np.float64), "s": np.asarray(source, dtype=np.float64)}
+    group = {"t": np.asarray(target_group, dtype=np.int64),
+             "s": np.asarray(source_group, dtype=np.int64)}
+    if any(len(full[dom]) != len(group[dom]) for dom in full):
+        raise DataError("cloud labels must parallel the point set")
+    if not all(np.all(np.isfinite(points)) for points in full.values()):
+        raise DataError("cloud contains non-finite coordinates")
     if not (0 < l_o < np.inf and 0 < l_f < np.inf):
         raise DataError("Lipschitz constants must be positive and finite")
     for name, value in (("measured_ugf", measured_ugf), ("baseline_ugf", baseline_ugf)):
@@ -121,11 +103,10 @@ def theorem1_bound(cloud: EmbeddingCloud, l_o: float = 1.0, l_f: float = 1.0,
     cells = {}
     for dom in ("s", "t"):
         for g in GROUPS:
-            cells[(dom, g)] = cloud.select(domain=dom, group=g)
+            cells[(dom, g)] = full[dom][group[dom] == g]
             if len(cells[(dom, g)]) == 0:
                 raise DataError(f"no users in cell (domain={dom}, group={g})")
-    full_s = cloud.select(domain="s")
-    full_t = cloud.select(domain="t")
+    full_s, full_t = full["s"], full["t"]
 
     def w1(a, b, tag):
         return wasserstein1(a, b, subsample_n, repetitions,
@@ -177,37 +158,6 @@ def probe_group_gap(points_a, points_b, n_projections: int = 64, seed: int = 0) 
     return float(gaps.max())
 
 
-def rademacher_estimate(sample_values, n_sign_draws: int = 200, seed: int = 0):
-    """Empirical Rademacher complexity of a finite function class given its
-    evaluations (one row per function, one column per sample point).
-
-    Returns (estimate, difference_class_estimate); the latter applies the
-    factor-2 closure bound for classes of pairwise differences. The
-    expectation over sign vectors is estimated from ``n_sign_draws`` draws.
-    """
-    values = np.atleast_2d(np.asarray(sample_values, dtype=np.float64))
-    n_funcs, n = values.shape
-    if n_funcs < 1 or n < 1:
-        raise DataError("need at least one function and one sample")
-    if n_sign_draws < 1:
-        raise DataError("n_sign_draws must be >= 1")
-    rng = make_rng(seed, "rademacher-signs")
-    signs = rng.choice([-1.0, 1.0], size=(n_sign_draws, n))
-    estimate = float((np.max(signs @ values.T, axis=1) / n).mean())
-    return estimate, 2.0 * estimate
-
-
-def deviation_bound(rademacher: float, b: float, n: int, delta: float) -> float:
-    """Uniform-convergence deviation: 2R + B*sqrt(log(2/delta) / (2n))."""
-    if b <= 0:
-        raise DataError("B must be positive")
-    if n < 1:
-        raise DataError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise DataError("delta must lie in (0, 1)")
-    return 2.0 * rademacher + b * np.sqrt(np.log(2.0 / delta) / (2.0 * n))
-
-
 def lipschitz_estimate(matrix) -> float:
     """Euclidean Lipschitz constant of the linear map z -> matrix @ z: the
     largest singular value of ``matrix``. An empty matrix gives 0; one with
@@ -219,8 +169,9 @@ def lipschitz_estimate(matrix) -> float:
 
 
 def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
-                        overlap_targets, overlap_sources) -> EmbeddingCloud:
-    """Build the labeled two-domain cloud used by the bound report.
+                        overlap_targets, overlap_sources) -> tuple:
+    """The bound report's labelled points: (target points, their groups,
+    source points, their groups), as ``theorem1_bound`` takes them.
 
     Target points are the listed target users' rows, with their groups;
     source points are the source-view rows of the overlapping (target,
@@ -252,8 +203,4 @@ def cloud_from_snapshot(snapshot: dict, target_ids, target_groups,
     listed = np.isin(o_t, t_ids)
     if not np.all(listed):
         raise DataError(f"overlap target user {o_t[~listed][0]} has no group attribute")
-    return EmbeddingCloud(
-        points=np.concatenate([emb_t[t_ids], emb_s[o_s]], axis=0),
-        domain=np.repeat(["t", "s"], [len(t_ids), len(o_t)]),
-        group=np.concatenate([groups, groups[np.searchsorted(t_ids, o_t)]]),
-    )
+    return emb_t[t_ids], groups, emb_s[o_s], groups[np.searchsorted(t_ids, o_t)]

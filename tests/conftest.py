@@ -61,6 +61,11 @@ def small_synth(seed=0, **overrides):
     return generate_synthetic(SynthConfig(**kwargs))
 
 
+def target_tables(backbone):
+    """The target user and item tables that ``metrics.evaluate`` ranks with."""
+    return backbone.user_emb_target(), backbone.item_target
+
+
 @pytest.fixture
 def synth_ds():
     return small_synth()

@@ -13,6 +13,10 @@ the per-sample definitions the batched trainer, sampler, gain heads,
 evaluator and bound code must agree with. ``lipschitz_sampled`` is the
 sampled pair search ``theory --lf auto`` used for L_f before it computed the
 spectral norm; the exact constant must bound every ratio it finds.
+``rademacher_estimate`` (Monte-Carlo over sign vectors) and
+``deviation_bound`` (the uniform-convergence deviation built on it) were
+library functions of ``crossfair.theory`` that no command called; they live
+here with the exhaustive enumeration they are checked against.
 
 ``plan_batch_masked`` and ``batch_objective_masked`` are the batch path the
 trainer had before a batch became one (users, pos, neg) triple per domain:
@@ -568,6 +572,37 @@ def rademacher_exhaustive(sample_values):
         total += np.max(values @ signs) / n
     estimate = total / (2 ** n)
     return float(estimate), float(2.0 * estimate)
+
+
+def rademacher_estimate(sample_values, n_sign_draws: int = 200, seed: int = 0):
+    """Empirical Rademacher complexity of a finite function class given its
+    evaluations (one row per function, one column per sample point).
+
+    Returns (estimate, difference_class_estimate); the latter applies the
+    factor-2 closure bound for classes of pairwise differences. The
+    expectation over sign vectors is estimated from ``n_sign_draws`` draws.
+    """
+    values = np.atleast_2d(np.asarray(sample_values, dtype=np.float64))
+    n_funcs, n = values.shape
+    if n_funcs < 1 or n < 1:
+        raise DataError("need at least one function and one sample")
+    if n_sign_draws < 1:
+        raise DataError("n_sign_draws must be >= 1")
+    rng = make_rng(seed, "rademacher-signs")
+    signs = rng.choice([-1.0, 1.0], size=(n_sign_draws, n))
+    estimate = float((np.max(signs @ values.T, axis=1) / n).mean())
+    return estimate, 2.0 * estimate
+
+
+def deviation_bound(rademacher: float, b: float, n: int, delta: float) -> float:
+    """Uniform-convergence deviation: 2R + B*sqrt(log(2/delta) / (2n))."""
+    if b <= 0:
+        raise DataError("B must be positive")
+    if n < 1:
+        raise DataError("n must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise DataError("delta must lie in (0, 1)")
+    return 2.0 * rademacher + b * np.sqrt(np.log(2.0 / delta) / (2.0 * n))
 
 
 def lipschitz_sampled(fn, points, n_pairs: int = 10000, seed: int = 0) -> float:

@@ -26,13 +26,14 @@ from crossfair.sampler import (
     temperature,
 )
 from crossfair.seeding import make_rng
-from crossfair.theory import rademacher_estimate, wasserstein1
+from crossfair.theory import wasserstein1
 from crossfair.trainer import Adam, TrainConfig, ablation_config, bpr_terms, train
 
-from conftest import micro_dataset
+from conftest import micro_dataset, target_tables
 from oracles import (
     bpr_loss,
     ndcg_at_k,
+    rademacher_estimate,
     rademacher_exhaustive,
     rank_items,
     recall_at_k,
@@ -80,7 +81,7 @@ def experiment_matrix():
         for variant in VARIANTS:
             cfg = ablation_config(disparity_train_config(seed), variant)
             model = train(ds, cfg, d=32, mode="shared")
-            report = evaluate(model.backbone, model.split, ds)
+            report = evaluate(*target_tables(model.backbone), model.split, ds)
             results[variant]["ugf"].append(report.ugf["recall@10"])
             results[variant]["recall"].append(report.overall["recall@10"])
     return {
@@ -193,7 +194,7 @@ class TestCriterion1UnitOracles:
                              [2.0, 0.0], [8.0, 0.0], [7.0, 0.0], [1.0, 0.0]]
         empty = np.empty((0, 2), dtype=np.int64)
         split = SplitDataset(empty, empty, empty, empty, np.array([[0, 3], [0, 7], [2, 1]]))
-        report = evaluate(bb, split, ds, ks=(3, 10))
+        report = evaluate(*target_tables(bb), split, ds, ks=(3, 10))
         ranked = rank_items(bb, 0)
         assert list(ranked) == [5, 6, 3, 0, 1, 2, 4, 7]
         assert report.per_user["recall@3"][0] == 0.5 == recall_at_k(ranked, {3, 7}, 3)
@@ -357,7 +358,7 @@ class TestCriterion7TheoryBounds:
     def test_chain_and_probe_relations(self):
         for seed in range(20):
             cloud = gaussian_cloud(seed)
-            report = theorem1_bound(cloud, l_o=1.0, l_f=1.0, subsample_n=40, seed=seed)
+            report = theorem1_bound(*cloud, l_o=1.0, l_f=1.0, subsample_n=40, seed=seed)
             scale = float(np.abs(cloud.points).std())
             slack = 0.05 * scale
             decomposition = (

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import crossfair
+import crossfair.backbone
 import crossfair.data
+import crossfair.metrics
 import crossfair.trainer
 from crossfair.cli import parse_config_file, resolve_config
 
@@ -77,6 +80,29 @@ def test_epoch_stats_fields_the_benchmark_reads(monkeypatch):
         assert stats is logged
         assert isinstance(stats.n_samples, int) and stats.n_samples > 0
         assert isinstance(stats.val_ndcg10, float) and 0.0 <= stats.val_ndcg10 <= 1.0
+
+
+def test_validation_ranking_passes_phase_by_keyword(monkeypatch):
+    # the tracer's metrics.test_rank wrapper reads ``phase`` from the keyword
+    # arguments, so a positional phase would count validation as test ranking
+    calls = []
+    inner = crossfair.metrics.evaluate
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(crossfair.metrics, "evaluate", recording)
+    ds = small_synth()
+    backbone = crossfair.backbone.init(ds, 4, "shared", seed=0)
+    crossfair.metrics.quick_ndcg_at_10(backbone, crossfair.data.split_per_user(ds, 0), ds)
+    assert len(calls) == 1
+    assert calls[0].get("phase") == "val"
+
+
+def test_package_exports_resolve():
+    missing = [name for name in crossfair.__all__ if not hasattr(crossfair, name)]
+    assert not missing, f"crossfair.__all__ names missing attributes: {missing}"
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))

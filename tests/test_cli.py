@@ -1029,3 +1029,18 @@ def test_readme_config_block_lists_every_key():
     block = text.split("### Config file", 1)[1].split("```")[1]
     documented = re.findall(r"(?:^|  )(\w+) = ", block, flags=re.M)
     assert sorted(documented) == sorted(CONFIG_KEYS)
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("key, value, message", [
+        ("epsilon", "1e6", "error: temperature exp(-epsilon * alpha) overflows at epsilon 1e+06"),
+        ("gamma", "1e300", "error: numerical failure: overflow encountered in multiply"),
+        ("l2_reg", "1e300", "error: numerical failure: overflow encountered in multiply"),
+        ("learning_rate", "1e300", "error: numerical failure: "),
+    ], ids=["epsilon", "gamma", "l2_reg", "learning_rate"])
+    def test_overflow_ends_with_one_error_line(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = {value}\n", encoding="utf-8")
+        assert run("--config", cfg, "--out", tmp_path / "out", "--quiet", "train") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1

@@ -18,8 +18,8 @@ N_USERS, N_ITEMS, D = 2000, 3000, 32
 
 def wide_arrays():
     """A split of 16 training, 2 validation and 2 test items per target
-    user, all distinct within a user, and a backbone view with random
-    vectors."""
+    user, all distinct within a user, and random target user and item
+    tables."""
     users = np.repeat(np.arange(N_USERS), 20)
     items = (users * 7 + np.tile(np.arange(20) * 151, N_USERS)) % N_ITEMS
     pairs = np.column_stack([users, items]).reshape(N_USERS, 20, 2)
@@ -34,8 +34,7 @@ def wide_arrays():
                          target_group=np.arange(N_USERS) % 2)
     rng = np.random.default_rng(0)
     user_vecs = rng.normal(size=(N_USERS, D))
-    backbone = SimpleNamespace(item_target=rng.normal(size=(N_ITEMS, D)),
-                               user_target_vectors=lambda u: user_vecs[u])
+    backbone = SimpleNamespace(item_target=rng.normal(size=(N_ITEMS, D)), user_target=user_vecs)
     return backbone, split, ds
 
 
@@ -44,7 +43,7 @@ def test_evaluate_peak_below_score_matrix_and_a_half():
     score_bytes = N_USERS * N_ITEMS * 8
     tracemalloc.start()
     try:
-        evaluate(backbone, split, ds, ks=(10, 20, 50))
+        evaluate(backbone.user_target, backbone.item_target, split, ds, ks=(10, 20, 50))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,7 +13,7 @@ from crossfair.errors import DataError
 from crossfair.metrics import evaluate, paired_ttest, rank_positions, ugf
 from crossfair.trainer import TrainConfig, train
 
-from conftest import small_synth
+from conftest import small_synth, target_tables
 from oracles import (evaluate_whole_matrix, ndcg_at_k, rank_items, recall_at_k,
                      top_items_argsort)
 
@@ -178,7 +178,7 @@ class TestEvaluate:
 
     def test_report_shapes_and_bounds(self):
         ds, model = self.trained()
-        report = evaluate(model.backbone, model.split, ds, ks=(10, 20))
+        report = evaluate(*target_tables(model.backbone), model.split, ds, ks=(10, 20))
         for name in report.metric_names():
             assert 0.0 <= report.overall[name] <= 1.0
             assert report.ugf[name] >= 0.0
@@ -188,13 +188,13 @@ class TestEvaluate:
 
     def test_determinism(self):
         ds, model = self.trained()
-        a = evaluate(model.backbone, model.split, ds).to_json()
-        b = evaluate(model.backbone, model.split, ds).to_json()
+        a = evaluate(*target_tables(model.backbone), model.split, ds).to_json()
+        b = evaluate(*target_tables(model.backbone), model.split, ds).to_json()
         assert a == b
 
     def test_matches_per_user_functions(self):
         ds, model = self.trained()
-        report = evaluate(model.backbone, model.split, ds, ks=(10,))
+        report = evaluate(*target_tables(model.backbone), model.split, ds, ks=(10,))
         users = report.per_user["users"]
         train_pos = {}
         for u, i in model.split.target_train:
@@ -219,14 +219,15 @@ class TestEvaluate:
         from crossfair.data import split_per_user
 
         ds = small_synth(n_items_target=12, interactions_per_user=10)
-        report = evaluate(init(ds, 8, "shared", seed=0), split_per_user(ds, 0), ds, ks=(5, 20))
+        report = evaluate(*target_tables(init(ds, 8, "shared", seed=0)), split_per_user(ds, 0), ds,
+                          ks=(5, 20))
         # every item is ranked inside the top 20, so each test positive is a hit
         assert report.overall["recall@20"] == 1.0
         assert 0.0 < report.overall["ndcg@20"] <= 1.0
 
     def test_csv_layout(self, tmp_path):
         ds, model = self.trained()
-        report = evaluate(model.backbone, model.split, ds, ks=(10, 20))
+        report = evaluate(*target_tables(model.backbone), model.split, ds, ks=(10, 20))
         path = tmp_path / "report.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
@@ -240,7 +241,7 @@ class TestBlocksMatchWholeMatrix:
 
     def check(self, monkeypatch, block, bb, split, ds, ks, phase):
         monkeypatch.setattr(metrics_mod, "RANK_BLOCK", block)
-        got = evaluate(bb, split, ds, ks=ks, phase=phase)
+        got = evaluate(*target_tables(bb), split, ds, ks=ks, phase=phase)
         want = evaluate_whole_matrix(bb, split, ds, ks=ks, phase=phase)
         assert got.to_json() == want.to_json()
         assert got.per_user.keys() == want.per_user.keys()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,17 +9,15 @@ from crossfair.data import G0, G1
 from crossfair.errors import DataError
 from crossfair.seeding import make_rng
 from crossfair.theory import (
-    EmbeddingCloud,
     cloud_from_snapshot,
-    deviation_bound,
     lipschitz_estimate,
     probe_group_gap,
-    rademacher_estimate,
     theorem1_bound,
     wasserstein1,
 )
 
-from oracles import lipschitz_sampled, rademacher_exhaustive, wasserstein1_exhaustive
+from oracles import (deviation_bound, lipschitz_sampled, rademacher_estimate,
+                     rademacher_exhaustive, wasserstein1_exhaustive)
 
 
 class TestWasserstein:
@@ -76,39 +75,51 @@ class TestWasserstein:
         assert abs(full - sub) < 0.2 * scale
 
 
+class Cloud(NamedTuple):
+    """Labelled points in the order ``theorem1_bound`` takes them."""
+
+    target: np.ndarray
+    target_group: np.ndarray
+    source: np.ndarray
+    source_group: np.ndarray
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.concatenate([self.source, self.target])
+
+
 def gaussian_cloud(seed, n_per_cell=40, d=4, group_shift=0.4, domain_shift=0.6):
     rng = make_rng(seed, "cloud")
-    points, domains, groups = [], [], []
+    points = {}
     for dom, dshift in (("s", 0.0), ("t", domain_shift)):
-        for g, gshift in ((G0, 0.0), (G1, group_shift)):
+        cells = []
+        for gshift in (0.0, group_shift):  # G0's cell, then G1's
             pts = rng.normal(0, 1, (n_per_cell, d))
             pts[:, 0] += dshift
             pts[:, 1] += gshift
-            points.append(pts)
-            domains += [dom] * n_per_cell
-            groups += [g] * n_per_cell
-    return EmbeddingCloud(
-        points=np.concatenate(points), domain=np.array(domains),
-        group=np.array(groups),
-    )
+            cells.append(pts)
+        points[dom] = np.concatenate(cells)
+    groups = np.repeat([G0, G1], n_per_cell)
+    return Cloud(points["t"], groups, points["s"], groups.copy())
+
+
+def identical_cloud():
+    """20 copies of one point in each domain, alternating between the groups."""
+    pts = np.tile(np.array([[1.0, 2.0]]), (20, 1))
+    return Cloud(pts, np.array([G0, G1] * 10), pts, np.array([G0, G1] * 10))
 
 
 class TestTheoremOneBound:
     def test_degenerate_all_identical(self):
-        pts = np.tile(np.array([[1.0, 2.0]]), (40, 1))
-        cloud = EmbeddingCloud(
-            points=pts,
-            domain=np.array(["s", "t"] * 20),
-            group=np.array([G0, G0, G1, G1] * 10),
-        )
-        report = theorem1_bound(cloud, l_o=1.0, l_f=1.0)
+        cloud = identical_cloud()
+        report = theorem1_bound(*cloud, l_o=1.0, l_f=1.0)
         assert report.rhs == pytest.approx(0.0, abs=1e-12)
         assert report.w1_target_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_chain_inequality_random_clouds(self):
         for seed in range(20):
             cloud = gaussian_cloud(seed)
-            report = theorem1_bound(cloud, l_o=1.0, l_f=1.0, subsample_n=40, seed=seed)
+            report = theorem1_bound(*cloud, l_o=1.0, l_f=1.0, subsample_n=40, seed=seed)
             scale = float(np.abs(cloud.points).std())
             slack = 0.05 * scale
             decomposition = (
@@ -121,32 +132,38 @@ class TestTheoremOneBound:
     def test_probe_gap_below_scaled_target_w1(self):
         for seed in range(20):
             cloud = gaussian_cloud(seed)
-            report = theorem1_bound(cloud, l_o=1.0, l_f=1.0, subsample_n=40, seed=seed)
+            report = theorem1_bound(*cloud, l_o=1.0, l_f=1.0, subsample_n=40, seed=seed)
             scale = float(np.abs(cloud.points).std())
             assert report.probe_gap_target <= report.w1_target_gap + 0.05 * scale
 
     def test_lf_scales_rhs_linearly(self):
         cloud = gaussian_cloud(1)
-        a = theorem1_bound(cloud, l_o=1.0, l_f=1.0, seed=1)
-        b = theorem1_bound(cloud, l_o=1.0, l_f=2.0, seed=1)
+        a = theorem1_bound(*cloud, l_o=1.0, l_f=1.0, seed=1)
+        b = theorem1_bound(*cloud, l_o=1.0, l_f=2.0, seed=1)
         assert b.rhs == pytest.approx(2.0 * a.rhs, rel=1e-12)
 
     def test_empty_cell_errors(self):
         cloud = gaussian_cloud(0)
-        cloud.group[cloud.domain == "s"] = G0
+        cloud.source_group[:] = G0
         with pytest.raises(DataError, match="cell"):
-            theorem1_bound(cloud)
+            theorem1_bound(*cloud)
+
+    def test_labels_and_coordinates_checked(self):
+        cloud = gaussian_cloud(0)
+        with pytest.raises(DataError, match="^cloud labels must parallel the point set$"):
+            theorem1_bound(cloud.target, cloud.target_group, cloud.source,
+                           cloud.source_group[1:])
+        cloud.target[3, 1] = np.nan
+        with pytest.raises(DataError, match="^cloud contains non-finite coordinates$"):
+            theorem1_bound(*cloud)
 
 
 class TestPreservation:
     def bound(self, cloud, baseline_ugf):
-        return theorem1_bound(cloud, subsample_n=40, seed=1, baseline_ugf=baseline_ugf)
+        return theorem1_bound(*cloud, subsample_n=40, seed=1, baseline_ugf=baseline_ugf)
 
     def test_zero_rhs_always_holds(self):
-        pts = np.tile(np.array([[1.0, 2.0]]), (40, 1))
-        cloud = EmbeddingCloud(points=pts, domain=np.array(["s", "t"] * 20),
-                               group=np.array([G0, G0, G1, G1] * 10))
-        report = self.bound(cloud, 0.5)
+        report = self.bound(identical_cloud(), 0.5)
         assert report.rhs == 0.0
         assert report.preserved and report.margin == 0.5
 
@@ -260,7 +277,7 @@ class TestCloudFromSnapshot:
         from crossfair.backbone import init, load_snapshot, save_snapshot
 
         bb = init(micro_ds, 4, "dual", seed=0)
-        cloud = cloud_from_snapshot(
+        target, _, source, _ = cloud_from_snapshot(
             {
                 "user_emb_target": bb.user_emb_target(),
                 "user_emb_source": bb.user_emb_source(),
@@ -268,10 +285,10 @@ class TestCloudFromSnapshot:
             np.arange(micro_ds.n_users_target), micro_ds.target_group,
             *micro_ds.overlap_arrays(),
         )
-        assert len(cloud.points) == micro_ds.n_users_target + 3
-        assert (cloud.domain == "t").sum() == micro_ds.n_users_target
+        assert len(target) + len(source) == micro_ds.n_users_target + 3
+        assert len(target) == micro_ds.n_users_target
         np.testing.assert_allclose(
-            cloud.select(domain="s"),
+            source,
             bb.user_emb_source()[[0, 1, 3]],
         )
 
