@@ -5,9 +5,11 @@ owns a single latent row used for both the source and target view (joint
 factorization); in ``dual`` mode the two domains keep independent user
 tables and overlap is exploited only by the gain machinery.
 
-Storage is a single user pool plus per-domain slot maps, so shared-mode
-aliasing is real: a gradient applied through either view moves the one
-underlying row.
+Storage is a single user pool: target user ``t`` owns row ``t``, and
+``source_slot`` maps each source user to its row, so shared-mode aliasing is
+real: a gradient applied through either view moves the one underlying row.
+``linked_row[t]`` is target user ``t``'s source-view row, or -1 for a user
+without a source identity.
 """
 
 from __future__ import annotations
@@ -36,40 +38,27 @@ class Backbone:
         self.mode = mode
         self.d = d
 
-        self.target_to_source = ds.target_to_source.copy()
-        self.target_slot = np.arange(ds.n_users_target, dtype=np.int64)
-        # Source users without a shared row get fresh slots after the target block.
+        t_ids = np.flatnonzero(ds.target_to_source >= 0)
+        s_ids = ds.target_to_source[t_ids]
         self.source_slot = np.full(ds.n_users_source, -1, dtype=np.int64)
         if mode == "shared":
-            t = np.flatnonzero(self.target_to_source >= 0)
-            self.source_slot[self.target_to_source[t]] = t
+            self.source_slot[s_ids] = t_ids
+        # Source users without a shared row get fresh slots after the target block.
         fresh = self.source_slot < 0
         n_fresh = int(fresh.sum())
         self.source_slot[fresh] = ds.n_users_target + np.arange(n_fresh)
+        self.linked_row = np.full(ds.n_users_target, -1, dtype=np.int64)
+        self.linked_row[t_ids] = self.source_slot[s_ids]
 
         rng = make_rng(seed, "backbone-init")
         self.user_pool = rng.normal(0.0, INIT_STD, size=(ds.n_users_target + n_fresh, d))
         self.item_source = rng.normal(0.0, INIT_STD, size=(ds.n_items_source, d))
         self.item_target = rng.normal(0.0, INIT_STD, size=(ds.n_items_target, d))
 
-    # -- views ---------------------------------------------------------------
-
-    def user_target_vectors(self, users) -> np.ndarray:
-        return self.user_pool[self.target_slot[np.asarray(users, dtype=np.int64)]]
-
-    def source_user_vectors(self, source_users) -> np.ndarray:
-        return self.user_pool[self.source_slot[np.asarray(source_users, dtype=np.int64)]]
-
-    def source_slots_of_targets(self, target_users) -> np.ndarray:
-        s = self.target_to_source[np.asarray(target_users, dtype=np.int64)]
-        if np.any(s < 0):
-            raise DataError("source view requested for a non-overlapping user")
-        return self.source_slot[s]
-
     # -- materialized tables ---------------------------------------------------
 
     def user_emb_target(self) -> np.ndarray:
-        return self.user_pool[self.target_slot]
+        return self.user_pool[:len(self.linked_row)].copy()
 
     def user_emb_source(self) -> np.ndarray:
         return self.user_pool[self.source_slot]

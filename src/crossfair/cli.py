@@ -13,6 +13,7 @@ import copy
 import json
 import struct
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import reduce
 from pathlib import Path
@@ -253,10 +254,16 @@ def _load_run_config(args) -> RunConfig:
     return resolve_config(parse_config_file(args.config) if args.config else {}, args.seed)
 
 
+def _mkdir(args, path: Path):
+    """``path.mkdir(parents=True)``, after noting in ``args.made`` each directory it makes."""
+    args.made += [p for p in (*reversed(path.parents), path) if not p.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+
+
 def _out_dir(args, default: str) -> Path:
     out = Path(args.out) if args.out else Path(default)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        _mkdir(args, out)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
@@ -439,7 +446,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant, cfg in cfgs.items():
         sub = out / variant
-        sub.mkdir(parents=True, exist_ok=True)
+        _mkdir(args, sub)
         _, report = _run_and_report(ds, run_cfg, cfg, split, sub, args)
         rows.append([VARIANTS[variant][0]] + _metric_row(report))
     write_csv(out / "ablation.csv", [
@@ -549,8 +556,10 @@ def cmd_theory(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    made = []  # directories this call made, outermost first
     try:
         args = parser.parse_args(argv)
+        args.made = made
         handler = {
             "synth": cmd_synth,
             "train": cmd_train,
@@ -570,6 +579,9 @@ def main(argv=None) -> int:
         error = UsageError(f"cannot write {exc.filename}: {exc.strerror}")
     except CrossfairError as exc:
         error = exc
+    for path in reversed(made):  # a failed command takes back each directory it made
+        with suppress(OSError):  # unless it holds a file the run wrote
+            path.rmdir()
     print(f"error: {error}", file=sys.stderr)
     return error.exit_code
 

@@ -138,18 +138,17 @@ def _gain_terms(backbone, estimator, users, items, groups, with_cache=False):
     entries with another kernel, so a forward over the distinct users could
     change a small batch's trained bits."""
     users = np.asarray(users, dtype=np.int64)
-    mask = backbone.target_to_source[users] >= 0
-    users, items = users[mask], np.asarray(items, dtype=np.int64)[mask]
-    u_t = backbone.user_target_vectors(users)
-    s_slots = backbone.source_slots_of_targets(users)
+    s_slots = backbone.linked_row[users]
+    mask = s_slots >= 0
+    users, items, s_slots = users[mask], np.asarray(items, dtype=np.int64)[mask], s_slots[mask]
+    u_t = backbone.user_pool[users]
     u_s = backbone.user_pool[s_slots]
     i_t = backbone.item_target[items]
     if with_cache:
         fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
     else:
-        distinct, slot = distinct_rows(users, len(backbone.target_to_source))
-        fused, _ = estimator.forward(
-            estimator_inputs(backbone, distinct, backbone.target_to_source[distinct]))
+        distinct, slot = distinct_rows(users, len(backbone.linked_row))
+        fused, _ = estimator.forward(estimator_inputs(backbone, distinct))
         fused, cache = fused[slot], None
     heads = {
         "users": users, "items": items, "u_t": u_t, "u_s": u_s, "i_t": i_t,
@@ -213,7 +212,7 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
     g_it = c_j[:, None] * fused + c_s[:, None] * u_s + c_t[:, None] * u_t
 
     grads = [
-        ("user_pool", backbone.target_slot[heads["users"]], g_ut),
+        ("user_pool", heads["users"], g_ut),
         ("user_pool", heads["s_slots"], g_us),
         ("item_target", heads["items"], g_it),
     ]
@@ -223,11 +222,12 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
 # -- estimator training --------------------------------------------------------
 
 
-def estimator_inputs(backbone, overlap_targets, overlap_sources) -> np.ndarray:
+def estimator_inputs(backbone, overlap_targets) -> np.ndarray:
     """The estimator's input rows, [target; source] user vectors, of the
-    overlapping users ``overlap_targets[k]`` / ``overlap_sources[k]``."""
-    return np.concatenate([backbone.user_target_vectors(overlap_targets),
-                           backbone.source_user_vectors(overlap_sources)], axis=1)
+    overlapping target users ``overlap_targets``."""
+    rows = np.asarray(overlap_targets, dtype=np.int64)
+    return np.concatenate([backbone.user_pool[rows],
+                           backbone.user_pool[backbone.linked_row[rows]]], axis=1)
 
 
 def estimator_step(estimator: GainEstimator, x_all: np.ndarray, y_all: np.ndarray,

@@ -32,7 +32,7 @@ def softplus(x):
 
 
 def softmax(logits, axis=-1):
-    """Max-subtracted softmax; rows of -inf logits receive zero mass."""
+    """Max-subtracted softmax; every row needs a finite logit (an all -inf row gives NaN)."""
     logits = np.asarray(logits, dtype=np.float64)
     m = np.max(logits, axis=axis, keepdims=True)
     z = np.exp(logits - m)

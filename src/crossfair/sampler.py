@@ -204,7 +204,7 @@ def batch_sample_negatives(backbone, pool: NegativePool, users: np.ndarray,
         j = (rng.random(len(users)) * counts).astype(np.int64)
         j = np.minimum(j, counts - 1)
         return items[np.arange(len(users)), j]
-    vecs = backbone.user_target_vectors(users)
+    vecs = backbone.user_pool[users]
     safe_items = np.maximum(items, 0)
     scores = np.einsum("bd,bkd->bk", vecs, backbone.item_target[safe_items])
     scores[items < 0] = -np.inf

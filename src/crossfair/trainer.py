@@ -217,23 +217,21 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, g
     grads = []
     rec_sum = 0.0
     rank_target = np.empty(0)
-    for domain, user_vectors, slot_of in (
-        ("target", backbone.user_target_vectors, backbone.target_slot),
-        ("source", backbone.source_user_vectors, backbone.source_slot),
-    ):
+    for domain in ("target", "source"):
         users, pos, neg = batch[domain]
         if len(users) == 0:
             continue  # an empty domain takes no Adam step
+        # a target user's pool row is its id
+        rows = users if domain == "target" else backbone.source_slot[users]
         item_name = f"item_{domain}"
         table = backbone.parameters()[item_name]
         loss, rank, g_u, g_i, g_j = bpr_terms(
-            user_vectors(users), table[pos], table[neg], cfg.l2_reg
+            backbone.user_pool[rows], table[pos], table[neg], cfg.l2_reg
         )
         rec_sum += float(loss.sum())
         if domain == "target":
             rank_target = rank
-        grads += [("user_pool", slot_of[users], g_u), (item_name, pos, g_i),
-                  (item_name, neg, g_j)]
+        grads += [("user_pool", rows, g_u), (item_name, pos, g_i), (item_name, neg, g_j)]
 
     # The recommendation part sums per-sample losses, so the squared gain gap
     # is weighted by the batch sample count to keep gamma on the scale of the
@@ -277,8 +275,8 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     started = time.perf_counter()
     groups_arr = ds.target_group
     if cfg.use_estimator_loss:
-        t_ids, s_ids = ds.overlap_arrays()
-        x_fit = estimator_inputs(backbone, t_ids, s_ids)
+        t_ids = ds.overlap_arrays()[0]
+        x_fit = estimator_inputs(backbone, t_ids)
 
     tgt_pairs = split.target_train
     src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
@@ -338,7 +336,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     est_loss = None
     if cfg.use_estimator_loss:
         with read_only(backbone.parameters().values()):
-            est_loss = estimator_step(estimator, x_fit, backbone.user_target_vectors(t_ids),
+            est_loss = estimator_step(estimator, x_fit, backbone.user_pool[t_ids],
                                       est_adam, est_rng, batch_size=cfg.batch_size)
 
     val_ndcg = metrics_mod.quick_ndcg_at_10(backbone, split, ds)

@@ -203,12 +203,12 @@ def bpr_loss(backbone, user, pos_item, neg_item, l2_reg=0.0, domain="target"):
     Returns (loss, grads) with grads keyed by (table, row).
     """
     if domain == "target":
-        u = backbone.user_target_vectors([user])
-        slot = backbone.target_slot[user]
+        u = backbone.user_pool[[user]]
+        slot = user
         table, item_name = backbone.item_target, "item_target"
     elif domain == "source":
-        u = backbone.source_user_vectors([user])
         slot = backbone.source_slot[user]
+        u = backbone.user_pool[[slot]]
         table, item_name = backbone.item_source, "item_source"
     else:
         raise DataError(f"unknown domain {domain!r}")
@@ -236,7 +236,7 @@ def batch_sample_negatives_flagged(backbone, pool, users, taus, size, rng, unifo
         j = (rng.random(len(users)) * counts).astype(np.int64)
         j = np.minimum(j, counts - 1)
         return items[np.arange(len(users)), j]
-    vecs = backbone.user_target_vectors(users)
+    vecs = backbone.user_pool[users]
     safe_items = np.maximum(items, 0)
     scores = np.einsum("bd,bkd->bk", vecs, backbone.item_target[safe_items])
     scores[items < 0] = -np.inf
@@ -290,7 +290,7 @@ def plan_batch_masked(backbone, pools, domains, users, pos, groups_arr, tracker,
             cfg.candidate_size, rng, uniform=True,
         )
 
-    overlap_tgt = tgt & (backbone.target_to_source[users] >= 0)
+    overlap_tgt = tgt & (backbone.linked_row[users] >= 0)
     plan = BatchPlan(
         domains=domains,
         users=users,
@@ -310,16 +310,16 @@ def batch_objective_masked(backbone, estimator, plan, cfg):
     grads = []
     rec_sum = 0.0
     rank_target = np.empty(int(tgt.sum()))
-    for mask, user_vectors, slot_of, item_name in (
-        (tgt, backbone.user_target_vectors, backbone.target_slot, "item_target"),
-        (~tgt, backbone.source_user_vectors, backbone.source_slot, "item_source"),
+    for mask, slot_of, item_name in (
+        (tgt, np.arange(len(backbone.linked_row)), "item_target"),
+        (~tgt, backbone.source_slot, "item_source"),
     ):
         if not np.any(mask):
             continue
         users, pos, neg = plan.users[mask], plan.pos[mask], plan.neg[mask]
         table = backbone.parameters()[item_name]
         loss, rank, g_u, g_i, g_j = bpr_terms(
-            user_vectors(users), table[pos], table[neg], cfg.l2_reg
+            backbone.user_pool[slot_of[users]], table[pos], table[neg], cfg.l2_reg
         )
         rec_sum += float(loss.sum())
         if item_name == "item_target":
@@ -369,7 +369,7 @@ def sampling_distribution(backbone, user, candidates, tau):
     candidates = np.asarray(candidates, dtype=np.int64)
     if candidates.size == 0:
         raise DataError("empty candidate set")
-    scores = backbone.item_target[candidates] @ backbone.user_target_vectors([user])[0]
+    scores = backbone.item_target[candidates] @ backbone.user_pool[user]
     return softmax(scores / tau)
 
 
@@ -393,7 +393,10 @@ def sample_negative(backbone, tracker, cfg, pool, user, group, rng):
 
 
 def _source_view(backbone, target_user):
-    return backbone.user_pool[backbone.source_slots_of_targets([target_user])[0]]
+    row = backbone.linked_row[target_user]
+    if row < 0:
+        raise DataError("source view requested for a non-overlapping user")
+    return backbone.user_pool[row]
 
 
 def prob_source(backbone, target_user, target_item):
@@ -403,13 +406,13 @@ def prob_source(backbone, target_user, target_item):
 
 
 def prob_target(backbone, target_user, target_item):
-    u = backbone.user_target_vectors([target_user])[0]
+    u = backbone.user_pool[target_user]
     return float(clamp_prob(sigmoid(float(u @ backbone.item_target[target_item]))))
 
 
 def prob_joint(backbone, estimator, target_user, target_item):
     """sigmoid(fused(target view, source view) . target item), dropout off."""
-    x = np.concatenate([backbone.user_target_vectors([target_user])[0],
+    x = np.concatenate([backbone.user_pool[target_user],
                         _source_view(backbone, target_user)])
     fused = estimator.forward(x)[0][0]
     return float(clamp_prob(sigmoid(float(fused @ backbone.item_target[target_item]))))
@@ -420,10 +423,10 @@ def gain_terms_per_sample(backbone, estimator, users, items, groups, with_cache=
     estimator once per distinct user: one forward row per overlapping-user
     sample, with its cache, whatever ``with_cache`` asks for."""
     users = np.asarray(users, dtype=np.int64)
-    mask = backbone.target_to_source[users] >= 0
+    mask = backbone.linked_row[users] >= 0
     users, items = users[mask], np.asarray(items, dtype=np.int64)[mask]
-    u_t = backbone.user_target_vectors(users)
-    s_slots = backbone.source_slots_of_targets(users)
+    u_t = backbone.user_pool[users]
+    s_slots = backbone.linked_row[users]
     u_s = backbone.user_pool[s_slots]
     i_t = backbone.item_target[items]
     fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
@@ -444,7 +447,7 @@ def gain_terms_per_sample(backbone, estimator, users, items, groups, with_cache=
 def rank_items(backbone, user, exclude=()):
     """All target items sorted by descending score, excluded ids dropped;
     ties break by ascending item id."""
-    scores = backbone.item_target @ backbone.user_target_vectors([user])[0]
+    scores = backbone.item_target @ backbone.user_pool[user]
     order = np.argsort(-scores, kind="stable")
     if len(exclude) == 0:
         return order
@@ -469,7 +472,7 @@ def evaluate_whole_matrix(backbone, split, ds, ks=DEFAULT_KS, phase="test"):
 
     row_of = np.full(ds.n_users_target, -1, dtype=np.int64)
     row_of[users] = np.arange(len(users))
-    scores = backbone.user_target_vectors(users) @ backbone.item_target.T
+    scores = backbone.user_pool[users] @ backbone.item_target.T
     for pairs in excluded:
         rows = row_of[pairs[:, 0]]
         kept = rows >= 0

@@ -120,7 +120,7 @@ class TestCriterion1UnitOracles:
     def test_softmax_distribution(self):
         ds = micro_dataset()
         bb = init(ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         for idx, s in enumerate([2.0, 1.0, 0.0]):
             bb.item_target[idx] = [s, 0.0]
         for tau in (0.5, 1.0, 2.0):
@@ -137,15 +137,15 @@ class TestCriterion1UnitOracles:
         bb.item_target[0] = bb.item_target[1]
         loss, _ = bpr_loss(bb, 0, 0, 1, l2_reg=0.0)
         assert abs(loss - math.log(2.0)) < 1e-9
-        u = bb.user_target_vectors([0])
+        u = bb.user_pool[[0]]
         shipped = bpr_terms(u, bb.item_target[[0]], bb.item_target[[1]], 0.0)[0]
         assert abs(shipped[0] - math.log(2.0)) < 1e-9
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         bb.item_target[0] = [10.0, 0.0]
         bb.item_target[1] = [0.0, 0.0]
         loss, _ = bpr_loss(bb, 0, 0, 1, l2_reg=0.0)
         assert abs(loss - math.log1p(math.exp(-10.0))) < 1e-9
-        u = bb.user_target_vectors([0])
+        u = bb.user_pool[[0]]
         shipped = bpr_terms(u, bb.item_target[[0]], bb.item_target[[1]], 0.0)[0]
         assert abs(shipped[0] - math.log1p(math.exp(-10.0))) < 1e-9
 
@@ -164,7 +164,7 @@ class TestCriterion1UnitOracles:
         bb = init(ds, 2, "dual", seed=0)
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
         bb.item_target[0] = [1.0, 0.0]
-        bb.user_pool[bb.target_slot[0]] = [0.0, 0.0]
+        bb.user_pool[0] = [0.0, 0.0]
         bb.user_pool[bb.source_slot[ds.target_to_source[0]]] = [math.log(0.6 / 0.4), 0.0]
         est.weights[0][:] = 0.0
         est.biases[0][:] = [1.0, 0.0]
@@ -189,7 +189,7 @@ class TestCriterion1UnitOracles:
         # 5, 6, 3, 0, 1, 2, 4, 7 and holds out items 3 and 7
         ds = micro_dataset()
         bb = init(ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         bb.item_target[:] = [[5.0, 0.0], [4.0, 0.0], [3.0, 0.0], [6.0, 0.0],
                              [2.0, 0.0], [8.0, 0.0], [7.0, 0.0], [1.0, 0.0]]
         empty = np.empty((0, 2), dtype=np.int64)
@@ -267,7 +267,7 @@ class TestCriterion3SamplerStats:
         scores = np.array([1.6, 0.8, 0.2, -0.4, -1.0, 0.5, 1.1, -0.2])
         ds = micro_dataset()
         bb = init(ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         for idx, s in enumerate(scores):
             bb.item_target[idx] = [s, 0.0]
         candidates = list(range(8))
@@ -297,6 +297,7 @@ class TestCriterion3SamplerStats:
 # -- criteria 4-6: directional experiments ---------------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion4DisparityTransfer:
     def test_cdr_transfers_disparity(self, experiment_matrix):
         plain = float(np.median(experiment_matrix["plain"]["ugf"]))
@@ -306,6 +307,7 @@ class TestCriterion4DisparityTransfer:
                f"target-only {target_only:.4f} (median over {len(SEEDS)} seeds)")
 
 
+@pytest.mark.slow
 class TestCriterion5Efficacy:
     def test_fairness_improves_accuracy_held(self, experiment_matrix):
         plain_ugf = float(np.median(experiment_matrix["plain"]["ugf"]))
@@ -324,6 +326,7 @@ class TestCriterion5Efficacy:
                f"recall change {100 * change:+.1f}%")
 
 
+@pytest.mark.slow
 class TestCriterion6AblationOrdering:
     def test_ordering(self, experiment_matrix):
         full = float(np.median(experiment_matrix["full"]["ugf"]))

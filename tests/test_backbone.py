@@ -6,16 +6,17 @@ import pytest
 from crossfair.backbone import init, load_snapshot, save_snapshot
 from crossfair.errors import DataError
 
-from conftest import micro_dataset
+from conftest import micro_dataset, small_synth
 from oracles import bpr_loss
 
 
 def target_view(bb, t):
-    return bb.user_target_vectors([t])[0]
+    return bb.user_pool[t]
 
 
 def source_view(bb, t):
-    return bb.user_pool[bb.source_slots_of_targets([t])[0]]
+    assert bb.linked_row[t] >= 0
+    return bb.user_pool[bb.linked_row[t]]
 
 
 def score(bb, user, item):
@@ -33,7 +34,7 @@ class TestInit:
         bb = init(micro_ds, 8, "shared", seed=0)
         for t, s in zip(*micro_ds.overlap_arrays()):
             assert np.array_equal(target_view(bb, t), source_view(bb, t))
-            assert bb.target_slot[t] == bb.source_slot[s]
+            assert t == bb.source_slot[s]
 
     def test_gaussian_init_moments(self):
         ds = micro_dataset()
@@ -41,35 +42,61 @@ class TestInit:
         ds.target_to_source = np.pad(ds.target_to_source, (0, 994), constant_values=-1)
         ds.target_group = np.arange(1000) % 2
         bb = init(ds, 64, "dual", seed=12)
-        vals = bb.user_pool[bb.target_slot].ravel()
+        vals = bb.user_pool[:ds.n_users_target].ravel()
         assert abs(vals.mean()) < 0.01
         assert abs(vals.std() - 0.1) < 0.01
+
+
+class TestRowLayout:
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    @pytest.mark.parametrize("make_ds", [micro_dataset, small_synth], ids=["micro", "synth"])
+    def test_target_user_owns_its_row(self, make_ds, mode):
+        ds = make_ds()
+        bb = init(ds, 4, mode, seed=1)
+        n = ds.n_users_target
+        linked = ds.target_to_source >= 0
+        assert bb.linked_row.shape == (n,)
+        np.testing.assert_array_equal(bb.linked_row[linked],
+                                      bb.source_slot[ds.target_to_source[linked]])
+        assert np.all(bb.linked_row[~linked] == -1)
+        if mode == "shared":
+            np.testing.assert_array_equal(bb.linked_row[linked], np.flatnonzero(linked))
+        else:
+            assert np.all(bb.linked_row[linked] >= n)
+        n_fresh = ds.n_users_source - (int(linked.sum()) if mode == "shared" else 0)
+        assert bb.user_pool.shape == (n + n_fresh, 4)
+        pool = bb.user_pool.copy()
+        table = bb.user_emb_target()
+        np.testing.assert_array_equal(table, pool[:n])
+        table += 1.0  # a copy: the pool does not move
+        np.testing.assert_array_equal(bb.user_pool, pool)
+        np.testing.assert_array_equal(bb.user_emb_source(), bb.user_pool[bb.source_slot])
 
 
 class TestScore:
     def test_orthogonal_zero(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         bb.item_target[0] = [0.0, 1.0]
         assert score(bb, 0, 0) == 0.0
 
     def test_hand_inner_product(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 2.0]
+        bb.user_pool[0] = [1.0, 2.0]
         bb.item_target[3] = [3.0, 4.0]
         assert score(bb, 0, 3) == pytest.approx(11.0, abs=1e-12)
 
     def test_self_inner_product_is_squared_norm(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
         v = np.array([0.5, -1.0, 2.0, 0.25])
-        bb.user_pool[bb.target_slot[1]] = v
+        bb.user_pool[1] = v
         bb.item_target[2] = v
         assert score(bb, 1, 2) == pytest.approx(float(v @ v), abs=1e-12)
 
     def test_bilinearity(self, micro_ds):
         bb = init(micro_ds, 6, "dual", seed=3)
         base = score(bb, 2, 4)
-        bb.user_pool[bb.target_slot[2]] *= 3.0
+        bb.user_pool[2] *= 3.0
         assert score(bb, 2, 4) == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -84,10 +111,9 @@ class TestViews:
         bb.user_pool[bb.source_slot[s]] += 1.0
         assert not np.allclose(target_view(bb, 2), source_view(bb, 2))
 
-    def test_non_overlap_source_view_errors(self, micro_ds):
+    def test_non_overlap_user_has_no_linked_row(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
-        with pytest.raises(DataError, match="non-overlapping user"):
-            source_view(bb, 1)
+        assert bb.linked_row[1] == -1
 
     def test_shared_aliasing_survives_value_updates(self, micro_ds):
         # perturb through the source view, observe the target view move identically

@@ -1044,3 +1044,39 @@ class TestNumericalFailure:
         assert run("--config", cfg, "--out", tmp_path / "out", "--quiet", "train") == 3
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["ablate"],
+        ["sweep", "--axis", "epsilon", "--values", "0.5,1"],
+    ], ids=["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("out", ["fresh", "a/b", "existing"])
+    def test_failed_command_takes_back_the_directories_it_made(self, tmp_path, capsys, argv,
+                                                               out):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(SYNTH_CFG + "gamma = 1e300\n", encoding="utf-8")
+        work = tmp_path / "work"
+        (work / "existing").mkdir(parents=True)
+        assert run("--config", cfg, "--out", work / out, "--quiet", *argv) == 3
+        err = capsys.readouterr().err
+        assert err == "error: numerical failure: overflow encountered in multiply\n"
+        # only an --out that existed before the command is left
+        assert sorted(p.name for p in work.rglob("*")) == ["existing"]
+
+    def test_failed_train_keeps_a_directory_holding_a_snapshot(self, tmp_path, capsys,
+                                                               monkeypatch):
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(SYNTH_CFG + "snapshot_every = 1\n", encoding="utf-8")
+        epoch = trainer_mod.train_epoch
+
+        def fail_second_epoch(*args, **kwargs):
+            stats = epoch(*args, **kwargs)
+            if stats.epoch == 1:
+                raise FloatingPointError("overflow encountered in multiply")
+            return stats
+
+        monkeypatch.setattr(trainer_mod, "train_epoch", fail_second_epoch)
+        out = tmp_path / "a" / "b"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["snapshot_epoch_0.bin"]

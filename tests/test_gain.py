@@ -30,20 +30,20 @@ def zeroed_estimator(d, hidden=(8, 4), seed=0):
 class TestProbHeads:
     def test_zero_score_half(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0, 0.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0, 0.0, 0.0]
         bb.item_target[1] = [0.0, 1.0, 0.0, 0.0]
         assert prob_target(bb, 0, 1) == pytest.approx(0.5, abs=1e-12)
         assert prob_source(bb, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_ln3_gives_three_quarters(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [math.log(3.0), 0.0]
+        bb.user_pool[0] = [math.log(3.0), 0.0]
         bb.item_target[2] = [1.0, 0.0]
         assert prob_target(bb, 0, 2) == pytest.approx(0.75, abs=1e-12)
 
     def test_large_score_clamped(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [40.0, 0.0]
+        bb.user_pool[0] = [40.0, 0.0]
         bb.item_target[2] = [1.0, 0.0]
         p = prob_target(bb, 0, 2)
         assert p == pytest.approx(1.0 - 1e-7, abs=1e-12)
@@ -51,7 +51,7 @@ class TestProbHeads:
 
     def test_sigma_11(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 2.0]
+        bb.user_pool[0] = [1.0, 2.0]
         bb.item_target[0] = [3.0, 4.0]
         assert prob_target(bb, 0, 0) == pytest.approx(0.999983298578152, abs=1e-12)
 
@@ -83,9 +83,9 @@ class TestJointHead:
     def test_hand_forward_pass(self, micro_ds):
         # d=2, one hidden layer of width 2, weights set by hand
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 2.0]  # overlap user 0
+        bb.user_pool[0] = [1.0, 2.0]  # overlap user 0
         s_slot = bb.source_slot[micro_ds.target_to_source[0]]
-        assert s_slot == bb.target_slot[0]  # shared mode aliases
+        assert s_slot == 0  # shared mode aliases
         bb.item_target[5] = [1.0, -1.0]
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
         est.weights[0] = np.array([[1.0, 0.0, 0.5, 0.0],
@@ -123,7 +123,7 @@ class TestEstimateGain:
         u = 0
         s = micro_ds.target_to_source[u]
         bb.item_target[0] = [1.0, 0.0]
-        bb.user_pool[bb.target_slot[u]] = [0.0, 0.0]  # p_t = 0.5
+        bb.user_pool[u] = [0.0, 0.0]  # p_t = 0.5
         logit_s = math.log(0.6 / 0.4)
         bb.user_pool[bb.source_slot[s]] = [logit_s, 0.0]  # p_s = 0.6
         logit_j = math.log(0.9 / 0.1)
@@ -172,7 +172,7 @@ class TestEstimateGain:
         est = GainEstimator(2, hidden=(2,), dropout=0.0, seed=0)
         users = micro_ds.overlap_arrays()[0].tolist()
         for u in users:
-            bb.user_pool[bb.target_slot[u]] = [0.0, 0.0]
+            bb.user_pool[u] = [0.0, 0.0]
             bb.user_pool[bb.source_slot[micro_ds.target_to_source[u]]] = [0.0, 0.0]
         bb.item_target[:] = 0.0
         bb.item_target[:, 0] = 1.0
@@ -291,12 +291,12 @@ class TestForwardOncePerUser:
             return forward(x, dropout_rng)
 
         def rows_of(users):
-            return np.concatenate([bb.user_target_vectors(users),
-                                   bb.user_pool[bb.source_slots_of_targets(users)]], axis=1)
+            return np.concatenate([bb.user_pool[users], bb.user_pool[bb.linked_row[users]]],
+                                  axis=1)
 
         monkeypatch.setattr(est, "forward", recording_forward)
         for name, (users, items, groups) in batches.items():
-            overlapping = users[bb.target_to_source[users] >= 0]
+            overlapping = users[bb.linked_row[users] >= 0]
             for fn, want in ((estimate_gain, rows_of(np.unique(overlapping))),
                              (redistribution_grads, rows_of(overlapping))):
                 seen.clear()
@@ -371,16 +371,16 @@ class TestEstimatorStep:
         t_ids, s_ids = ds.overlap_arrays()
         want = np.concatenate([bb.user_emb_target()[t_ids], bb.user_emb_source()[s_ids]],
                               axis=1)
-        assert np.array_equal(estimator_inputs(bb, t_ids, s_ids), want)
+        assert np.array_equal(estimator_inputs(bb, t_ids), want)
 
     def test_exact_fit_is_fixed_point(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
         est = zeroed_estimator(4, seed=0)  # outputs exactly 0
-        t_ids, s_ids = micro_ds.overlap_arrays()
+        t_ids, _ = micro_ds.overlap_arrays()
         live = np.zeros((len(t_ids), 4))  # target equals output
         adam = Adam(0.01)
         weights_before = [w.copy() for w in est.weights]
-        loss = estimator_step(est, estimator_inputs(bb, t_ids, s_ids), live, adam,
+        loss = estimator_step(est, estimator_inputs(bb, t_ids), live, adam,
                               make_rng(0, "do"))
         assert loss == pytest.approx(0.0, abs=1e-18)
         for w, before in zip(est.weights, weights_before):
@@ -390,8 +390,8 @@ class TestEstimatorStep:
         bb = init(micro_ds, 4, "shared", seed=1)
         est = GainEstimator(4, hidden=(16, 8), dropout=0.2, seed=1)
         live = make_rng(2, "live").normal(0, 0.1, bb.user_emb_target().shape)
-        t_ids, s_ids = micro_ds.overlap_arrays()
-        x, y = estimator_inputs(bb, t_ids, s_ids), live[t_ids]
+        t_ids, _ = micro_ds.overlap_arrays()
+        x, y = estimator_inputs(bb, t_ids), live[t_ids]
         adam = Adam(0.01)
         rng = make_rng(3, "do")
         first = estimator_step(est, x, y, adam, rng)
@@ -404,15 +404,15 @@ class TestEstimatorStep:
         bb = init(micro_ds, 4, "shared", seed=0)
         est = zeroed_estimator(4)
         with pytest.raises(DataError, match="overlap"):
-            estimator_step(est, estimator_inputs(bb, [], []), bb.user_target_vectors([]),
+            estimator_step(est, estimator_inputs(bb, []), bb.user_pool[:0],
                            Adam(0.01), make_rng(0, "do"))
 
     def test_backbone_untouched(self, micro_ds):
         bb = init(micro_ds, 4, "dual", seed=4)
         est = GainEstimator(4, hidden=(8,), dropout=0.2, seed=4)
-        t_ids, s_ids = micro_ds.overlap_arrays()
+        t_ids, _ = micro_ds.overlap_arrays()
         before = {name: arr.copy() for name, arr in bb.parameters().items()}
-        estimator_step(est, estimator_inputs(bb, t_ids, s_ids), bb.user_target_vectors(t_ids),
+        estimator_step(est, estimator_inputs(bb, t_ids), bb.user_pool[t_ids],
                        Adam(0.01), make_rng(5, "do"))
         for name, arr in bb.parameters().items():
             np.testing.assert_array_equal(arr, before[name])

@@ -21,7 +21,7 @@ from oracles import (evaluate_whole_matrix, ndcg_at_k, rank_items, recall_at_k,
 class TestRankItems:
     def scored_backbone(self, micro_ds, scores):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         bb.item_target[:] = 0.0
         for idx, s in enumerate(scores):
             bb.item_target[idx] = [s, 0.0]

@@ -332,7 +332,7 @@ class TestCandidateBands:
 class TestDistribution:
     def fixed_backbone(self, micro_ds, scores):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         for idx, s in enumerate(scores):
             bb.item_target[idx] = [s, 0.0]
         return bb
@@ -399,7 +399,7 @@ class TestSampleNegative:
 
     def test_draw_frequencies_match_distribution(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         for idx in range(8):
             bb.item_target[idx] = [idx * 0.4, 0.0]
         pool = make_pool(8, [], micro_ds.n_users_target)
@@ -411,10 +411,26 @@ class TestSampleNegative:
         expected = sampling_distribution(bb, 0, list(range(8)), tau=1.0)
         assert np.abs(counts - expected).sum() < 0.02
 
+    def test_fair_draws_skip_padding_of_a_short_candidate_row(self, micro_ds):
+        # 3 eligible items and 8 candidates: the row's five -1 pads score -inf
+        bb = init(micro_ds, 2, "shared", seed=0)
+        bb.user_pool[0] = [1.0, 0.0]
+        for idx in range(8):
+            bb.item_target[idx] = [idx * 0.4, 0.0]
+        pool = make_pool(8, [(0, i) for i in (0, 2, 3, 5, 6)], micro_ds.n_users_target)
+        eligible = [1, 4, 7]
+        users = np.zeros(100_000, dtype=np.int64)
+        taus = np.full(len(users), 0.7)
+        draws = batch_sample_negatives(bb, pool, users, taus, size=8, rng=make_rng(6, "pad"))
+        assert np.unique(draws).tolist() == eligible
+        counts = np.bincount(draws, minlength=8)[eligible] / len(users)
+        expected = sampling_distribution(bb, 0, eligible, tau=0.7)
+        assert np.abs(counts - expected).sum() < 0.02
+
     @pytest.mark.parametrize("fair", [False, True])
     def test_batch_draws_match_scalar_reference(self, micro_ds, fair):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         for idx in range(8):
             bb.item_target[idx] = [idx * 0.4, 0.0]
         pool = make_pool(8, [(0, 1), (0, 5)], micro_ds.n_users_target)
@@ -437,7 +453,7 @@ class TestSampleNegative:
     def test_disadvantaged_gets_harder_negatives(self, micro_ds):
         # tau < 1 puts at least as much mass on the top-scoring candidate
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         for idx in range(4):
             bb.item_target[idx] = [idx * 1.0, 0.0]
         p_base = sampling_distribution(bb, 0, [0, 1, 2, 3], tau=1.0)

@@ -39,7 +39,7 @@ class TestBprLoss:
 
     def test_large_gap_tiny_loss(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 0.0]
+        bb.user_pool[0] = [1.0, 0.0]
         bb.item_target[0] = [10.0, 0.0]
         bb.item_target[1] = [0.0, 0.0]
         loss, _ = bpr_loss(bb, 0, 0, 1, l2_reg=0.0)
@@ -47,7 +47,7 @@ class TestBprLoss:
 
     def test_l2_term(self, micro_ds):
         bb = init(micro_ds, 2, "shared", seed=0)
-        bb.user_pool[bb.target_slot[0]] = [1.0, 1.0]
+        bb.user_pool[0] = [1.0, 1.0]
         bb.item_target[0] = [2.0, 0.0]
         bb.item_target[1] = [0.0, 1.0]
         lam = 0.01
@@ -648,7 +648,7 @@ class TestTrainRuns:
         # overlap views stay independent storage in dual mode
         t = synth_ds.overlap_arrays()[0][0]
         s = synth_ds.target_to_source[t]
-        assert model.backbone.target_slot[t] != model.backbone.source_slot[s]
+        assert t != model.backbone.source_slot[s]
 
     def test_run_log_schema(self, synth_ds, tmp_path):
         model = train(synth_ds, run_config(epochs=2), d=8, mode="shared")
