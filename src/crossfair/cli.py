@@ -9,12 +9,11 @@ line flags override file values. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import struct
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -151,17 +150,6 @@ def _convert(key: str, value: str, kind: type):
         raise UsageError(f"{key}: expected {expected}, got {value!r}") from None
 
 
-def _set_key(cfg: RunConfig, key: str, value: str):
-    """Parse ``value`` by the declared type of config key ``key``, store it in
-    ``cfg`` and return it."""
-    if key not in CONFIG_SCHEMA:
-        raise UsageError(f"unknown config key {key!r}")
-    path, kind = CONFIG_SCHEMA[key]
-    parsed = _convert(key, value, kind)
-    setattr(reduce(getattr, path[:-1], cfg), path[-1], parsed)
-    return parsed
-
-
 def _check_cutoffs(ks: tuple, what: str):
     if not ks or min(ks) < 1:
         raise UsageError(f"{what}: expected positive cutoffs, got {ks!r}")
@@ -191,10 +179,14 @@ def resolve_config(values: dict, seed: int | None = None) -> RunConfig:
     cfg = RunConfig(synth=SynthConfig())
     synth_keys = []
     for key, value in values.items():
-        if key != "synth":
-            _set_key(cfg, key, value)
-            if CONFIG_SCHEMA[key][0][0] == "synth":
-                synth_keys.append(key)
+        if key == "synth":
+            continue
+        if key not in CONFIG_SCHEMA:
+            raise UsageError(f"unknown config key {key!r}")
+        path, kind = CONFIG_SCHEMA[key]
+        setattr(reduce(getattr, path[:-1], cfg), path[-1], _convert(key, value, kind))
+        if path[0] == "synth":
+            synth_keys.append(key)
     if synth_flag is False and synth_keys:
         raise UsageError(f"synth = false conflicts with synthetic setting {synth_keys[0]!r}")
     if not (synth_flag or synth_keys):
@@ -460,11 +452,11 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     run_cfg = _load_run_config(args).validate()
     _require_cutoffs(run_cfg.eval_ks, (10,), "sweep")
-    # every axis value is parsed and validated before the first run
+    # each value overrides TrainConfig as a variant does; all are checked before the first run
     points = []
     for text in args.values.split(","):
-        cfg = copy.deepcopy(run_cfg)
-        points.append((_set_key(cfg, args.axis, text), cfg.validate().train))
+        value = _convert(args.axis, text, CONFIG_SCHEMA[args.axis][1])
+        points.append((value, replace(run_cfg.train, **{args.axis: value}).validate()))
     if len({value for value, _ in points}) < len(points):
         raise UsageError(f"--values: expected distinct {args.axis} values, got {args.values}")
     ds = run_cfg.dataset()

@@ -145,7 +145,7 @@ def _gain_terms(backbone, estimator, users, items, groups, with_cache=False):
     u_s = backbone.user_pool[s_slots]
     i_t = backbone.item_target[items]
     if with_cache:
-        fused, cache = estimator.forward(np.concatenate([u_t, u_s], axis=1))
+        fused, cache = estimator.forward(estimator_inputs(backbone, users))
     else:
         distinct, slot = distinct_rows(users, len(backbone.linked_row))
         fused, _ = estimator.forward(estimator_inputs(backbone, distinct))
@@ -224,10 +224,12 @@ def redistribution_grads(backbone, estimator: GainEstimator, users, items, group
 
 def estimator_inputs(backbone, overlap_targets) -> np.ndarray:
     """The estimator's input rows, [target; source] user vectors, of the
-    overlapping target users ``overlap_targets``."""
+    overlapping target users ``overlap_targets``, refusing any other user."""
     rows = np.asarray(overlap_targets, dtype=np.int64)
-    return np.concatenate([backbone.user_pool[rows],
-                           backbone.user_pool[backbone.linked_row[rows]]], axis=1)
+    linked = backbone.linked_row[rows]
+    if (linked < 0).any():
+        raise DataError(f"target user {rows[linked < 0][0]} has no source identity")
+    return np.concatenate([backbone.user_pool[rows], backbone.user_pool[linked]], axis=1)
 
 
 def estimator_step(estimator: GainEstimator, x_all: np.ndarray, y_all: np.ndarray,

@@ -105,7 +105,6 @@ class NegativePool:
     """
 
     def __init__(self, n_items: int, train_pairs: np.ndarray, n_users: int):
-        self.n_items = n_items
         eligible = np.ones((n_users, n_items), dtype=bool)
         eligible[train_pairs[:, 0], train_pairs[:, 1]] = False
         self.lengths = eligible.sum(axis=1, dtype=np.int64)

@@ -86,8 +86,8 @@ class Adam:
     decay. Duplicate rows in a sparse gradient are summed first, matching
     the dense computation: one ``np.bincount`` adds each gradient row into
     its touched row in input order, the same additions, bit for bit, as
-    ``np.add.at`` on a zeroed buffer. Sparse rows must be integers in
-    ``[0, len(param))``.
+    ``np.add.at`` on a zeroed buffer. Rows must be integers in
+    ``[0, len(param))``; ``rows=None`` steps every row through that update.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -107,23 +107,17 @@ class Adam:
     def step(self, name: str, param: np.ndarray, grad: np.ndarray, rows=None):
         if name not in self.m:
             self.register(name, param.shape)
-        if rows is None:
-            if grad.shape != param.shape:
-                raise DataError(f"gradient shape {grad.shape} != parameter shape {param.shape}")
-            # every row, updated in place without a gather or scatter
-            rows = slice(None)
-        else:
-            rows = np.asarray(rows)
-            if rows.ndim != 1 or grad.shape != (len(rows),) + param.shape[1:]:
-                raise DataError("sparse gradient shape mismatch")
-            if len(rows) and (rows.dtype.kind not in "iu"
-                              or rows.min() < 0 or rows.max() >= len(param)):
-                raise DataError(f"sparse rows must be integers in [0, {len(param)})")
-            rows, inv = distinct_rows(rows.astype(np.int64, copy=False), len(param))
-            width = math.prod(param.shape[1:])
-            bins = (inv[:, None] * width + np.arange(width)).ravel()
-            grad = np.bincount(bins, weights=grad.ravel(), minlength=len(rows) * width)
-            grad = grad.reshape((len(rows),) + param.shape[1:])
+        rows = np.arange(len(param)) if rows is None else np.asarray(rows)
+        if rows.ndim != 1 or grad.shape != (len(rows),) + param.shape[1:]:
+            raise DataError(f"gradient shape {grad.shape} != {len(rows)} rows of {param.shape}")
+        if len(rows) and (rows.dtype.kind not in "iu"
+                          or rows.min() < 0 or rows.max() >= len(param)):
+            raise DataError(f"sparse rows must be integers in [0, {len(param)})")
+        rows, inv = distinct_rows(rows.astype(np.int64, copy=False), len(param))
+        width = math.prod(param.shape[1:])
+        bins = (inv[:, None] * width + np.arange(width)).ravel()
+        grad = np.bincount(bins, weights=grad.ravel(), minlength=len(rows) * width)
+        grad = grad.reshape((len(rows),) + param.shape[1:])
         self.t[name] += 1
         t = self.t[name]
         m, v = self.m[name], self.v[name]
@@ -301,7 +295,6 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
 
     sum_rec = 0.0
     sum_penalty = 0.0
-    sum_total = 0.0
     fair_draws = 0
     with read_only(estimator.parameters().values()):
         for lo in range(0, n, cfg.batch_size):
@@ -319,7 +312,6 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
                 raise NumericalError(f"non-finite batch loss at epoch {epoch}")
             sum_rec += rec
             sum_penalty += penalty
-            sum_total += total
 
             tracker.accumulate_many(groups_arr[batch["target"][0]], rank_target)
             params = backbone.parameters()
@@ -342,7 +334,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     val_ndcg = metrics_mod.quick_ndcg_at_10(backbone, split, ds)
     return EpochStats(
         epoch=epoch,
-        loss_total=sum_total,
+        loss_total=sum_rec + cfg.gamma * sum_penalty,
         loss_rec=sum_rec,
         loss_redist=sum_penalty,
         ema_g0=emas[G0],

@@ -151,6 +151,15 @@ class TestTrainCommand:
                      "report.json", "report.csv", "state.json", "optstate.bin"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_run_log_total_is_rec_plus_gamma_redist(self, tmp_path, cfg_file, seed):
+        out = tmp_path / "run"
+        assert run("--config", cfg_file, "--seed", seed, "--out", out, "--quiet", "train") == 0
+        records = [json.loads(line) for line in (out / "runlog.jsonl").read_text().splitlines()]
+        assert len(records) == 3
+        for record in records:  # gamma = 0.5
+            assert record["loss_total"] == record["loss_rec"] + 0.5 * record["loss_redist"]
+
     def test_epoch_snapshots_when_configured(self, tmp_path, cfg_file):
         cfg = tmp_path / "snap.cfg"
         cfg.write_text(SYNTH_CFG + "snapshot_every = 1\n", encoding="utf-8")
@@ -312,7 +321,12 @@ class TestEvalCommand:
     ("state.json", b"{}", "{path}: run state must hold an integer embedding_dim and seed "
                           "and a sharing_mode"),
     ("snapshot.bin", b"CDFA\x01\x00", "{path}: truncated snapshot"),
-], ids=["malformed-state", "empty-state", "cut-snapshot"])
+    ("snapshot.bin", SNAPSHOT_MAGIC + struct.pack("<IQI", 1, 40, 8),
+     "{path}: truncated snapshot"),
+    ("snapshot.bin", SNAPSHOT_MAGIC + struct.pack("<I", 9),
+     "{path}: unsupported snapshot version 9"),
+], ids=["malformed-state", "empty-state", "cut-snapshot", "snapshot-cut-to-20-bytes",
+        "snapshot-version-9"])
 def test_eval_on_broken_run_is_data_error(tmp_path, cfg_file, theory_run, capsys,
                                           name, content, message):
     run_dir = tmp_path / "run"
@@ -407,6 +421,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("axis, values, message", [
         ("candidate_size", "4,0", "candidate_size must be >= 1"),
         ("epsilon", "1,nan", "epsilon must be finite, got nan"),
+        ("epsilon", "1,-1", "epsilon must be >= 0"),
         ("gamma", "0.5,-1", "l2_reg and gamma must be >= 0"),
     ])
     def test_bad_axis_value_refused_before_training(self, tmp_path, cfg_file, capsys,
@@ -593,6 +608,12 @@ class TestTheoryInputErrors:
         out = tmp_path / "theory"
         code = self.theory(theory_run, out, flag, value)
         self.assert_refused(capsys, out, code, "Lipschitz constants must be positive and finite")
+
+    def test_lf_neither_auto_nor_number(self, tmp_path, theory_run, capsys):
+        out = tmp_path / "theory"
+        assert self.theory(theory_run, out, "--lf", "x") == 1
+        assert capsys.readouterr().err == "error: --lf expects 'auto' or a number, got 'x'\n"
+        assert not out.exists()
 
     def test_non_finite_probe_row(self, tmp_path, theory_run, capsys):
         tables, _ = load_snapshot(theory_run / "snapshot.bin")
@@ -854,6 +875,7 @@ class TestUsageErrors:
         ("epochs", "-1", "epochs must be >= 0"),
         ("snapshot_every", "-1", "snapshot_every must be >= 0"),
         ("patience", "0", "patience must be >= 1"),
+        ("batch_size", "0", "batch_size must be >= 1"),
     ])
     @pytest.mark.parametrize("command", [["train"], ["ablate"],
                                          ["sweep", "--axis", "gamma", "--values", "0,0.5"]],
@@ -939,6 +961,60 @@ class TestUsageErrors:
             "error: the split has no target validation positives in group 1 (B): a user of "
             "that group needs at least 10 interactions for a validation or test positive\n")
         assert epochs == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (SYNTH_CFG + "sharing_mode = bogus\n", "unknown sharing_mode 'bogus'"),
+        (None, "cannot read config {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
+    ], ids=["sharing-mode", "unreadable-config"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("latent_dim", "0", "all synthetic counts must be positive"),
+        ("overlap_fraction", "1.5", "overlap_fraction must lie in [0, 1]"),
+        ("group_split", "1", "group_split must lie in (0, 1)"),
+        ("source_disparity", "0.5", "source_disparity must be >= 1"),
+        ("domain_shift", "2", "domain_shift must lie in [0, 1]"),
+        ("source_density_ratio", "0", "source_density_ratio must be >= 1"),
+        ("interactions_per_user", "41", "interactions_per_user exceeds the item count"),
+        ("source_density_ratio", "5", "interactions_per_user exceeds the item count"),
+        ("overlap_fraction", "1", "overlap_fraction implies more overlapping users than "
+                                  "source users"),
+    ], ids=["count", "overlap", "group-split", "disparity", "shift", "density",
+            "target-items", "source-items", "overlap-users"])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_bad_synthetic_setting_refused_before_outputs(self, tmp_path, capsys, command,
+                                                          key, value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SYNTH_CFG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", command) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_source_user_without_negatives_refused(self, tmp_path, cfg_file, capsys):
+        # source user u0 holds all 4 source items, so no negative can be drawn for it
+        data = tmp_path / "data"
+        assert run("--config", cfg_file, "--out", data, "--quiet", "synth") == 0
+        (data / "interactions_source.tsv").write_text(
+            "user_id\titem_id\n" + "".join(f"u0\tsi{i}\n" for i in range(4))
+            + "u1\tsi0\nu2\tsi1\n", encoding="utf-8")
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(f"source_interactions = {data / 'interactions_source.tsv'}\n"
+                       f"target_interactions = {data / 'interactions_target.tsv'}\n"
+                       f"attributes = {data / 'attributes.tsv'}\n"
+                       "embedding_dim = 8\nepochs = 2\nbatch_size = 128\nseed = 3\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 2
+        assert capsys.readouterr().err == "error: user 0 has no eligible negative items\n"
         assert not out.exists()
 
     def test_synth_false_with_synthetic_key_is_usage_error(self, tmp_path, capsys):

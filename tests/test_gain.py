@@ -373,6 +373,13 @@ class TestEstimatorStep:
                               axis=1)
         assert np.array_equal(estimator_inputs(bb, t_ids), want)
 
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_user_without_source_identity_refused(self, micro_ds, mode):
+        bb = init(micro_ds, 4, mode, seed=0)
+        assert bb.linked_row[1] == -1 and bb.linked_row[0] >= 0
+        with pytest.raises(DataError, match="^target user 1 has no source identity$"):
+            estimator_inputs(bb, [0, 1, 3])
+
     def test_exact_fit_is_fixed_point(self, micro_ds):
         bb = init(micro_ds, 4, "shared", seed=0)
         est = zeroed_estimator(4, seed=0)  # outputs exactly 0

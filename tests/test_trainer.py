@@ -650,6 +650,19 @@ class TestTrainRuns:
         s = synth_ds.target_to_source[t]
         assert t != model.backbone.source_slot[s]
 
+    def test_early_stopping_keeps_the_best_epoch(self, synth_ds, monkeypatch):
+        scores = iter([0.1, 0.3, 0.2, 0.25])
+        monkeypatch.setattr(metrics_mod, "quick_ndcg_at_10",
+                            lambda backbone, split, ds: next(scores))
+        model = train(synth_ds, run_config(epochs=10, patience=2), d=8, mode="shared")
+        # two epochs without a gain on epoch 1's 0.3 end the run after epoch 3
+        assert [s.epoch for s in model.log] == [0, 1, 2, 3]
+        assert model.best_epoch == 1 and model.best_val_ndcg10 == 0.3
+        monkeypatch.undo()
+        two = train(synth_ds, run_config(epochs=2), d=8, mode="shared")
+        for name, table in model.backbone.parameters().items():
+            assert np.array_equal(table, two.final_backbone.parameters()[name]), name
+
     def test_run_log_schema(self, synth_ds, tmp_path):
         model = train(synth_ds, run_config(epochs=2), d=8, mode="shared")
         path = tmp_path / "runlog.jsonl"
