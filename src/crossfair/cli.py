@@ -346,9 +346,9 @@ def _run_and_report(ds, run_cfg: RunConfig, cfg: TrainConfig, split, out: Path, 
                                   model.split, ds, ks=run_cfg.eval_ks)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     report.write_csv(out / "report.csv")
-    _say(args, f"run complete: best epoch {model.best_epoch}, "
+    _say(args, f"run {out} complete: best epoch {model.best_epoch}, "
                f"{_summary(report, run_cfg.eval_ks)}")
-    return model, report
+    return report
 
 
 def cmd_train(args) -> int:
@@ -419,33 +419,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _metric_row(report) -> list:
-    names = ("recall@10", "recall@20", "ndcg@10", "ndcg@20")
-    return [report.overall[name] for name in names] + [report.ugf[name] for name in names]
+def _run_all(args, run_cfg: RunConfig, runs: dict, column: str, names: tuple,
+             csv_name: str) -> Path:
+    """Train each ``name: (label, TrainConfig)`` of ``runs`` into ``--out/<name>/``
+    once every config has passed ``preflight``, then write ``csv_name`` with one
+    row per run: its label, its test ``names`` and their group gaps."""
+    ds = run_cfg.dataset()
+    # no variant or sweep axis is the seed, so every run trains on one split
+    split = split_per_user(ds, run_cfg.train.seed)
+    for _, cfg in runs.values():
+        preflight(ds, cfg, split)
+    out = _out_dir(args, f"{args.command}_out")
+    rows = []
+    for name, (label, cfg) in runs.items():
+        _mkdir(args, out / name)
+        report = _run_and_report(ds, run_cfg, cfg, split, out / name, args)
+        rows.append([label] + [report.overall[m] for m in names] + [report.ugf[m] for m in names])
+    write_csv(out / csv_name, [column, *names, *(f"ugf_{m}" for m in names)], rows)
+    return out / csv_name
 
 
 def cmd_ablate(args) -> int:
     run_cfg = _load_run_config(args).validate()
     _require_cutoffs(run_cfg.eval_ks, (10, 20), "ablate")
-    ds = run_cfg.dataset()
-    cfgs = {variant: ablation_config(run_cfg.train, variant)
+    runs = {variant: (label, ablation_config(run_cfg.train, variant))
             for variant, (label, _) in VARIANTS.items() if label is not None}
-    # no variant overrides the seed, so every variant trains on one split
-    split = split_per_user(ds, run_cfg.train.seed)
-    for cfg in cfgs.values():
-        preflight(ds, cfg, split)
-    out = _out_dir(args, "ablate_out")
-    rows = []
-    for variant, cfg in cfgs.items():
-        sub = out / variant
-        _mkdir(args, sub)
-        _, report = _run_and_report(ds, run_cfg, cfg, split, sub, args)
-        rows.append([VARIANTS[variant][0]] + _metric_row(report))
-    write_csv(out / "ablation.csv", [
-        "variant", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
-        "ugf_recall@10", "ugf_recall@20", "ugf_ndcg@10", "ugf_ndcg@20",
-    ], rows)
-    _say(args, f"wrote {out / 'ablation.csv'}")
+    table = _run_all(args, run_cfg, runs, "variant",
+                     ("recall@10", "recall@20", "ndcg@10", "ndcg@20"), "ablation.csv")
+    _say(args, f"wrote {table}")
     return 0
 
 
@@ -453,30 +454,15 @@ def cmd_sweep(args) -> int:
     run_cfg = _load_run_config(args).validate()
     _require_cutoffs(run_cfg.eval_ks, (10,), "sweep")
     # each value overrides TrainConfig as a variant does; all are checked before the first run
+    # and compared as parsed, since "-0" repeats "0" under a directory name of its own
     points = []
     for text in args.values.split(","):
         value = _convert(args.axis, text, CONFIG_SCHEMA[args.axis][1])
         points.append((value, replace(run_cfg.train, **{args.axis: value}).validate()))
     if len({value for value, _ in points}) < len(points):
         raise UsageError(f"--values: expected distinct {args.axis} values, got {args.values}")
-    ds = run_cfg.dataset()
-    # no sweep axis is the seed, so every point trains on one split
-    split = split_per_user(ds, run_cfg.train.seed)
-    for _, cfg in points:
-        preflight(ds, cfg, split)
-    out = _out_dir(args, "sweep_out")
-    rows = []
-    for value, cfg in points:
-        model = train(ds, cfg, d=run_cfg.embedding_dim, mode=run_cfg.sharing_mode, split=split)
-        report = metrics_mod.evaluate(model.backbone.user_emb_target(),
-                                      model.backbone.item_target, model.split, ds,
-                                      ks=run_cfg.eval_ks)
-        rows.append([value, report.overall["recall@10"], report.overall["ndcg@10"],
-                     report.ugf["recall@10"], report.ugf["ndcg@10"]])
-        _say(args, f"{args.axis}={value}: recall@10 {report.overall['recall@10']:.4f}, "
-                   f"ugf {report.ugf['recall@10']:.4f}")
-    write_csv(out / "sweep.csv",
-              [args.axis, "recall@10", "ndcg@10", "ugf_recall@10", "ugf_ndcg@10"], rows)
+    _run_all(args, run_cfg, {f"{args.axis}={value}": (value, cfg) for value, cfg in points},
+             args.axis, ("recall@10", "ndcg@10"), "sweep.csv")
     return 0
 
 

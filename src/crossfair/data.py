@@ -304,6 +304,9 @@ class CrossDomainDataset:
             )
         if not (np.any(groups == G0) and np.any(groups == G1)):
             raise DataError("expected exactly two distinct group labels among target users")
+        if len(self.group_labels) != 2 or not self.group_labels[0] < self.group_labels[1]:
+            raise DataError(f"group labels must be two distinct names in ascending order, "
+                            f"got {list(map(str, self.group_labels))}")
         return self
 
     def group_array(self) -> np.ndarray:

@@ -46,6 +46,14 @@ class TestInit:
         assert abs(vals.mean()) < 0.01
         assert abs(vals.std() - 0.1) < 0.01
 
+    @pytest.mark.parametrize("d, mode, message", [
+        (0, "shared", "^embedding dimension must be >= 1$"),
+        (4, "mirror", "^unknown sharing mode 'mirror'$"),
+    ], ids=["zero-dim", "unknown-mode"])
+    def test_bad_shape_refused(self, micro_ds, d, mode, message):
+        with pytest.raises(DataError, match=message):
+            init(micro_ds, d, mode, seed=0)
+
 
 class TestRowLayout:
     @pytest.mark.parametrize("mode", ["shared", "dual"])

@@ -5,7 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import crossfair.cli
 import crossfair.trainer as trainer_mod
 from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
-from crossfair.cli import CONFIG_SCHEMA, _read_labels, main, parse_config_file, resolve_config
+from crossfair.cli import (CONFIG_SCHEMA, _read_labels, _schema, main, parse_config_file,
+                           resolve_config)
 from crossfair.data import SynthConfig, arrays_sha256, split_per_user
 from crossfair.errors import CrossfairError, UsageError
 
@@ -61,6 +62,14 @@ def cfg_file(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_same_files(got: Path, want: Path):
+    """``got`` holds the files of ``want``, byte for byte, and no others."""
+    names = sorted(p.name for p in want.iterdir())
+    assert sorted(p.name for p in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 def write_tables(path, tables):
@@ -361,6 +370,21 @@ class TestAblateCommand:
         )
         assert not out.exists()
 
+    def test_variant_directory_is_a_train_run(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "ablate"
+        capsys.readouterr()
+        assert run("--config", cfg_file, "--out", out, "ablate") == 0
+        lines = capsys.readouterr().out.splitlines()
+        variants = ["full", "no_alpha", "no_fair_sampling", "no_redistribution",
+                    "no_estimator_loss"]
+        assert [line.split(": best epoch ")[0] for line in lines[:-1]] == [
+            f"run {out / variant} complete" for variant in variants]
+        assert lines[-1] == f"wrote {out / 'ablation.csv'}"
+        single = tmp_path / "single"
+        assert run("--config", cfg_file, "--out", single, "--quiet", "train",
+                   "--ablate", "no_alpha") == 0
+        assert_same_files(out / "no_alpha", single)
+
 
 def count_splits(monkeypatch):
     """Count the calls of ``split_per_user`` from the CLI and the trainer."""
@@ -406,6 +430,35 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
         assert lines[0].split(",")[0] == "candidate_size"
+
+    def test_each_point_is_a_train_run(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run("--config", cfg_file, "--out", out, "sweep", "--axis", "gamma",
+                   "--values", "0,0.5") == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = ["gamma=0.0", "gamma=0.5"]
+        assert sorted(p.name for p in out.iterdir()) == [*names, "sweep.csv"]
+        assert [line.split(": best epoch ")[0] for line in lines] == [
+            f"run {out / name} complete" for name in names]
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        for text, name, row in zip(("0", "0.5"), names, rows):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(SYNTH_CFG + f"gamma = {text}\n", encoding="utf-8")
+            single = tmp_path / f"train-{name}"
+            assert run("--config", cfg, "--out", single, "--quiet", "train") == 0
+            assert_same_files(out / name, single)
+            report = json.loads((single / "report.json").read_text())
+            assert row == [name.split("=")[1], repr(report["overall"]["recall@10"]),
+                           repr(report["overall"]["ndcg@10"]),
+                           repr(report["ugf"]["recall@10"]), repr(report["ugf"]["ndcg@10"])]
+        # a point is a run that eval and theory read
+        point = out / "gamma=0.5"
+        assert run("--config", cfg_file, "--out", tmp_path / "e", "--quiet", "eval",
+                   "--run", point) == 0
+        assert run("--out", tmp_path / "t", "--quiet", "theory",
+                   "--snapshot", point / "snapshot.bin", "--attrs", point / "groups.tsv",
+                   "--overlap", point / "overlap.tsv") == 0
 
     def test_cutoffs_without_k10_refused_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "ks.cfg"
@@ -1098,6 +1151,20 @@ def test_schema_resolver_matches_table_oracle(values):
         # the table resolver let a synthetic key override ``synth = false``
         want = (UsageError, f"synth = false conflicts with synthetic setting {conflict!r}")
     assert _resolve_or_error(resolve_config, values) == want
+
+
+def test_schema_refuses_a_field_name_used_twice():
+    @dataclass
+    class Inner:
+        seed: int = 0
+
+    @dataclass
+    class Outer:
+        seed: int = 0
+        inner: Inner = field(default_factory=Inner)
+
+    with pytest.raises(TypeError, match="^config field name 'seed' is used twice$"):
+        _schema(Outer)
 
 
 def test_readme_config_block_lists_every_key():

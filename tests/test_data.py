@@ -455,8 +455,17 @@ class TestValidateRejects:
         (dict(target_to_source=[0, -1, 1, -1, 4, -1]), "overlap value 4 not a source user"),
         (dict(target_group=[0, 0, 1, -1, 0, 1]), r"1 target users lack a group label \(first: 3\)"),
         (dict(target_group=[0, 0, 0, 0, 0, 0]), "two distinct group labels"),
+        (dict(interactions_source=[0, 1, 2]), r"source interactions must be an \(n, 2\) array"),
+        (dict(target_to_source=[0, -1, 1]), "overlap must hold one entry per target user"),
+        (dict(target_group=[0, 1]), "groups must hold one label per target user"),
+        (dict(group_labels=["z", "a"]), r"^group labels must be two distinct names in "
+                                        r"ascending order, got \['z', 'a'\]$"),
+        (dict(group_labels=["a", "a"]), r"got \['a', 'a'\]$"),
+        (dict(group_labels=["a", "b", "c"]), r"got \['a', 'b', 'c'\]$"),
     ], ids=["source-range", "target-range", "duplicate", "non-injective",
-            "overlap-range", "unlabelled", "single-group"])
+            "overlap-range", "unlabelled", "single-group", "pairs-not-n-by-2",
+            "overlap-length", "groups-length", "labels-descending", "labels-repeated",
+            "three-labels"])
     def test_bad_input(self, changes, message):
         with pytest.raises(DataError, match=message):
             _set(micro_dataset(), **changes).validate()

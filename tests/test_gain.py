@@ -116,6 +116,11 @@ class TestEstimateGain:
         bb = init(micro_ds, d, "dual", seed=7)
         return bb
 
+    def test_empty_batch_refused(self, micro_ds):
+        bb = self.manual_backbone(micro_ds)
+        with pytest.raises(DataError, match="^empty batch$"):
+            estimate_gain(bb, zeroed_estimator(4), [], [], [])
+
     def test_log_ratio_value(self, micro_ds):
         # force p_joint=0.9, p_s=0.6, p_t=0.5 on a single sample
         bb = self.manual_backbone(micro_ds, d=2)
@@ -423,6 +428,17 @@ class TestEstimatorStep:
                        Adam(0.01), make_rng(5, "do"))
         for name, arr in bb.parameters().items():
             np.testing.assert_array_equal(arr, before[name])
+
+
+class TestEstimatorShape:
+    @pytest.mark.parametrize("d, dropout, message", [
+        (0, 0.2, "^embedding dimension must be >= 1$"),
+        (4, 1.0, r"^dropout must lie in \[0, 1\)$"),
+        (4, -0.1, r"^dropout must lie in \[0, 1\)$"),
+    ], ids=["zero-dim", "dropout-one", "dropout-negative"])
+    def test_bad_shape_refused(self, d, dropout, message):
+        with pytest.raises(DataError, match=message):
+            GainEstimator(d, dropout=dropout)
 
 
 class TestEstimatorWeightGradients:

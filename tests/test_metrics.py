@@ -146,6 +146,10 @@ class TestUgf:
         with pytest.raises(DataError):
             ugf({G0: 0.3, G1: None})
 
+    def test_absent_group_errors(self):
+        with pytest.raises(DataError, match="^both group means are required$"):
+            ugf({G0: 0.3})
+
 
 class TestPairedTTest:
     def test_identical_samples(self):
@@ -167,6 +171,10 @@ class TestPairedTTest:
     def test_needs_two(self):
         with pytest.raises(DataError):
             paired_ttest([1.0], [2.0])
+
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(DataError, match="^paired samples must have equal length$"):
+            paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestEvaluate:
@@ -224,6 +232,20 @@ class TestEvaluate:
         # every item is ranked inside the top 20, so each test positive is a hit
         assert report.overall["recall@20"] == 1.0
         assert 0.0 < report.overall["ndcg@20"] <= 1.0
+
+    def test_unknown_phase_refused(self):
+        ds = small_synth()
+        with pytest.raises(DataError, match="^unknown phase 'train'$"):
+            evaluate(*target_tables(init(ds, 8, "shared", seed=0)), split_per_user(ds, 0), ds,
+                     phase="train")
+
+    @pytest.mark.parametrize("phase, held", [("val", "target_val"), ("test", "target_test")])
+    def test_phase_without_positives_refused(self, phase, held):
+        ds = small_synth()
+        split = split_per_user(ds, 0)
+        setattr(split, held, getattr(split, held)[:0])
+        with pytest.raises(DataError, match=f"^no users with {phase} positives$"):
+            evaluate(*target_tables(init(ds, 8, "shared", seed=0)), split, ds, phase=phase)
 
     def test_csv_layout(self, tmp_path):
         ds, model = self.trained()

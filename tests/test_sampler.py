@@ -62,6 +62,11 @@ class TestTracker:
             tr.accumulate_many([G1], [0.7])
             assert tr.end_epoch()[G0] == pytest.approx(0.7, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [1.0, -0.1])
+    def test_beta_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(DataError, match=r"^beta must lie in \[0, 1\)$"):
+            GroupLossTracker(beta=beta)
+
     def test_nan_rejected(self):
         tr = GroupLossTracker()
         with pytest.raises(NumericalError):
@@ -150,6 +155,14 @@ class TestAlpha:
         with pytest.raises(NumericalError, match="degenerate"):
             tr.alpha(G0)
 
+    def test_unknown_group_error(self):
+        with pytest.raises(DataError, match="^unknown group 7$"):
+            self.tracker_with(0.95, 0.55).alpha(7)
+
+    def test_before_first_epoch_error(self):
+        with pytest.raises(DataError, match="^alpha undefined before the first completed epoch$"):
+            GroupLossTracker().alpha(G0)
+
     @given(st.floats(0.01, 5.0), st.floats(0.01, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_antisymmetry(self, e0, e1):
@@ -169,6 +182,10 @@ class TestTemperature:
 
     def test_zero_alpha_is_one(self):
         assert temperature(0.0, 0.7) == 1.0
+
+    def test_negative_epsilon_rejected(self):
+        with pytest.raises(DataError, match="^epsilon must be >= 0$"):
+            temperature(0.5, -0.1)
 
     def test_monotone_decreasing_in_alpha(self):
         alphas = np.linspace(-1, 1, 9)

@@ -213,6 +213,21 @@ class TestTrainEpochOracle:
         # validation ranking refuses; these tests check the objective only
         monkeypatch.setattr(metrics_mod, "quick_ndcg_at_10", lambda backbone, split, ds: 0.0)
 
+    def test_no_training_interactions_refused(self, micro_ds, micro_split):
+        cfg = run_config(include_source=False)
+        pools = {
+            "target": NegativePool(8, micro_split.target_train, 6),
+            "source": NegativePool(8, micro_split.source_train, 4),
+        }
+        micro_split.target_train = micro_split.target_train[:0]
+        with pytest.raises(DataError, match="^no training interactions$"):
+            train_epoch(
+                micro_ds, micro_split, init(micro_ds, 4, "shared", seed=5),
+                GainEstimator(4, hidden=(8,), seed=5), GroupLossTracker(), cfg,
+                make_rng(5, "train"), pools, Adam(cfg.learning_rate), Adam(cfg.estimator_lr),
+                epoch=0, est_rng=make_rng(5, "estimator-dropout"),
+            )
+
     def test_replay_oracle_single_batch(self, micro_ds, micro_split, monkeypatch):
         # batch covers the whole pool, so every loss is computed at the
         # initial parameters and can be recomputed independently
