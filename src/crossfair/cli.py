@@ -91,7 +91,7 @@ def _schema(cls, path=(), schema=None) -> dict:
     """Config key -> (attribute path, declared type) of each leaf field of
     config dataclass ``cls`` and of the configs nested in it."""
     schema = {} if schema is None else schema
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, globals())
     for f in fields(cls):
         inner = [t for t in (hints[f.name], *get_args(hints[f.name])) if is_dataclass(t)]
         if inner:

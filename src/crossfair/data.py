@@ -259,7 +259,8 @@ class CrossDomainDataset:
     Index spaces are dense per domain. Interactions are (n, 2) int64 arrays
     with users in column 0 and items in column 1. ``target_to_source`` holds
     each target user's source user id, or -1 for users with no source
-    identity. ``target_group`` labels every target user with 0 or 1.
+    identity. ``target_group`` labels every target user with 0 or 1. A
+    dataset is validated when made; ``validate()`` re-checks one changed since.
     """
 
     n_users_source: int
@@ -272,6 +273,9 @@ class CrossDomainDataset:
     target_group: np.ndarray
     group_labels: tuple = ("g0", "g1")
     raw_ids: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for domain, pairs, n_users, n_items in (
@@ -327,7 +331,7 @@ class CrossDomainDataset:
 
 def build_dataset(source: LoadedInteractions, target: LoadedInteractions,
                   attrs: dict, group_labels=("g0", "g1")) -> CrossDomainDataset:
-    """Assemble a validated dataset from loaded files.
+    """Assemble a dataset from two domains' pairs and raw ids.
 
     Overlap is derived from raw user ids shared between the two interaction
     files. Every target user must appear in ``attrs`` (keyed by raw id);
@@ -337,7 +341,7 @@ def build_dataset(source: LoadedInteractions, target: LoadedInteractions,
     for ru in target.user_ids:
         if ru not in attrs:
             raise DataError(f"target user {ru!r} missing from the attribute file")
-    ds = CrossDomainDataset(
+    return CrossDomainDataset(
         n_users_source=len(source.user_ids),
         n_users_target=len(target.user_ids),
         n_items_source=len(source.item_ids),
@@ -356,7 +360,6 @@ def build_dataset(source: LoadedInteractions, target: LoadedInteractions,
             "items_target": list(target.item_ids),
         },
     )
-    return ds.validate()
 
 
 def load_dataset(source_path, target_path, attrs_path) -> CrossDomainDataset:
@@ -575,36 +578,20 @@ def _pairs_from_top(top: np.ndarray) -> np.ndarray:
 
 def generate_synthetic(cfg: SynthConfig) -> CrossDomainDataset:
     """Generate a two-domain dataset whose positives are each user's top
-    items under a noisy latent score; see SynthConfig for the knobs.
+    items under a noisy latent score; see SynthConfig for the knobs. The
+    pairs and raw ids go through ``build_dataset`` as loaded files would.
     """
     internals = _synth_internals(cfg)
     ipu = cfg.interactions_per_user
     top_t = _top_items(internals["noisy_t"], ipu)
     top_s = _top_items(internals["noisy_s"], ipu * cfg.source_density_ratio)
-
     n_overlap = internals["n_overlap"]
-    target_to_source = np.full(cfg.n_users_target, -1, dtype=np.int64)
-    target_to_source[:n_overlap] = np.arange(n_overlap)
-
-    raw_users_target = [f"u{t}" for t in range(cfg.n_users_target)]
-    raw_users_source = [f"u{t}" for t in range(n_overlap)] + [
-        f"s{j}" for j in range(cfg.n_users_source - n_overlap)
-    ]
-    ds = CrossDomainDataset(
-        n_users_source=cfg.n_users_source,
-        n_users_target=cfg.n_users_target,
-        n_items_source=cfg.n_items_source,
-        n_items_target=cfg.n_items_target,
-        interactions_source=_pairs_from_top(top_s),
-        interactions_target=_pairs_from_top(top_t),
-        target_to_source=target_to_source,
-        target_group=internals["groups"],
-        group_labels=("A", "B"),
-        raw_ids={
-            "users_source": raw_users_source,
-            "users_target": raw_users_target,
-            "items_source": [f"si{j}" for j in range(cfg.n_items_source)],
-            "items_target": [f"ti{j}" for j in range(cfg.n_items_target)],
-        },
-    )
-    return ds.validate()
+    users_target = [f"u{t}" for t in range(cfg.n_users_target)]
+    source = LoadedInteractions(
+        _pairs_from_top(top_s),
+        users_target[:n_overlap] + [f"s{j}" for j in range(cfg.n_users_source - n_overlap)],
+        [f"si{j}" for j in range(cfg.n_items_source)])
+    target = LoadedInteractions(_pairs_from_top(top_t), users_target,
+                                [f"ti{j}" for j in range(cfg.n_items_target)])
+    attrs = dict(zip(users_target, internals["groups"].tolist()))
+    return build_dataset(source, target, attrs, group_labels=("A", "B"))

@@ -45,6 +45,13 @@ generator had before it partitioned each row: the first columns of a
 stable argsort of each whole row. The generator's ``_top_items`` must keep
 the same set of ids, and so give the same dataset.
 
+``generate_synthetic_direct`` is the synthetic generator the package had
+before it handed its pairs, raw ids and groups to ``build_dataset``: it
+wrote the dataset record and the overlap map (target user t is source user
+t for the first ``n_overlap`` users) itself. ``generate_synthetic`` must
+return an equal dataset, field for field, and refuse the same configs with
+the same error.
+
 ``read_tsv_rows_loop`` and the loaders built on it are the line-by-line TSV
 parse the package used before it split whole files at once; the loaders
 must return the same values and raise the same messages. ``densify_dict``
@@ -75,7 +82,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from crossfair.cli import RunConfig
-from crossfair.data import G0, G1, LoadedInteractions, SynthConfig, _synth_internals
+from crossfair.data import (G0, G1, CrossDomainDataset, LoadedInteractions, SynthConfig,
+                            _pairs_from_top, _synth_internals, _top_items)
 from crossfair.errors import DataError, NumericalError, UsageError
 from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.gain import redistribution_grads
@@ -768,6 +776,43 @@ def synthetic_rank_quality(cfg):
     if not (np.any(g == G0) and np.any(g == G1)):
         raise DataError("both groups must appear among overlapping users")
     return float(mean_rank[g == G0].mean()), float(mean_rank[g == G1].mean())
+
+
+def generate_synthetic_direct(cfg: SynthConfig) -> CrossDomainDataset:
+    """Generate a two-domain dataset whose positives are each user's top
+    items under a noisy latent score; see SynthConfig for the knobs.
+    """
+    internals = _synth_internals(cfg)
+    ipu = cfg.interactions_per_user
+    top_t = _top_items(internals["noisy_t"], ipu)
+    top_s = _top_items(internals["noisy_s"], ipu * cfg.source_density_ratio)
+
+    n_overlap = internals["n_overlap"]
+    target_to_source = np.full(cfg.n_users_target, -1, dtype=np.int64)
+    target_to_source[:n_overlap] = np.arange(n_overlap)
+
+    raw_users_target = [f"u{t}" for t in range(cfg.n_users_target)]
+    raw_users_source = [f"u{t}" for t in range(n_overlap)] + [
+        f"s{j}" for j in range(cfg.n_users_source - n_overlap)
+    ]
+    ds = CrossDomainDataset(
+        n_users_source=cfg.n_users_source,
+        n_users_target=cfg.n_users_target,
+        n_items_source=cfg.n_items_source,
+        n_items_target=cfg.n_items_target,
+        interactions_source=_pairs_from_top(top_s),
+        interactions_target=_pairs_from_top(top_t),
+        target_to_source=target_to_source,
+        target_group=internals["groups"],
+        group_labels=("A", "B"),
+        raw_ids={
+            "users_source": raw_users_source,
+            "users_target": raw_users_target,
+            "items_source": [f"si{j}" for j in range(cfg.n_items_source)],
+            "items_target": [f"ti{j}" for j in range(cfg.n_items_target)],
+        },
+    )
+    return ds.validate()
 
 
 SYNTH_KEYS = (

@@ -18,7 +18,8 @@ import crossfair.trainer as trainer_mod
 from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
 from crossfair.cli import (CONFIG_SCHEMA, _read_labels, _schema, main, parse_config_file,
                            resolve_config)
-from crossfair.data import SynthConfig, arrays_sha256, split_per_user
+from crossfair.data import (SynthConfig, arrays_sha256, generate_synthetic, load_dataset,
+                            split_per_user)
 from crossfair.errors import CrossfairError, UsageError
 
 from oracles import (SYNTH_KEYS, adam_step_add_at, lipschitz_sampled, read_state_bundle,
@@ -99,6 +100,30 @@ class TestSynthCommand:
         for name in ("interactions_source.tsv", "interactions_target.tsv",
                      "attributes.tsv", "manifest.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_files_load_back_as_the_dataset(self, tmp_path, cfg_file):
+        """``load_dataset`` on the written files gives the generated pairs,
+        in order, the overlap and the groups, all named by raw id."""
+        out = tmp_path / "data"
+        assert run("--config", cfg_file, "--out", out, "--quiet", "synth") == 0
+        loaded = load_dataset(out / "interactions_source.tsv", out / "interactions_target.tsv",
+                              out / "attributes.tsv")
+        generated = generate_synthetic(resolve_config(parse_config_file(cfg_file)).synth)
+
+        def by_raw_id(ds):
+            ids = ds.raw_ids
+            pairs = [[(ids[f"users_{d}"][u], ids[f"items_{d}"][i])
+                      for u, i in getattr(ds, f"interactions_{d}").tolist()]
+                     for d in ("source", "target")]
+            overlap = [(ids["users_target"][t], ids["users_source"][s])
+                       for t, s in zip(*(a.tolist() for a in ds.overlap_arrays()))]
+            groups = dict(zip(ids["users_target"],
+                              np.array(ds.group_labels)[ds.target_group].tolist()))
+            return pairs, overlap, groups
+
+        want = by_raw_id(generated)
+        assert by_raw_id(loaded) == want
+        assert len(want[1]) == 30  # overlap_fraction 0.5 of 60 target users
 
     def test_capacity_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -422,6 +447,18 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [("--help",), ("--quiet", "synth")], ids=["help", "synth"])
+def test_cli_runs_under_cprofile(tmp_path, cfg_file, argv):
+    """As ``__main__`` under ``python -m cProfile``, the module still reads
+    its config types."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(crossfair.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "cProfile", "-m", "crossfair.cli",
+                          "--config", str(cfg_file), "--out", str(tmp_path / "out"), *argv],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 class TestSweepCommand:
     def test_candidate_size_sweep(self, tmp_path, cfg_file):
         out = tmp_path / "sweep"
@@ -459,6 +496,21 @@ class TestSweepCommand:
         assert run("--out", tmp_path / "t", "--quiet", "theory",
                    "--snapshot", point / "snapshot.bin", "--attrs", point / "groups.tsv",
                    "--overlap", point / "overlap.tsv") == 0
+
+    def test_epsilon_changes_the_run(self, tmp_path):
+        """``epsilon`` reaches the sampler. At ``group_split = 0.2`` this
+        fixture's tracker alpha stays within 0.0039 of 0 (measured: -0.0039
+        to -0.0034 over the 3 epochs), so exp(-epsilon * alpha) is within
+        0.4% of 1 at epsilon 1 but up to 1.21 at epsilon 50."""
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(SYNTH_CFG + "group_split = 0.2\n", encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert run("--config", cfg, "--out", out, "--quiet", "sweep",
+                   "--axis", "epsilon", "--values", "0,50") == 0
+        log = (out / "epsilon=50.0" / "runlog.jsonl").read_text().splitlines()
+        assert max(abs(json.loads(line)["alpha_g0"]) for line in log) < 0.004
+        assert ((out / "epsilon=0.0" / "snapshot.bin").read_bytes()
+                != (out / "epsilon=50.0" / "snapshot.bin").read_bytes())
 
     def test_cutoffs_without_k10_refused_before_training(self, tmp_path, capsys):
         cfg = tmp_path / "ks.cfg"

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from crossfair.errors import CrossfairError, DataError
 from conftest import micro_dataset, small_synth
 from oracles import (
     densify_dict,
+    generate_synthetic_direct,
     load_attributes_loop,
     load_interactions_loop,
     read_overlap_loop,
@@ -491,13 +493,17 @@ class TestValidateRejects:
             repeated = [len(np.unique(p[:, 0] * n_items + p[:, 1])) != len(p) for p in pairs]
             repeated.append(len(np.unique(t2s[t2s >= 0])) != len(t2s[t2s >= 0]))
             assert repeated == [kind == 1, kind == 2, kind == 3]
-            ds = CrossDomainDataset(n_users, n_users, n_items, n_items, *pairs, t2s,
-                                    np.arange(n_users) % 2)
+            args = (n_users, n_users, n_items, n_items, *pairs, t2s, np.arange(n_users) % 2)
             if kind == 0:
-                ds.validate()
+                CrossDomainDataset(*args).validate()
             else:
                 with pytest.raises(DataError, match="duplicate" if kind < 3 else "not injective"):
-                    ds.validate()
+                    CrossDomainDataset(*args).validate()
+
+    def test_checked_when_made(self):
+        """A dataset made from another with a bad field is refused at once."""
+        with pytest.raises(DataError, match="ascending order"):
+            replace(micro_dataset(), group_labels=("z", "a"))
 
 
 def random_synth_configs(n, seed=0):
@@ -525,6 +531,70 @@ SYNTH_REFERENCE_CASES = [
         if " = " in line)).synth, id="cli-config"),
     *(pytest.param(cfg, id=f"random-{i}") for i, cfg in enumerate(random_synth_configs(6))),
 ]
+
+
+def assembly_configs(n, seed=1):
+    """Small synthetic configs whose overlap fraction cycles through 0, 1 and
+    a random value. Some are refused: too few source users for the overlap,
+    or target users all in one group."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for k in range(n):
+        n_items_source, n_items_target = (int(v) for v in rng.integers(3, 40, size=2))
+        ratio = int(rng.integers(1, 4))
+        configs.append(SynthConfig(
+            n_users_source=int(rng.integers(1, 50)), n_users_target=int(rng.integers(1, 30)),
+            overlap_fraction=(0.0, 1.0, float(rng.random()))[k % 3],
+            n_items_source=n_items_source, n_items_target=n_items_target,
+            latent_dim=int(rng.integers(1, 9)), group_split=float(rng.uniform(0.05, 0.95)),
+            source_disparity=float(rng.uniform(1, 4)), domain_shift=float(rng.random()),
+            interactions_per_user=int(rng.integers(1, min(n_items_target,
+                                                          n_items_source // ratio) + 1)),
+            source_density_ratio=ratio, rng_seed=int(rng.integers(1000))))
+    return configs
+
+
+def generated_or_refusal(generate, cfg):
+    try:
+        return generate(cfg)
+    except DataError as exc:
+        return exc
+
+
+def assert_same_dataset(got, want):
+    """Equal in every field: dtype, shape and values of each array, and the
+    type and value of everything else, so raw ids and labels too."""
+    for f in fields(CrossDomainDataset):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert type(a) is type(b) and a == b, f.name
+    assert got.sha256() == want.sha256()
+
+
+class TestSyntheticAssembly:
+    """``generate_synthetic`` assembles its dataset through ``build_dataset``
+    and gives the dataset the generator used to build by hand."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_acceptance_fixture_unchanged(self, seed):
+        cfg = disparity_fixture(seed)
+        assert_same_dataset(generate_synthetic(cfg), generate_synthetic_direct(cfg))
+
+    def test_random_configs_unchanged(self):
+        made = refused = 0
+        for cfg in assembly_configs(300):
+            got = generated_or_refusal(generate_synthetic, cfg)
+            want = generated_or_refusal(generate_synthetic_direct, cfg)
+            if isinstance(want, DataError):
+                refused += 1
+                assert type(got) is type(want) and str(got) == str(want), cfg
+            else:
+                made += 1
+                assert_same_dataset(got, want)
+        assert made >= 200 and refused > 0
 
 
 class TestSynthetic:
