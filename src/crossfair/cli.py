@@ -233,12 +233,20 @@ def _build_parser() -> _Parser:
                           help="TSV user_id/attribute with dense target ids")
     p_theory.add_argument("--overlap", required=True,
                           help="TSV target_user_id/source_user_id with dense ids")
-    p_theory.add_argument("--baseline-ugf", type=float, default=None)
-    p_theory.add_argument("--measured-ugf", type=float, default=None)
-    p_theory.add_argument("--lo", type=float, default=1.0)
-    p_theory.add_argument("--lf", default="1.0", help="auto or a positive number")
-    p_theory.add_argument("--subsample", type=int, default=theory_mod.DEFAULT_SUBSAMPLE)
-    p_theory.add_argument("--repetitions", type=int, default=theory_mod.DEFAULT_REPETITIONS)
+    p_theory.add_argument("--baseline-ugf", type=float, default=None,
+                          help="the gap rhs is compared with; sets preserved and margin")
+    p_theory.add_argument("--measured-ugf", type=float, default=None,
+                          help="copied into bound.json; no computed field uses it")
+    p_theory.add_argument("--lo", type=float, default=1.0,
+                          help="L_o in rhs = L_o * L_f * (sum of W1 terms), default %(default)s")
+    p_theory.add_argument("--lf", default="1.0",
+                          help="auto (the exact constant of the probe map) or a positive "
+                               "number, default %(default)s")
+    p_theory.add_argument("--subsample", type=int, default=theory_mod.DEFAULT_SUBSAMPLE,
+                          help="points per cloud in each W1 matching, default %(default)s")
+    p_theory.add_argument("--repetitions", type=int, default=theory_mod.DEFAULT_REPETITIONS,
+                          help="subsamples averaged per W1 term when a cloud exceeds "
+                               "--subsample, default %(default)s")
     return parser
 
 
@@ -509,9 +517,10 @@ def cmd_theory(args) -> int:
         raise DataError("--attrs and --overlap differ from the labels the run was trained "
                         "with (labels_sha256 mismatch): use the run's groups.tsv and "
                         "overlap.tsv")
+    # f(z) = P z with P the first 64 target item rows; --lf auto uses its exact constant
+    l_f_probe = theory_mod.lipschitz_estimate(snapshot["item_emb_target"][:64])
     if args.lf == "auto":
-        # f(z) = P z with P the first 64 target item rows
-        l_f = theory_mod.lipschitz_estimate(snapshot["item_emb_target"][:64])
+        l_f = l_f_probe
     else:
         try:
             l_f = float(args.lf)
@@ -522,8 +531,12 @@ def cmd_theory(args) -> int:
         repetitions=args.repetitions, seed=args.seed or 0,
         measured_ugf=args.measured_ugf, baseline_ugf=args.baseline_ugf,
     )
+    bound.l_f_probe = l_f_probe if np.isfinite(l_f_probe) else None
     out = _out_dir(args, "theory_out")
     (out / "bound.json").write_text(bound.to_json(), encoding="utf-8")
+    if l_f < l_f_probe:
+        _say(args, f"warning: L_f {l_f:g} is below {l_f_probe:.4f}, the probe map's exact "
+                   "Lipschitz constant, so rhs may understate the bound for that map")
     _say(args, f"rhs {bound.rhs:.4f}; direct target gap {bound.w1_target_gap:.4f}; "
                f"probe gap {bound.probe_gap_target:.4f}")
     if bound.preserved is not None:

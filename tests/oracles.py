@@ -13,6 +13,9 @@ the per-sample definitions the batched trainer, sampler, gain heads,
 evaluator and bound code must agree with. ``lipschitz_sampled`` is the
 sampled pair search ``theory --lf auto`` used for L_f before it computed the
 spectral norm; the exact constant must bound every ratio it finds.
+``matching_cost_unreduced`` is the matching ``theory`` solved before it
+reduced the distance matrix by its row and column minima; W1 must keep its
+bits wherever the optimal matching is unique.
 ``rademacher_estimate`` (Monte-Carlo over sign vectors) and
 ``deviation_bound`` (the uniform-convergence deviation built on it) were
 library functions of ``crossfair.theory`` that no command called; they live
@@ -79,6 +82,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from crossfair.cli import RunConfig
@@ -567,6 +571,15 @@ def wasserstein1_exhaustive(cloud_a, cloud_b):
         cost = sum(d[i, j] for i, j in enumerate(perm))
         best = min(best, cost)
     return best / len(a)
+
+
+def matching_cost_unreduced(a, b):
+    """Minimum-cost perfect matching solved on the distances themselves,
+    as ``theory._matching_cost`` did before it solved on row- and
+    column-reduced costs: the cost of the matching, summed from ``d``."""
+    d = cdist(a, b)
+    rows, cols = linear_sum_assignment(d)
+    return float(d[rows, cols].sum())
 
 
 def rademacher_exhaustive(sample_values):

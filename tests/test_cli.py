@@ -585,6 +585,37 @@ class TestTheoryCommand:
         points = np.vstack([tables["user_emb_target"], tables["user_emb_source"][sources]])
         assert l_f >= lipschitz_sampled(lambda z: z @ probe.T, points, seed=0)
 
+    @pytest.mark.parametrize("lf, warned", [("1e-3", True), ("auto", False)])
+    def test_probe_constant_recorded_and_warned(self, tmp_path, theory_run, capsys, lf,
+                                                warned):
+        out = tmp_path / "theory"
+        assert run("--out", out, "theory",
+                   "--snapshot", theory_run / "snapshot.bin",
+                   "--attrs", theory_run / "groups.tsv",
+                   "--overlap", theory_run / "overlap.tsv", "--lf", lf) == 0
+        bound = json.loads((out / "bound.json").read_text())
+        tables, _ = load_snapshot(theory_run / "snapshot.bin")
+        probe = float(np.linalg.norm(tables["item_emb_target"][:64], 2))
+        assert bound["l_f_probe"] == probe
+        assert bound["l_f"] == (1e-3 if warned else probe)
+        warnings = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == ([f"warning: L_f 0.001 is below {probe:.4f}, the probe map's "
+                             "exact Lipschitz constant, so rhs may understate the bound "
+                             "for that map"] if warned else [])
+
+    def test_non_finite_probe_recorded_as_null(self, tmp_path, theory_run, capsys):
+        tables, _ = load_snapshot(theory_run / "snapshot.bin")
+        tables["item_emb_target"][0, 0] = np.nan
+        snapshot = tmp_path / "nan.bin"
+        write_tables(snapshot, tables)
+        out = tmp_path / "theory"
+        assert run("--out", out, "theory", "--snapshot", snapshot,
+                   "--attrs", theory_run / "groups.tsv",
+                   "--overlap", theory_run / "overlap.tsv") == 0
+        assert json.loads((out / "bound.json").read_text())["l_f_probe"] is None
+        assert "warning:" not in capsys.readouterr().out
+
     def test_identical_groups_zero_bound(self, tmp_path, cfg_file):
         run_dir = tmp_path / "run"
         run("--config", cfg_file, "--out", run_dir, "--quiet", "train")

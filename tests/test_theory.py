@@ -5,6 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import crossfair.theory
 from crossfair.data import G0, G1
 from crossfair.errors import DataError
 from crossfair.seeding import make_rng
@@ -16,8 +17,35 @@ from crossfair.theory import (
     wasserstein1,
 )
 
-from oracles import (deviation_bound, lipschitz_sampled, rademacher_estimate,
-                     rademacher_exhaustive, wasserstein1_exhaustive)
+from oracles import (deviation_bound, lipschitz_sampled, matching_cost_unreduced,
+                     rademacher_estimate, rademacher_exhaustive, wasserstein1_exhaustive)
+
+
+def _shifted(rng, n_a, n_b):
+    return rng.normal(0, 1, (n_a, 4)), rng.normal(0.5, 1.3, (n_b, 4))
+
+
+def _shared(rng, n_a, n_b):
+    # the smaller cloud lies inside the larger, as a group cell lies in its
+    # domain; clouds of one size share half their points
+    common = rng.normal(0, 1, (min(n_a, n_b) if n_a != n_b else n_a // 2, 3))
+    a = np.vstack([common, rng.normal(0, 1, (n_a - len(common), 3))])
+    b = np.vstack([common, rng.normal(0.2, 1, (n_b - len(common), 3))])
+    return rng.permutation(a), rng.permutation(b)
+
+
+def _float32(rng, n_a, n_b):
+    a, b = _shifted(rng, n_a, n_b)
+    return a.astype(np.float32).astype(np.float64), b.astype(np.float32).astype(np.float64)
+
+
+def _one_dim(rng, n_a, n_b):
+    return rng.normal(0, 1, (n_a, 1)), rng.normal(0.3, 1, (n_b, 1))
+
+
+def _grid(rng, n_a, n_b):
+    return (rng.integers(0, 5, (n_a, 2)).astype(np.float64),
+            rng.integers(1, 6, (n_b, 2)).astype(np.float64))
 
 
 class TestWasserstein:
@@ -73,6 +101,24 @@ class TestWasserstein:
         sub = wasserstein1(a, b, subsample_n=60, repetitions=12, seed=2)
         scale = max(np.linalg.norm(a.std(axis=0)), 1.0)
         assert abs(full - sub) < 0.2 * scale
+
+    @pytest.mark.parametrize("path, n_a, n_b, subsample", [
+        ("exact", 256, 256, 256), ("exact", 40, 40, 256),
+        ("subsampled", 300, 200, 128), ("subsampled", 180, 400, 256),
+    ])
+    @pytest.mark.parametrize("make, tied", [
+        (_shifted, False), (_shared, False), (_float32, False),
+        (_one_dim, True), (_grid, True),
+    ], ids=["shifted", "shared-points", "float32", "one-dim", "integer-grid"])
+    def test_reduced_costs_keep_unreduced_matching(self, monkeypatch, make, tied, path,
+                                                   n_a, n_b, subsample):
+        a, b = make(make_rng(n_a + n_b, "reduced"), n_a, n_b)
+        got = wasserstein1(a, b, subsample_n=subsample, repetitions=3, seed=7)
+        monkeypatch.setattr(crossfair.theory, "_matching_cost", matching_cost_unreduced)
+        want = wasserstein1(a, b, subsample_n=subsample, repetitions=3, seed=7)
+        # the same bits where the optimal matching is unique (continuous
+        # clouds in d >= 2); the same cost to rounding where several tie
+        assert got == (pytest.approx(want, rel=1e-12) if tied else want)
 
 
 class Cloud(NamedTuple):
