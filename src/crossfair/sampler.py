@@ -11,14 +11,23 @@ temperature below one and therefore harder negatives.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import signal
+from contextlib import suppress
 
 import numpy as np
 
 from .data import GROUPS
-from .errors import DataError, NumericalError
+from .errors import CrossfairError, DataError, NumericalError
 from .numerics import softmax
 
 ALPHA_EPS = 1e-12
+# How far ahead a ``DrawAhead`` child may run, in pipe bytes: 1 MB, Linux's
+# default ceiling for an unprivileged process. At 2048 rows a batch that is
+# dozens of batches of uniform negatives, so the child keeps drawing while
+# training ranks, reports and fits between its batch loops; at the 64 KB
+# default the training process waited out most of each draw.
+PIPE_BYTES = 1 << 20
 
 
 class GroupLossTracker:
@@ -182,12 +191,33 @@ def batch_candidates(pool: NegativePool, users: np.ndarray, size: int, rng):
     return items, counts
 
 
-def _draw_rows(probs: np.ndarray, rng) -> np.ndarray:
-    """Inverse-CDF draw of one column index per row."""
-    c = np.cumsum(probs, axis=1)
-    r = rng.random(probs.shape[0])
-    j = (c < r[:, None]).sum(axis=1)
-    return np.minimum(j, probs.shape[1] - 1)
+def draw_candidates(pool: NegativePool, users: np.ndarray, size: int, rng):
+    """The parameter-free part of a negative draw: the candidate sets of
+    ``batch_candidates``, then one uniform per row for the pick. Returns
+    (items, counts, u)."""
+    items, counts = batch_candidates(pool, users, size, rng)
+    return items, counts, rng.random(len(counts))
+
+
+def pick_negatives(backbone, users: np.ndarray, taus: np.ndarray | None, items: np.ndarray,
+                   counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One negative per row of drawn candidates, at the row's uniform ``u``.
+
+    With ``taus`` None the pick is uniform over the row's ``counts``
+    candidates and reads no parameters; otherwise it inverts, at ``u``, the
+    CDF of the softmax of the candidates' current scores at the row's
+    temperature. Neither passes the row's last real candidate, so a -1 pad is
+    never picked, even where a row's cumulative sum ends just below one.
+    """
+    if taus is None:
+        j = (u * counts).astype(np.int64)
+    else:
+        vecs = backbone.user_pool[users]
+        scores = np.einsum("bd,bkd->bk", vecs, backbone.item_target[np.maximum(items, 0)])
+        scores[items < 0] = -np.inf
+        cdf = np.cumsum(softmax(scores / taus[:, None]), axis=1)
+        j = (cdf < u[:, None]).sum(axis=1)
+    return items[np.arange(len(items)), np.minimum(j, counts - 1)]
 
 
 def batch_sample_negatives(backbone, pool: NegativePool, users: np.ndarray,
@@ -195,18 +225,93 @@ def batch_sample_negatives(backbone, pool: NegativePool, users: np.ndarray,
     """One negative per row, drawn from a fresh candidate set per row.
 
     With ``taus`` None the candidate scores are ignored (plain random
-    sampling); otherwise a softmax at the per-row temperature is used.
+    sampling, and ``backbone`` may be None); otherwise a softmax at the
+    per-row temperature is used.
     """
     users = np.asarray(users, dtype=np.int64)
-    items, counts = batch_candidates(pool, users, size, rng)
-    if taus is None:
-        j = (rng.random(len(users)) * counts).astype(np.int64)
-        j = np.minimum(j, counts - 1)
-        return items[np.arange(len(users)), j]
-    vecs = backbone.user_pool[users]
-    safe_items = np.maximum(items, 0)
-    scores = np.einsum("bd,bkd->bk", vecs, backbone.item_target[safe_items])
-    scores[items < 0] = -np.inf
-    probs = softmax(scores / taus[:, None])
-    j = _draw_rows(probs, rng)
-    return items[np.arange(len(users)), j]
+    return pick_negatives(backbone, users, taus, *draw_candidates(pool, users, size, rng))
+
+
+def _fork_context():
+    """multiprocessing's ``fork`` context, or None where this process cannot
+    fork a child: no ``fork`` start method, or a daemonic multiprocessing
+    process, which may not have children."""
+    if "fork" not in multiprocessing.get_all_start_methods() \
+            or multiprocessing.current_process().daemon:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _produce(producer, conn):
+    """The child's loop: send each message of ``producer`` as it is made."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which kills this child
+    try:
+        for message in producer:
+            conn.send(message)
+    except OSError:
+        pass  # the parent has gone
+    except Exception as exc:  # the parent raises it where this message was due
+        conn.send(exc)
+
+
+class DrawAhead:
+    """The messages of ``producer``, an iterator that reads no model
+    parameters, made ahead of their use in a forked child.
+
+    The first ``next`` forks the child, which runs the producer and sends
+    each message down a pipe as soon as it is made, on its own core. The
+    pipe's buffer bounds how far ahead it runs: a send blocks while the pipe
+    holds ``PIPE_BYTES``, or the system's default size where that cannot be
+    set. The producer is the same iterator
+    either way, so ``next`` returns the same messages, and an exception the
+    producer raises in the child comes out of the ``next`` that was due its
+    message. Where no child can be forked, the producer runs in-process. A
+    child that dies ends ``next`` with a ``CrossfairError`` naming how it
+    ended. ``close`` (also on leaving a ``with`` block) kills and reaps the
+    child.
+    """
+
+    def __init__(self, producer):
+        self._producer = producer
+        self._started = False
+        self._proc = self._conn = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def __next__(self):
+        if not self._started:
+            self._started = True
+            ctx = _fork_context()
+            if ctx is not None:
+                self._conn, send = ctx.Pipe(duplex=False)
+                import fcntl  # a Unix module, as fork is Unix only
+                with suppress(AttributeError, OSError):  # Linux only; else the default size
+                    fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+                self._proc = ctx.Process(target=_produce, args=(self._producer, send),
+                                         daemon=True)
+                self._proc.start()
+                send.close()  # the child now holds the only write end: its exit is EOF here
+        if self._proc is None:
+            return next(self._producer)
+        try:
+            message = self._conn.recv()
+        except (EOFError, OSError):
+            self._proc.join()
+            code = self._proc.exitcode
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise CrossfairError(f"the negative-sampling process {how} before it sent "
+                                 "all its draws") from None
+        if isinstance(message, Exception):
+            raise message
+        return message
+
+    def close(self):
+        if self._proc is not None:
+            self._proc.kill()
+            self._proc.join()
+            self._conn.close()
+            self._proc = self._conn = None

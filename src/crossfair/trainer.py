@@ -24,9 +24,12 @@ from .gain import (GainEstimator, estimate_gain, estimator_inputs, estimator_ste
                    redistribution_grads)
 from .numerics import distinct_rows, read_only, require_finite, sigmoid, softplus
 from .sampler import (
+    DrawAhead,
     GroupLossTracker,
     NegativePool,
     batch_sample_negatives,
+    draw_candidates,
+    pick_negatives,
     temperature,
 )
 from .seeding import make_rng
@@ -243,28 +246,75 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, g
     return total, rec_sum, penalty, rank_target, grads
 
 
-def _plan_batch(backbone, pools, is_target, users, pos, group_taus, groups, size, rng):
-    """Split a shuffled slice by domain and draw one negative per row from
-    ``size`` candidates, target rows first and at their group's temperature
-    in ``group_taus`` unless it is None. Returns {domain: (users, pos, neg)}.
-    A domain without rows draws nothing from ``rng``."""
-    batch = {}
+def _fair_epoch(cfg: TrainConfig, epoch: int) -> bool:
+    """Whether the epoch draws target negatives at group temperatures: from
+    the second on, when the tracker holds smoothed losses."""
+    return cfg.use_fair_sampling and epoch >= 1
+
+
+def _epoch_rows(split: SplitDataset, cfg: TrainConfig):
+    """An epoch's rows before the shuffle: (is_target, users, pos), target
+    positives first, each positive repeated ``negatives_per_positive`` times
+    so that every copy draws its own candidate set."""
+    tgt_pairs = split.target_train
+    src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
+    is_target = np.arange(len(tgt_pairs) + len(src_pairs)) < len(tgt_pairs)
+    users, pos = np.concatenate([tgt_pairs, src_pairs]).T
+    return tuple(np.repeat(a, cfg.negatives_per_positive) for a in (is_target, users, pos))
+
+
+def _draw_batch(pools, is_target, users, fair: bool, size: int, rng):
+    """One batch's draws, target rows first: each domain's negatives, except
+    that fair target rows get their drawn (items, counts, u) for
+    ``_plan_batch`` to pick from. A domain without rows draws nothing from
+    ``rng``."""
+    drawn = []
     for domain, mask in (("target", is_target), ("source", ~is_target)):
         d_users = users[mask]
-        taus = None
+        if fair and domain == "target":
+            drawn.append(draw_candidates(pools[domain], d_users, size, rng))
+        else:
+            drawn.append(batch_sample_negatives(None, pools[domain], d_users, None, size, rng))
+    return tuple(drawn)
+
+
+def _draws(split: SplitDataset, pools, cfg: TrainConfig, rng):
+    """Every draw of the batch loops of ``cfg.epochs`` epochs from ``rng``,
+    in its order: each epoch's shuffle, then each batch's ``_draw_batch``.
+    None of it reads the model, so ``train`` runs it ahead in a
+    ``DrawAhead``."""
+    is_target, users, _ = _epoch_rows(split, cfg)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(users))
+        yield order
+        tgt, usr = is_target[order], users[order]
+        for lo in range(0, len(order), cfg.batch_size):
+            hi = lo + cfg.batch_size
+            yield _draw_batch(pools, tgt[lo:hi], usr[lo:hi], _fair_epoch(cfg, epoch),
+                              cfg.candidate_size, rng)
+
+
+def _plan_batch(backbone, drawn, is_target, users, pos, group_taus, groups):
+    """Split a shuffled slice by domain, with its ``_draw_batch`` draws, into
+    {domain: (users, pos, neg)}, target first. Unless ``group_taus`` is None,
+    target negatives are picked here from their drawn candidates at the
+    current tables and their group's temperature in ``group_taus``."""
+    batch = {}
+    for domain, mask, neg in zip(("target", "source"), (is_target, ~is_target), drawn):
+        d_users = users[mask]
         if group_taus is not None and domain == "target":
-            taus = group_taus[groups[d_users]]
-        neg = batch_sample_negatives(backbone, pools[domain], d_users, taus, size, rng)
+            neg = pick_negatives(backbone, d_users, group_taus[groups[d_users]], *neg)
         batch[domain] = (d_users, pos[mask], neg)
     return batch
 
 
 def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
                 estimator: GainEstimator, tracker: GroupLossTracker, cfg: TrainConfig,
-                rng, pools, adam: Adam, est_adam: Adam, epoch: int, est_rng) -> EpochStats:
+                draws, adam: Adam, est_adam: Adam, epoch: int, est_rng) -> EpochStats:
     """One pass over the shuffled training pool, then the tracker epoch fold,
     the epoch-level gain report, and (if enabled) the estimator fit, whose
-    dropout draws from ``est_rng``.
+    dropout draws from ``est_rng``. ``draws`` yields the messages of
+    ``_draws`` for this epoch: its shuffle, then each batch's draws.
     """
     started = time.perf_counter()
     groups_arr = ds.target_group
@@ -272,25 +322,15 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
         t_ids = ds.overlap_arrays()[0]
         x_fit = estimator_inputs(backbone, t_ids)
 
-    tgt_pairs = split.target_train
-    src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
-    n = len(tgt_pairs) + len(src_pairs)
+    is_target, users, pos = _epoch_rows(split, cfg)
+    n = len(users)
     if n == 0:
         raise DataError("no training interactions")
-    is_target = np.arange(n) < len(tgt_pairs)
-    users, pos = np.concatenate([tgt_pairs, src_pairs]).T
-    k = cfg.negatives_per_positive
-    if k > 1:
-        # each positive is replicated; every copy draws its own candidate set
-        is_target = np.repeat(is_target, k)
-        users = np.repeat(users, k)
-        pos = np.repeat(pos, k)
-        n *= k
-    order = rng.permutation(n)
+    order = next(draws)
     is_target, users, pos = is_target[order], users[order], pos[order]
     # the group losses are smoothed once per epoch, so its temperatures hold throughout
     group_taus = None
-    if cfg.use_fair_sampling and tracker.epochs_completed >= 1:
+    if _fair_epoch(cfg, epoch):
         group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon) for g in GROUPS])
 
     sum_rec = 0.0
@@ -300,8 +340,8 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
         for lo in range(0, n, cfg.batch_size):
             hi = min(lo + cfg.batch_size, n)
             batch = _plan_batch(
-                backbone, pools, is_target[lo:hi], users[lo:hi], pos[lo:hi],
-                group_taus, groups_arr, cfg.candidate_size, rng,
+                backbone, next(draws), is_target[lo:hi], users[lo:hi], pos[lo:hi],
+                group_taus, groups_arr,
             )
             if group_taus is not None:
                 fair_draws += len(batch["target"][0])
@@ -322,7 +362,7 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     alpha0 = tracker.alpha(G0)
 
     # Epoch-level gain report over every overlapping target training positive.
-    all_users, all_items = tgt_pairs.T
+    all_users, all_items = split.target_train.T
     report = estimate_gain(backbone, estimator, all_users, all_items, groups_arr[all_users])
 
     est_loss = None
@@ -403,25 +443,27 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
     best_epoch = -1
     best_val = -np.inf
     since_best = 0
-    for epoch in range(cfg.epochs):
-        stats = train_epoch(
-            ds, split, backbone, estimator, tracker, cfg, rng, pools, adam, est_adam,
-            epoch, est_rng,
-        )
-        log.append(stats)
-        if cfg.snapshot_every > 0 and snapshot_dir is not None \
-                and (epoch + 1) % cfg.snapshot_every == 0:
-            name = f"snapshot_epoch_{epoch}.bin"
-            snapshots[name] = backbone_mod.save_snapshot(backbone, Path(snapshot_dir) / name)
-        if stats.val_ndcg10 > best_val:
-            best_val = stats.val_ndcg10
-            best_epoch = epoch
-            best_backbone = backbone.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
+    # the child, if one can be forked, starts at the first draw and is reaped on every exit
+    with DrawAhead(_draws(split, pools, cfg, rng)) as draws:
+        for epoch in range(cfg.epochs):
+            stats = train_epoch(
+                ds, split, backbone, estimator, tracker, cfg, draws, adam, est_adam,
+                epoch, est_rng,
+            )
+            log.append(stats)
+            if cfg.snapshot_every > 0 and snapshot_dir is not None \
+                    and (epoch + 1) % cfg.snapshot_every == 0:
+                name = f"snapshot_epoch_{epoch}.bin"
+                snapshots[name] = backbone_mod.save_snapshot(backbone, Path(snapshot_dir) / name)
+            if stats.val_ndcg10 > best_val:
+                best_val = stats.val_ndcg10
+                best_epoch = epoch
+                best_backbone = backbone.copy()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= cfg.patience:
+                    break
     if best_epoch < 0:
         best_backbone = backbone.copy()
         best_val = float("nan")

@@ -92,7 +92,7 @@ from crossfair.errors import DataError, NumericalError, UsageError
 from crossfair.numerics import clamp_prob, sigmoid, softmax
 from crossfair.gain import redistribution_grads
 from crossfair.metrics import DEFAULT_KS, EvaluationReport, ugf
-from crossfair.sampler import _draw_rows, batch_candidates, temperature
+from crossfair.sampler import batch_candidates, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import bpr_terms
 
@@ -252,8 +252,9 @@ def batch_sample_negatives_flagged(backbone, pool, users, taus, size, rng, unifo
     safe_items = np.maximum(items, 0)
     scores = np.einsum("bd,bkd->bk", vecs, backbone.item_target[safe_items])
     scores[items < 0] = -np.inf
-    probs = softmax(scores / taus[:, None])
-    return items[np.arange(len(users)), _draw_rows(probs, rng)]
+    cdf = np.cumsum(softmax(scores / taus[:, None]), axis=1)
+    j = (cdf < rng.random(len(users))[:, None]).sum(axis=1)
+    return items[np.arange(len(users)), np.minimum(j, counts - 1)]
 
 
 class BatchPlan:

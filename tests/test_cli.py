@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -14,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crossfair.cli
+import crossfair.sampler
 import crossfair.trainer as trainer_mod
 from crossfair.backbone import SNAPSHOT_MAGIC, load_snapshot
 from crossfair.cli import (CONFIG_SCHEMA, _read_labels, _schema, main, parse_config_file,
                            resolve_config)
 from crossfair.data import (SynthConfig, arrays_sha256, generate_synthetic, load_dataset,
                             split_per_user)
-from crossfair.errors import CrossfairError, UsageError
+from crossfair.errors import CrossfairError, DataError, UsageError
 
 from oracles import (SYNTH_KEYS, adam_step_add_at, lipschitz_sampled, read_state_bundle,
                      resolve_config_tables)
@@ -1306,3 +1308,108 @@ class TestNumericalFailure:
         assert run("--config", cfg, "--out", out, "--quiet", "train") == 3
         assert capsys.readouterr().err.count("\n") == 1
         assert [p.name for p in out.iterdir()] == ["snapshot_epoch_0.bin"]
+
+
+def in_process(monkeypatch):
+    """Run the training draws in the training process instead of a forked child."""
+    monkeypatch.setattr(crossfair.sampler, "_fork_context", lambda: None)
+
+
+def in_the_child_on_call(monkeypatch, n, act):
+    """Make the sampler's ``n``-th candidate draw call ``act()``, which only the
+    forked child may reach."""
+    parent, inner, calls = os.getpid(), crossfair.sampler.batch_candidates, []
+
+    def draw(*args, **kwargs):
+        assert os.getpid() != parent, "the draws ran in the training process"
+        calls.append(1)
+        if len(calls) == n:
+            act()
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(crossfair.sampler, "batch_candidates", draw)
+
+
+class TestDrawAhead:
+    """``train`` draws its negatives one batch ahead in a forked child."""
+
+    @pytest.mark.parametrize("extra", [f"variant:{v}" for v in trainer_mod.VARIANTS]
+                             + ["negatives_per_positive = 2", "batch_size = 37"])
+    @pytest.mark.parametrize("mode", ["shared", "dual"])
+    def test_both_transports_write_the_same_bytes(self, tmp_path, monkeypatch, mode, extra):
+        cfg = tmp_path / "run.cfg"
+        text = SYNTH_CFG + f"sharing_mode = {mode}\nsnapshot_every = 1\n"
+        argv = ["train"]
+        if extra.startswith("variant:"):
+            argv += ["--ablate", extra.split(":")[1]]
+        else:
+            text += extra + "\n"
+        cfg.write_text(text, encoding="utf-8")
+        assert run("--config", cfg, "--out", tmp_path / "child", "--quiet", *argv) == 0
+        in_process(monkeypatch)
+        assert run("--config", cfg, "--out", tmp_path / "local", "--quiet", *argv) == 0
+        assert_same_files(tmp_path / "child", tmp_path / "local")
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["ablate"],
+        ["sweep", "--axis", "epsilon", "--values", "0.5,1"],
+    ], ids=["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("extra, code", [("", 0), ("gamma = 1e300\n", 3)],
+                             ids=["success", "overflow"])
+    def test_no_process_outlives_a_command(self, tmp_path, monkeypatch, capsys, argv, extra,
+                                           code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SYNTH_CFG + extra, encoding="utf-8")
+        started = []
+        start = multiprocessing.context.ForkProcess.start
+
+        def recording(process):
+            started.append(process)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording)
+        assert run("--config", cfg, "--out", tmp_path / "out", "--quiet", *argv) == code
+        assert multiprocessing.active_children() == []
+        assert all(p.exitcode is not None for p in started)
+        if code == 0:
+            assert len(started) == {"train": 1, "ablate": 5, "sweep": 2}[argv[0]]
+        else:
+            assert capsys.readouterr().err.count("\n") == 1
+
+    def test_no_process_outlives_an_error_raised_in_the_child(self, tmp_path, cfg_file,
+                                                              monkeypatch, capsys):
+        def refuse():
+            raise DataError("drawn wrong")
+
+        in_the_child_on_call(monkeypatch, 3, refuse)
+        assert run("--config", cfg_file, "--out", tmp_path / "out", "--quiet", "train") == 2
+        assert capsys.readouterr().err == "error: drawn wrong\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
+    def test_no_process_outlives_an_exception_from_an_epoch_wrapper(self, tmp_path, cfg_file,
+                                                                    monkeypatch):
+        class Stop(Exception):
+            pass
+
+        epoch = trainer_mod.train_epoch
+
+        def stop_after_first(*args, **kwargs):
+            epoch(*args, **kwargs)
+            assert len(multiprocessing.active_children()) == 1
+            raise Stop
+
+        monkeypatch.setattr(trainer_mod, "train_epoch", stop_after_first)
+        with pytest.raises(Stop):
+            run("--config", cfg_file, "--out", tmp_path / "out", "--quiet", "train")
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_one_error_line(self, tmp_path, cfg_file, monkeypatch,
+                                                 capsys):
+        in_the_child_on_call(monkeypatch, 3, lambda: os._exit(1))
+        assert run("--config", cfg_file, "--out", tmp_path / "out", "--quiet", "train") == 2
+        assert capsys.readouterr().err == ("error: the negative-sampling process exited with "
+                                           "code 1 before it sent all its draws\n")
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()

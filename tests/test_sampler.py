@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +11,16 @@ from scipy.stats import chisquare
 
 from crossfair.backbone import init
 from crossfair.data import G0, G1, split_per_user
-from crossfair.errors import DataError, NumericalError
+from crossfair.errors import CrossfairError, DataError, NumericalError
+from crossfair.numerics import softmax
 from crossfair.sampler import (
+    DrawAhead,
     GroupLossTracker,
     NegativePool,
+    _fork_context,
     batch_candidates,
     batch_sample_negatives,
+    pick_negatives,
     temperature,
 )
 from crossfair.seeding import make_rng
@@ -476,3 +482,77 @@ class TestSampleNegative:
         p_base = sampling_distribution(bb, 0, [0, 1, 2, 3], tau=1.0)
         p_hard = sampling_distribution(bb, 0, [0, 1, 2, 3], tau=temperature(0.3, 1.0))
         assert p_hard[3] >= p_base[3]
+
+
+def test_fair_pick_never_returns_a_pad():
+    # three real candidates whose softmax sums to 0.9999999999999998: at the
+    # largest uniform below one, the inverse CDF runs past every column
+    bb = SimpleNamespace(user_pool=np.array([[1.0]]),
+                         item_target=np.array([[0.0], [0.6], [0.1]]))
+    items = np.array([[0, 1, 2, -1, -1, -1, -1, -1]])
+    u = np.array([np.nextafter(1.0, 0.0)])
+    assert np.cumsum(softmax(np.array([0.0, 0.6, 0.1])))[-1] < u[0]
+    for taus in (np.array([1.0]), None):
+        got = pick_negatives(bb, np.array([0]), taus, items, np.array([3]), u)
+        assert got.tolist() == [2]
+
+
+def messages(n, fail_at=None):
+    for i in range(n):
+        if i == fail_at:
+            raise DataError(f"message {i} refused")
+        yield {"i": i, "draw": make_rng(i, "msg").random(3)}
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_messages_in_order(self, monkeypatch, fork):
+        if not fork:
+            monkeypatch.setattr("crossfair.sampler._fork_context", lambda: None)
+        with DrawAhead(messages(5)) as ahead:
+            got = [next(ahead) for _ in range(5)]
+            assert len(multiprocessing.active_children()) <= int(fork)
+        for i, message in enumerate(got):
+            assert message["i"] == i
+            assert np.array_equal(message["draw"], make_rng(i, "msg").random(3))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_producer_error_comes_out_where_its_message_was_due(self, monkeypatch, fork):
+        if not fork:
+            monkeypatch.setattr("crossfair.sampler._fork_context", lambda: None)
+        with DrawAhead(messages(5, fail_at=2)) as ahead:
+            assert [next(ahead)["i"] for _ in range(2)] == [0, 1]
+            with pytest.raises(DataError, match="^message 2 refused$"):
+                next(ahead)
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_before_the_first_message(self):
+        with DrawAhead(messages(1)):
+            assert multiprocessing.active_children() == []
+
+    def test_a_killed_child_is_named(self):
+        def endless():
+            while True:
+                yield None
+
+        with DrawAhead(endless()) as ahead:
+            next(ahead)
+            ahead._proc.kill()
+            with pytest.raises(CrossfairError, match="^the negative-sampling process was "
+                                                     "killed by signal 9 before it sent"):
+                while True:
+                    next(ahead)
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_where_no_child_can_be_forked(self, monkeypatch):
+        assert _fork_context() is not None
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        daemon = ctx.Process(target=lambda: send.send(_fork_context()), daemon=True)
+        daemon.start()
+        assert recv.poll(30) and recv.recv() is None
+        daemon.join(30)
+        assert daemon.exitcode == 0
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert _fork_context() is None

@@ -13,11 +13,13 @@ from crossfair.backbone import init
 from crossfair.data import G0, G1, GROUPS, split_per_user
 from crossfair.errors import DataError
 from crossfair.gain import GainEstimator
-from crossfair.sampler import GroupLossTracker, NegativePool, temperature
+from crossfair.sampler import DrawAhead, GroupLossTracker, NegativePool, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import (
     Adam,
     TrainConfig,
+    _draw_batch,
+    _draws,
     _plan_batch,
     ablation_config,
     batch_objective,
@@ -220,11 +222,12 @@ class TestTrainEpochOracle:
             "source": NegativePool(8, micro_split.source_train, 4),
         }
         micro_split.target_train = micro_split.target_train[:0]
-        with pytest.raises(DataError, match="^no training interactions$"):
+        with pytest.raises(DataError, match="^no training interactions$"), \
+                DrawAhead(_draws(micro_split, pools, cfg, make_rng(5, "train"))) as draws:
             train_epoch(
                 micro_ds, micro_split, init(micro_ds, 4, "shared", seed=5),
                 GainEstimator(4, hidden=(8,), seed=5), GroupLossTracker(), cfg,
-                make_rng(5, "train"), pools, Adam(cfg.learning_rate), Adam(cfg.estimator_lr),
+                draws, Adam(cfg.learning_rate), Adam(cfg.estimator_lr),
                 epoch=0, est_rng=make_rng(5, "estimator-dropout"),
             )
 
@@ -241,11 +244,12 @@ class TestTrainEpochOracle:
             "source": NegativePool(8, micro_split.source_train, 4),
         }
         record = record_batches(monkeypatch)
-        stats = train_epoch(
-            micro_ds, micro_split, bb, est, tracker, cfg, make_rng(5, "train"),
-            pools, Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
-            est_rng=make_rng(5, "estimator-dropout"),
-        )
+        with DrawAhead(_draws(micro_split, pools, cfg, make_rng(5, "train"))) as draws:
+            stats = train_epoch(
+                micro_ds, micro_split, bb, est, tracker, cfg, draws,
+                Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
+                est_rng=make_rng(5, "estimator-dropout"),
+            )
         assert len(record) == 1
         batch = record[0]["batch"]
         total = 0.0
@@ -268,11 +272,12 @@ class TestTrainEpochOracle:
             "source": NegativePool(8, micro_split.source_train, 4),
         }
         record = record_batches(monkeypatch)
-        train_epoch(
-            micro_ds, micro_split, bb, est, tracker, cfg, make_rng(6, "train"),
-            pools, Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
-            est_rng=make_rng(6, "estimator-dropout"),
-        )
+        with DrawAhead(_draws(micro_split, pools, cfg, make_rng(6, "train"))) as draws:
+            train_epoch(
+                micro_ds, micro_split, bb, est, tracker, cfg, draws,
+                Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
+                est_rng=make_rng(6, "estimator-dropout"),
+            )
         assert len(record) >= 3
         for entry in record:
             assert entry["total"] == pytest.approx(
@@ -307,8 +312,9 @@ def _assert_same_batch(ds, bb, est, pools, tracker, cfg, domains, users, pos, se
     group_taus = None
     if cfg.use_fair_sampling and tracker.epochs_completed >= 1:
         group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon) for g in GROUPS])
-    batch = _plan_batch(bb, pools, domains == 1, users, pos, group_taus, groups,
+    drawn = _draw_batch(pools, domains == 1, users, group_taus is not None,
                         cfg.candidate_size, make_rng(seed, "plan"))
+    batch = _plan_batch(bb, drawn, domains == 1, users, pos, group_taus, groups)
     drew = 0 if group_taus is None else len(batch["target"][0])
     assert drew == want_drew
     for domain, mask in (("target", domains == 1), ("source", domains == 0)):
