@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import signal
 from contextlib import suppress
 
@@ -232,26 +233,43 @@ def batch_sample_negatives(backbone, pool: NegativePool, users: np.ndarray,
     return pick_negatives(backbone, users, taus, *draw_candidates(pool, users, size, rng))
 
 
+def _threads() -> int | None:
+    """How many OS threads this process runs, or None where that cannot be
+    read (no ``/proc``)."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
 def _fork_context():
-    """multiprocessing's ``fork`` context, or None where this process cannot
-    fork a child: no ``fork`` start method, or a daemonic multiprocessing
-    process, which may not have children."""
+    """multiprocessing's ``fork`` context, or None where this process should
+    not fork a child: no ``fork`` start method, a daemonic multiprocessing
+    process, which may not have children, or a process that runs more than
+    one OS thread or whose threads cannot be counted. A thread that holds a
+    lock at the fork leaves it held for good in the child, and Python 3.12
+    warns on such a fork. BLAS pools count: OpenBLAS at its default thread
+    count runs one thread per core, so a child is forked only where the BLAS
+    pools are pinned to one thread (say, ``OPENBLAS_NUM_THREADS=1``)."""
     if "fork" not in multiprocessing.get_all_start_methods() \
-            or multiprocessing.current_process().daemon:
+            or multiprocessing.current_process().daemon or _threads() != 1:
         return None
     return multiprocessing.get_context("fork")
 
 
-def _produce(producer, conn):
-    """The child's loop: send each message of ``producer`` as it is made."""
+def _produce(producer, conn, reader):
+    """The child's loop: send each message of ``producer`` as it is made.
+    ``reader``, the pipe's read end the fork copied, is closed first, so the
+    parent holds the only one: once the parent is gone, however it ended, a
+    send fails and the child ends."""
+    reader.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which kills this child
     try:
         for message in producer:
             conn.send(message)
-    except OSError:
-        pass  # the parent has gone
     except Exception as exc:  # the parent raises it where this message was due
-        conn.send(exc)
+        with suppress(OSError):  # unless the parent has gone
+            conn.send(exc)
 
 
 class DrawAhead:
@@ -262,13 +280,12 @@ class DrawAhead:
     each message down a pipe as soon as it is made, on its own core. The
     pipe's buffer bounds how far ahead it runs: a send blocks while the pipe
     holds ``PIPE_BYTES``, or the system's default size where that cannot be
-    set. The producer is the same iterator
-    either way, so ``next`` returns the same messages, and an exception the
-    producer raises in the child comes out of the ``next`` that was due its
-    message. Where no child can be forked, the producer runs in-process. A
-    child that dies ends ``next`` with a ``CrossfairError`` naming how it
-    ended. ``close`` (also on leaving a ``with`` block) kills and reaps the
-    child.
+    set. Where ``_fork_context`` gives no context, the producer runs
+    in-process. It is the same iterator either way, so ``next`` returns the
+    same messages, and an exception the producer raises in the child comes
+    out of the ``next`` that was due its message. A child that dies ends
+    ``next`` with a ``CrossfairError`` naming how it ended. ``close`` (also
+    on leaving a ``with`` block) kills and reaps the child.
     """
 
     def __init__(self, producer):
@@ -291,8 +308,8 @@ class DrawAhead:
                 import fcntl  # a Unix module, as fork is Unix only
                 with suppress(AttributeError, OSError):  # Linux only; else the default size
                     fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-                self._proc = ctx.Process(target=_produce, args=(self._producer, send),
-                                         daemon=True)
+                self._proc = ctx.Process(target=_produce,
+                                         args=(self._producer, send, self._conn), daemon=True)
                 self._proc.start()
                 send.close()  # the child now holds the only write end: its exit is EOF here
         if self._proc is None:

@@ -206,7 +206,7 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, g
                     cfg: TrainConfig):
     """Objective value (sum of per-sample BPR losses plus gamma times the
     redistribution penalty) and its analytic gradients for a batch from
-    ``_plan_batch``, whose negatives are already drawn.
+    ``_draw_batch``, whose negatives are all drawn.
 
     Returns (total, rec_sum, penalty, rank_losses_target, grads), where grads
     lists (table, rows, grad_rows) contributions, target domain first.
@@ -246,66 +246,60 @@ def batch_objective(backbone: Backbone, estimator: GainEstimator, batch: dict, g
     return total, rec_sum, penalty, rank_target, grads
 
 
-def _fair_epoch(cfg: TrainConfig, epoch: int) -> bool:
-    """Whether the epoch draws target negatives at group temperatures: from
-    the second on, when the tracker holds smoothed losses."""
-    return cfg.use_fair_sampling and epoch >= 1
-
-
-def _epoch_rows(split: SplitDataset, cfg: TrainConfig):
-    """An epoch's rows before the shuffle: (is_target, users, pos), target
-    positives first, each positive repeated ``negatives_per_positive`` times
-    so that every copy draws its own candidate set."""
-    tgt_pairs = split.target_train
-    src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
-    is_target = np.arange(len(tgt_pairs) + len(src_pairs)) < len(tgt_pairs)
-    users, pos = np.concatenate([tgt_pairs, src_pairs]).T
-    return tuple(np.repeat(a, cfg.negatives_per_positive) for a in (is_target, users, pos))
-
-
-def _draw_batch(pools, is_target, users, fair: bool, size: int, rng):
-    """One batch's draws, target rows first: each domain's negatives, except
-    that fair target rows get their drawn (items, counts, u) for
-    ``_plan_batch`` to pick from. A domain without rows draws nothing from
-    ``rng``."""
-    drawn = []
+def _draw_batch(pools, is_target, users, pos, fair: bool, size: int, rng):
+    """Split a shuffled slice by domain and draw its negatives, target rows
+    first. Returns (batch, candidates): ``batch`` maps each domain to its
+    (users, pos, neg); with ``fair``, the target rows' neg is None and
+    ``candidates`` their drawn (items, counts, u), for ``_pick_target``.
+    A domain without rows draws nothing from ``rng``."""
+    batch, candidates = {}, None
     for domain, mask in (("target", is_target), ("source", ~is_target)):
-        d_users = users[mask]
+        d_users, neg = users[mask], None
         if fair and domain == "target":
-            drawn.append(draw_candidates(pools[domain], d_users, size, rng))
+            candidates = draw_candidates(pools[domain], d_users, size, rng)
         else:
-            drawn.append(batch_sample_negatives(None, pools[domain], d_users, None, size, rng))
-    return tuple(drawn)
+            neg = batch_sample_negatives(None, pools[domain], d_users, None, size, rng)
+        batch[domain] = (d_users, pos[mask], neg)
+    return batch, candidates
 
 
 def _draws(split: SplitDataset, pools, cfg: TrainConfig, rng):
-    """Every draw of the batch loops of ``cfg.epochs`` epochs from ``rng``,
-    in its order: each epoch's shuffle, then each batch's ``_draw_batch``.
-    None of it reads the model, so ``train`` runs it ahead in a
-    ``DrawAhead``."""
-    is_target, users, _ = _epoch_rows(split, cfg)
+    """Every batch of ``cfg.epochs`` epochs as ``_draw_batch`` returns it,
+    and None after each epoch's last. ``rng`` draws each epoch's shuffle,
+    then each batch's negatives. None of it reads the model, so ``train``
+    runs it ahead in a ``DrawAhead``.
+
+    An epoch's rows are the target positives, then the source ones unless
+    excluded, each repeated ``negatives_per_positive`` times so that every
+    copy draws its own candidate set. Target negatives are drawn at group
+    temperatures (``fair``) from the second epoch on, once the tracker holds
+    smoothed losses.
+    """
+    tgt_pairs = split.target_train
+    src_pairs = split.source_train if cfg.include_source else split.source_train[:0]
+    n = len(tgt_pairs) + len(src_pairs)
+    if n == 0:
+        raise DataError("no training interactions")
+    rows = (np.arange(n) < len(tgt_pairs), *np.concatenate([tgt_pairs, src_pairs]).T)
+    rows = [np.repeat(a, cfg.negatives_per_positive) for a in rows]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(users))
-        yield order
-        tgt, usr = is_target[order], users[order]
+        order = rng.permutation(len(rows[0]))
+        is_target, users, pos = (a[order] for a in rows)
+        fair = cfg.use_fair_sampling and epoch >= 1
         for lo in range(0, len(order), cfg.batch_size):
             hi = lo + cfg.batch_size
-            yield _draw_batch(pools, tgt[lo:hi], usr[lo:hi], _fair_epoch(cfg, epoch),
+            yield _draw_batch(pools, is_target[lo:hi], users[lo:hi], pos[lo:hi], fair,
                               cfg.candidate_size, rng)
+        yield None
 
 
-def _plan_batch(backbone, drawn, is_target, users, pos, group_taus, groups):
-    """Split a shuffled slice by domain, with its ``_draw_batch`` draws, into
-    {domain: (users, pos, neg)}, target first. Unless ``group_taus`` is None,
-    target negatives are picked here from their drawn candidates at the
-    current tables and their group's temperature in ``group_taus``."""
-    batch = {}
-    for domain, mask, neg in zip(("target", "source"), (is_target, ~is_target), drawn):
-        d_users = users[mask]
-        if group_taus is not None and domain == "target":
-            neg = pick_negatives(backbone, d_users, group_taus[groups[d_users]], *neg)
-        batch[domain] = (d_users, pos[mask], neg)
-    return batch
+def _pick_target(backbone, batch, candidates, group_taus, groups):
+    """``batch`` with its target negatives picked from their drawn
+    ``candidates`` at the current tables and each row's group temperature
+    in ``group_taus``."""
+    users, pos, _ = batch["target"]
+    neg = pick_negatives(backbone, users, group_taus[groups[users]], *candidates)
+    return {**batch, "target": (users, pos, neg)}
 
 
 def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
@@ -314,7 +308,8 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
     """One pass over the shuffled training pool, then the tracker epoch fold,
     the epoch-level gain report, and (if enabled) the estimator fit, whose
     dropout draws from ``est_rng``. ``draws`` yields the messages of
-    ``_draws`` for this epoch: its shuffle, then each batch's draws.
+    ``_draws``; the epoch takes its batches up to the None after them, and
+    picks the negatives of any fair target rows with ``_pick_target``.
     """
     started = time.perf_counter()
     groups_arr = ds.target_group
@@ -322,29 +317,23 @@ def train_epoch(ds: CrossDomainDataset, split: SplitDataset, backbone: Backbone,
         t_ids = ds.overlap_arrays()[0]
         x_fit = estimator_inputs(backbone, t_ids)
 
-    is_target, users, pos = _epoch_rows(split, cfg)
-    n = len(users)
-    if n == 0:
-        raise DataError("no training interactions")
-    order = next(draws)
-    is_target, users, pos = is_target[order], users[order], pos[order]
-    # the group losses are smoothed once per epoch, so its temperatures hold throughout
+    n = 0
     group_taus = None
-    if _fair_epoch(cfg, epoch):
-        group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon) for g in GROUPS])
-
     sum_rec = 0.0
     sum_penalty = 0.0
     fair_draws = 0
     with read_only(estimator.parameters().values()):
-        for lo in range(0, n, cfg.batch_size):
-            hi = min(lo + cfg.batch_size, n)
-            batch = _plan_batch(
-                backbone, next(draws), is_target[lo:hi], users[lo:hi], pos[lo:hi],
-                group_taus, groups_arr,
-            )
-            if group_taus is not None:
+        while (drawn := next(draws)) is not None:
+            batch, candidates = drawn
+            if candidates is not None:
+                if group_taus is None:
+                    # the group losses are smoothed once per epoch, so its
+                    # temperatures hold throughout
+                    group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon)
+                                           for g in GROUPS])
+                batch = _pick_target(backbone, batch, candidates, group_taus, groups_arr)
                 fair_draws += len(batch["target"][0])
+            n += len(batch["target"][0]) + len(batch["source"][0])
             total, rec, penalty, rank_target, grads = batch_objective(
                 backbone, estimator, batch, groups_arr, cfg
             )

@@ -1,7 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from crossfair.data import CrossDomainDataset, SynthConfig, generate_synthetic, split_per_user
+# One thread per BLAS pool, as the benchmark runs, set before numpy loads:
+# only a process with one OS thread draws its negatives in a forked child
+# (``crossfair.sampler._fork_context``), which is the path the suite should
+# take. Subprocesses the tests start inherit it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from crossfair.data import (  # noqa: E402
+    CrossDomainDataset, SynthConfig, generate_synthetic, split_per_user)
 
 
 def micro_dataset():

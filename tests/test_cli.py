@@ -3,9 +3,12 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import textwrap
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -1388,8 +1391,12 @@ class TestDrawAhead:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out").exists()
 
-    def test_no_process_outlives_an_exception_from_an_epoch_wrapper(self, tmp_path, cfg_file,
+    def test_no_process_outlives_an_exception_from_an_epoch_wrapper(self, tmp_path,
                                                                     monkeypatch):
+        # enough epochs that the child cannot have drawn them all and exited
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(SYNTH_CFG + "epochs = 1000\n", encoding="utf-8")
+
         class Stop(Exception):
             pass
 
@@ -1413,3 +1420,53 @@ class TestDrawAhead:
                                            "code 1 before it sent all its draws\n")
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out").exists()
+
+    def test_a_killed_training_process_leaves_no_child(self, tmp_path):
+        # the training process forks its child, which fills the pipe and
+        # blocks in a send; then it is killed without running any cleanup
+        code = textwrap.dedent("""
+            import multiprocessing, sys, time
+            from pathlib import Path
+            import crossfair.trainer
+            from crossfair.cli import main
+
+            def stall(*args):
+                next(args[6])
+                Path(sys.argv[1]).write_text(str(multiprocessing.active_children()[0].pid))
+                time.sleep(600)
+
+            crossfair.trainer.train_epoch = stall
+            main(["--config", sys.argv[2], "--out", sys.argv[3], "--quiet", "train"])
+        """)
+        cfg, pid_file = tmp_path / "run.cfg", tmp_path / "child.pid"
+        cfg.write_text(SYNTH_CFG + "epochs = 1000\n", encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(crossfair.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        with open(tmp_path / "stderr", "w") as err:
+            proc = subprocess.Popen([sys.executable, "-c", code, pid_file, cfg, tmp_path / "out"],
+                                    env=env, stdout=subprocess.DEVNULL, stderr=err)
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pid_file.exists(), (tmp_path / "stderr").read_text()
+            child = int(pid_file.read_text())
+            time.sleep(0.5)
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 30
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if running(child):
+            os.kill(child, signal.SIGKILL)
+            pytest.fail("the negative-sampling process outlived its killed parent")
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

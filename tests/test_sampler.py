@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import threading
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -544,6 +545,20 @@ class TestDrawAhead:
                 while True:
                     next(ahead)
         assert multiprocessing.active_children() == []
+
+    def test_in_process_in_a_threaded_process(self):
+        assert _fork_context() is not None
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert _fork_context() is None
+            with DrawAhead(messages(2)) as ahead:
+                assert [next(ahead)["i"] for _ in range(2)] == [0, 1]
+                assert multiprocessing.active_children() == []
+        finally:
+            release.set()
+            other.join()
 
     def test_in_process_where_no_child_can_be_forked(self, monkeypatch):
         assert _fork_context() is not None

@@ -20,7 +20,7 @@ from crossfair.trainer import (
     TrainConfig,
     _draw_batch,
     _draws,
-    _plan_batch,
+    _pick_target,
     ablation_config,
     batch_objective,
     train,
@@ -308,14 +308,16 @@ def _assert_same_batch(ds, bb, est, pools, tracker, cfg, domains, users, pos, se
     groups = ds.target_group
     plan, want_drew = plan_batch_masked(bb, pools, domains, users, pos, groups, tracker, cfg,
                                         make_rng(seed, "plan"))
-    # the epoch's temperatures, as ``train_epoch`` takes them from the tracker
-    group_taus = None
-    if cfg.use_fair_sampling and tracker.epochs_completed >= 1:
+    fair = cfg.use_fair_sampling and tracker.epochs_completed >= 1
+    batch, candidates = _draw_batch(pools, domains == 1, users, pos, fair,
+                                    cfg.candidate_size, make_rng(seed, "plan"))
+    assert (candidates is not None) == fair
+    drew = 0
+    if fair:
+        # the epoch's temperatures, as ``train_epoch`` takes them from the tracker
         group_taus = np.array([temperature(tracker.alpha(g), cfg.epsilon) for g in GROUPS])
-    drawn = _draw_batch(pools, domains == 1, users, group_taus is not None,
-                        cfg.candidate_size, make_rng(seed, "plan"))
-    batch = _plan_batch(bb, drawn, domains == 1, users, pos, group_taus, groups)
-    drew = 0 if group_taus is None else len(batch["target"][0])
+        batch = _pick_target(bb, batch, candidates, group_taus, groups)
+        drew = len(batch["target"][0])
     assert drew == want_drew
     for domain, mask in (("target", domains == 1), ("source", domains == 0)):
         for got, want in zip(batch[domain], (plan.users[mask], plan.pos[mask], plan.neg[mask])):
