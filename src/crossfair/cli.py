@@ -235,8 +235,6 @@ def _build_parser() -> _Parser:
                           help="TSV target_user_id/source_user_id with dense ids")
     p_theory.add_argument("--baseline-ugf", type=float, default=None,
                           help="the gap rhs is compared with; sets preserved and margin")
-    p_theory.add_argument("--measured-ugf", type=float, default=None,
-                          help="copied into bound.json; no computed field uses it")
     p_theory.add_argument("--lo", type=float, default=1.0,
                           help="L_o in rhs = L_o * L_f * (sum of W1 terms), default %(default)s")
     p_theory.add_argument("--lf", default="1.0",
@@ -529,7 +527,7 @@ def cmd_theory(args) -> int:
     bound = theory_mod.theorem1_bound(
         *points, l_o=args.lo, l_f=l_f, subsample_n=args.subsample,
         repetitions=args.repetitions, seed=args.seed or 0,
-        measured_ugf=args.measured_ugf, baseline_ugf=args.baseline_ugf,
+        baseline_ugf=args.baseline_ugf,
     )
     bound.l_f_probe = l_f_probe if np.isfinite(l_f_probe) else None
     out = _out_dir(args, "theory_out")

@@ -6,6 +6,9 @@ softmax temperature, and negatives are drawn from a small random candidate
 set of the user's non-interacted items with probability proportional to
 exp(score / temperature). A disadvantaged group (above-average loss) gets a
 temperature below one and therefore harder negatives.
+
+``draw_ahead`` runs the draws of a training run, which read no model
+parameters, ahead of their use in a forked child where it can.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import CrossfairError, DataError, NumericalError
 from .numerics import softmax
 
 ALPHA_EPS = 1e-12
-# How far ahead a ``DrawAhead`` child may run, in pipe bytes: 1 MB, Linux's
+# How far ahead a ``draw_ahead`` child may run, in pipe bytes: 1 MB, Linux's
 # default ceiling for an unprivileged process. At 2048 rows a batch that is
 # dozens of batches of uniform negatives, so the child keeps drawing while
 # training ranks, reports and fits between its batch loops; at the 64 KB
@@ -233,26 +236,22 @@ def batch_sample_negatives(backbone, pool: NegativePool, users: np.ndarray,
     return pick_negatives(backbone, users, taus, *draw_candidates(pool, users, size, rng))
 
 
-def _threads() -> int | None:
-    """How many OS threads this process runs, or None where that cannot be
-    read (no ``/proc``)."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return None
-
-
 def _fork_context():
     """multiprocessing's ``fork`` context, or None where this process should
     not fork a child: no ``fork`` start method, a daemonic multiprocessing
     process, which may not have children, or a process that runs more than
-    one OS thread or whose threads cannot be counted. A thread that holds a
-    lock at the fork leaves it held for good in the child, and Python 3.12
-    warns on such a fork. BLAS pools count: OpenBLAS at its default thread
-    count runs one thread per core, so a child is forked only where the BLAS
-    pools are pinned to one thread (say, ``OPENBLAS_NUM_THREADS=1``)."""
+    one OS thread or whose threads cannot be counted (no ``/proc``). A thread
+    that holds a lock at the fork leaves it held for good in the child, and
+    Python 3.12 warns on such a fork. BLAS pools count: OpenBLAS at its
+    default thread count runs one thread per core, so a child is forked only
+    where the BLAS pools are pinned to one thread (say,
+    ``OPENBLAS_NUM_THREADS=1``)."""
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
     if "fork" not in multiprocessing.get_all_start_methods() \
-            or multiprocessing.current_process().daemon or _threads() != 1:
+            or multiprocessing.current_process().daemon or threads != 1:
         return None
     return multiprocessing.get_context("fork")
 
@@ -272,7 +271,7 @@ def _produce(producer, conn, reader):
             conn.send(exc)
 
 
-class DrawAhead:
+def draw_ahead(producer):
     """The messages of ``producer``, an iterator that reads no model
     parameters, made ahead of their use in a forked child.
 
@@ -284,51 +283,35 @@ class DrawAhead:
     in-process. It is the same iterator either way, so ``next`` returns the
     same messages, and an exception the producer raises in the child comes
     out of the ``next`` that was due its message. A child that dies ends
-    ``next`` with a ``CrossfairError`` naming how it ended. ``close`` (also
-    on leaving a ``with`` block) kills and reaps the child.
+    ``next`` with a ``CrossfairError`` naming how it ended. The child is
+    killed and reaped on every exit: an exception, or ``close`` (say, on
+    leaving a ``with contextlib.closing(...)`` block).
     """
-
-    def __init__(self, producer):
-        self._producer = producer
-        self._started = False
-        self._proc = self._conn = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def __next__(self):
-        if not self._started:
-            self._started = True
-            ctx = _fork_context()
-            if ctx is not None:
-                self._conn, send = ctx.Pipe(duplex=False)
-                import fcntl  # a Unix module, as fork is Unix only
-                with suppress(AttributeError, OSError):  # Linux only; else the default size
-                    fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-                self._proc = ctx.Process(target=_produce,
-                                         args=(self._producer, send, self._conn), daemon=True)
-                self._proc.start()
-                send.close()  # the child now holds the only write end: its exit is EOF here
-        if self._proc is None:
-            return next(self._producer)
-        try:
-            message = self._conn.recv()
-        except (EOFError, OSError):
-            self._proc.join()
-            code = self._proc.exitcode
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-            raise CrossfairError(f"the negative-sampling process {how} before it sent "
-                                 "all its draws") from None
-        if isinstance(message, Exception):
-            raise message
-        return message
-
-    def close(self):
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc.join()
-            self._conn.close()
-            self._proc = self._conn = None
+    ctx = _fork_context()
+    if ctx is None:
+        yield from producer
+        return
+    conn, send = ctx.Pipe(duplex=False)
+    import fcntl  # a Unix module, as fork is Unix only
+    with suppress(AttributeError, OSError):  # Linux only; else the default size
+        fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    proc = ctx.Process(target=_produce, args=(producer, send, conn), daemon=True)
+    proc.start()
+    send.close()  # the child now holds the only write end: its exit is EOF here
+    try:
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                proc.join()
+                code = proc.exitcode
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                raise CrossfairError(f"the negative-sampling process {how} before it sent "
+                                     "all its draws") from None
+            if isinstance(message, Exception):
+                raise message
+            yield message
+    finally:
+        proc.kill()
+        proc.join()
+        conn.close()

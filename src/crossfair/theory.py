@@ -72,7 +72,6 @@ class BoundReport:
     rhs: float
     w1_target_gap: float
     probe_gap_target: float
-    measured_ugf: float | None
     baseline_ugf: float | None
     preserved: bool | None
     margin: float | None
@@ -89,7 +88,6 @@ class BoundReport:
 def theorem1_bound(target, target_group, source, source_group, l_o: float = 1.0,
                    l_f: float = 1.0, subsample_n: int = DEFAULT_SUBSAMPLE,
                    repetitions: int = DEFAULT_REPETITIONS, seed: int = 0,
-                   measured_ugf: float | None = None,
                    baseline_ugf: float | None = None) -> BoundReport:
     """Assemble the upper bound L_o*L_f*(source group gap + four shift terms
     + 2*domain shift) from empirical transport distances, alongside the
@@ -105,9 +103,8 @@ def theorem1_bound(target, target_group, source, source_group, l_o: float = 1.0,
         raise DataError("cloud contains non-finite coordinates")
     if not (0 < l_o < np.inf and 0 < l_f < np.inf):
         raise DataError("Lipschitz constants must be positive and finite")
-    for name, value in (("measured_ugf", measured_ugf), ("baseline_ugf", baseline_ugf)):
-        if value is not None and not 0 <= value < np.inf:
-            raise DataError(f"{name} must be finite and >= 0, got {value!r}")
+    if baseline_ugf is not None and not 0 <= baseline_ugf < np.inf:
+        raise DataError(f"baseline_ugf must be finite and >= 0, got {baseline_ugf!r}")
     cells = {}
     for dom in ("s", "t"):
         for g in GROUPS:
@@ -142,7 +139,6 @@ def theorem1_bound(target, target_group, source, source_group, l_o: float = 1.0,
         rhs=rhs,
         w1_target_gap=w1_target_gap,
         probe_gap_target=probe,
-        measured_ugf=measured_ugf,
         baseline_ugf=baseline_ugf,
         preserved=None if baseline_ugf is None else bool(rhs <= baseline_ugf),
         margin=None if baseline_ugf is None else float(baseline_ugf - rhs),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -24,10 +25,10 @@ from .gain import (GainEstimator, estimate_gain, estimator_inputs, estimator_ste
                    redistribution_grads)
 from .numerics import distinct_rows, read_only, require_finite, sigmoid, softplus
 from .sampler import (
-    DrawAhead,
     GroupLossTracker,
     NegativePool,
     batch_sample_negatives,
+    draw_ahead,
     draw_candidates,
     pick_negatives,
     temperature,
@@ -267,7 +268,7 @@ def _draws(split: SplitDataset, pools, cfg: TrainConfig, rng):
     """Every batch of ``cfg.epochs`` epochs as ``_draw_batch`` returns it,
     and None after each epoch's last. ``rng`` draws each epoch's shuffle,
     then each batch's negatives. None of it reads the model, so ``train``
-    runs it ahead in a ``DrawAhead``.
+    runs it ahead in ``draw_ahead``.
 
     An epoch's rows are the target positives, then the source ones unless
     excluded, each repeated ``negatives_per_positive`` times so that every
@@ -433,7 +434,7 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
     best_val = -np.inf
     since_best = 0
     # the child, if one can be forked, starts at the first draw and is reaped on every exit
-    with DrawAhead(_draws(split, pools, cfg, rng)) as draws:
+    with closing(draw_ahead(_draws(split, pools, cfg, rng))) as draws:
         for epoch in range(cfg.epochs):
             stats = train_epoch(
                 ds, split, backbone, estimator, tracker, cfg, draws, adam, est_adam,

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 # One thread per BLAS pool, as the benchmark runs, set before numpy loads:
@@ -12,6 +13,14 @@ import pytest  # noqa: E402
 
 from crossfair.data import (  # noqa: E402
     CrossDomainDataset, SynthConfig, generate_synthetic, split_per_user)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """Fail a test that leaves a multiprocessing child alive, such as a draw
+    child its code did not reap."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def micro_dataset():

@@ -769,13 +769,19 @@ class TestTheoryInputErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--baseline-ugf", "nan"), ("--baseline-ugf", "inf"), ("--baseline-ugf", "-0.1"),
-        ("--measured-ugf", "nan"),
     ])
     def test_bad_ugf(self, tmp_path, theory_run, capsys, flag, value):
         out = tmp_path / "theory"
         code = self.theory(theory_run, out, flag, value)
         name = flag[2:].replace("-", "_")
         self.assert_refused(capsys, out, code, f"{name} must be finite and >= 0, got {value}")
+
+    def test_measured_ugf_is_no_option(self, tmp_path, theory_run, capsys):
+        out = tmp_path / "theory"
+        assert self.theory(theory_run, out, "--measured-ugf", "0.5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--measured-ugf" in err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 import math
 import multiprocessing
+import os
 import threading
+from contextlib import closing
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -15,12 +17,12 @@ from crossfair.data import G0, G1, split_per_user
 from crossfair.errors import CrossfairError, DataError, NumericalError
 from crossfair.numerics import softmax
 from crossfair.sampler import (
-    DrawAhead,
     GroupLossTracker,
     NegativePool,
     _fork_context,
     batch_candidates,
     batch_sample_negatives,
+    draw_ahead,
     pick_negatives,
     temperature,
 )
@@ -510,7 +512,7 @@ class TestDrawAhead:
     def test_messages_in_order(self, monkeypatch, fork):
         if not fork:
             monkeypatch.setattr("crossfair.sampler._fork_context", lambda: None)
-        with DrawAhead(messages(5)) as ahead:
+        with closing(draw_ahead(messages(5))) as ahead:
             got = [next(ahead) for _ in range(5)]
             assert len(multiprocessing.active_children()) <= int(fork)
         for i, message in enumerate(got):
@@ -522,14 +524,30 @@ class TestDrawAhead:
     def test_producer_error_comes_out_where_its_message_was_due(self, monkeypatch, fork):
         if not fork:
             monkeypatch.setattr("crossfair.sampler._fork_context", lambda: None)
-        with DrawAhead(messages(5, fail_at=2)) as ahead:
+        with closing(draw_ahead(messages(5, fail_at=2))) as ahead:
             assert [next(ahead)["i"] for _ in range(2)] == [0, 1]
             with pytest.raises(DataError, match="^message 2 refused$"):
                 next(ahead)
         assert multiprocessing.active_children() == []
 
+    def test_a_producer_error_reaps_the_child_before_it_is_raised(self):
+        go = multiprocessing.get_context("fork").Event()
+
+        def fail_when_told():
+            yield 0
+            go.wait(30)  # the child lives until the test has found it
+            raise DataError("refused")
+
+        with closing(draw_ahead(fail_when_told())) as ahead:
+            assert next(ahead) == 0
+            [child] = multiprocessing.active_children()
+            go.set()
+            with pytest.raises(DataError, match="^refused$"):
+                next(ahead)
+            assert child.exitcode is not None
+
     def test_no_child_before_the_first_message(self):
-        with DrawAhead(messages(1)):
+        with closing(draw_ahead(messages(1))):
             assert multiprocessing.active_children() == []
 
     def test_a_killed_child_is_named(self):
@@ -537,9 +555,10 @@ class TestDrawAhead:
             while True:
                 yield None
 
-        with DrawAhead(endless()) as ahead:
+        with closing(draw_ahead(endless())) as ahead:
             next(ahead)
-            ahead._proc.kill()
+            [child] = multiprocessing.active_children()
+            child.kill()
             with pytest.raises(CrossfairError, match="^the negative-sampling process was "
                                                      "killed by signal 9 before it sent"):
                 while True:
@@ -553,7 +572,7 @@ class TestDrawAhead:
         other.start()
         try:
             assert _fork_context() is None
-            with DrawAhead(messages(2)) as ahead:
+            with closing(draw_ahead(messages(2))) as ahead:
                 assert [next(ahead)["i"] for _ in range(2)] == [0, 1]
                 assert multiprocessing.active_children() == []
         finally:
@@ -571,3 +590,14 @@ class TestDrawAhead:
         assert daemon.exitcode == 0
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert _fork_context() is None
+
+    def test_in_process_where_threads_cannot_be_counted(self, monkeypatch):
+        def no_proc(path):
+            raise FileNotFoundError(2, "No such file or directory", path)
+
+        assert _fork_context() is not None
+        monkeypatch.setattr(os, "listdir", no_proc)
+        assert _fork_context() is None
+        with closing(draw_ahead(messages(3))) as ahead:
+            assert [next(ahead)["i"] for _ in range(3)] == [0, 1, 2]
+            assert multiprocessing.active_children() == []

@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import closing
 from dataclasses import fields
 
 import numpy as np
@@ -13,7 +14,7 @@ from crossfair.backbone import init
 from crossfair.data import G0, G1, GROUPS, split_per_user
 from crossfair.errors import DataError
 from crossfair.gain import GainEstimator
-from crossfair.sampler import DrawAhead, GroupLossTracker, NegativePool, temperature
+from crossfair.sampler import GroupLossTracker, NegativePool, draw_ahead, temperature
 from crossfair.seeding import make_rng
 from crossfair.trainer import (
     Adam,
@@ -223,7 +224,7 @@ class TestTrainEpochOracle:
         }
         micro_split.target_train = micro_split.target_train[:0]
         with pytest.raises(DataError, match="^no training interactions$"), \
-                DrawAhead(_draws(micro_split, pools, cfg, make_rng(5, "train"))) as draws:
+                closing(draw_ahead(_draws(micro_split, pools, cfg, make_rng(5, "train")))) as draws:
             train_epoch(
                 micro_ds, micro_split, init(micro_ds, 4, "shared", seed=5),
                 GainEstimator(4, hidden=(8,), seed=5), GroupLossTracker(), cfg,
@@ -244,7 +245,7 @@ class TestTrainEpochOracle:
             "source": NegativePool(8, micro_split.source_train, 4),
         }
         record = record_batches(monkeypatch)
-        with DrawAhead(_draws(micro_split, pools, cfg, make_rng(5, "train"))) as draws:
+        with closing(draw_ahead(_draws(micro_split, pools, cfg, make_rng(5, "train")))) as draws:
             stats = train_epoch(
                 micro_ds, micro_split, bb, est, tracker, cfg, draws,
                 Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
@@ -272,7 +273,7 @@ class TestTrainEpochOracle:
             "source": NegativePool(8, micro_split.source_train, 4),
         }
         record = record_batches(monkeypatch)
-        with DrawAhead(_draws(micro_split, pools, cfg, make_rng(6, "train"))) as draws:
+        with closing(draw_ahead(_draws(micro_split, pools, cfg, make_rng(6, "train")))) as draws:
             train_epoch(
                 micro_ds, micro_split, bb, est, tracker, cfg, draws,
                 Adam(cfg.learning_rate), Adam(cfg.estimator_lr), epoch=0,
