@@ -35,7 +35,6 @@ class Backbone:
             raise DataError("embedding dimension must be >= 1")
         if mode not in ("shared", "dual"):
             raise DataError(f"unknown sharing mode {mode!r}")
-        self.mode = mode
         self.d = d
 
         t_ids = np.flatnonzero(ds.target_to_source >= 0)
@@ -75,9 +74,8 @@ class Backbone:
     def copy(self) -> "Backbone":
         clone = object.__new__(Backbone)
         clone.__dict__.update(self.__dict__)
-        clone.user_pool = self.user_pool.copy()
-        clone.item_source = self.item_source.copy()
-        clone.item_target = self.item_target.copy()
+        for name, table in self.parameters().items():
+            setattr(clone, name, table.copy())
         return clone
 
 

@@ -56,22 +56,14 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
-        files = bool(self.source_interactions or self.target_interactions or self.attributes)
+        missing = [name for name in ("source_interactions", "target_interactions", "attributes")
+                   if not getattr(self, name)]
+        files = len(missing) < 3
         if files and self.synth is not None:
             raise UsageError("specify either data files or synthetic settings, not both")
-        if files:
-            missing = [
-                name
-                for name, val in (
-                    ("source_interactions", self.source_interactions),
-                    ("target_interactions", self.target_interactions),
-                    ("attributes", self.attributes),
-                )
-                if not val
-            ]
-            if missing:
-                raise UsageError(f"missing data settings: {', '.join(missing)}")
-        elif self.synth is None:
+        if files and missing:
+            raise UsageError(f"missing data settings: {', '.join(missing)}")
+        if not files and self.synth is None:
             raise UsageError("no data source: set file paths or synth = true")
         if self.sharing_mode not in ("shared", "dual"):
             raise UsageError(f"unknown sharing_mode {self.sharing_mode!r}")

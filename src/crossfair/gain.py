@@ -35,11 +35,10 @@ class GainEstimator:
             raise DataError("embedding dimension must be >= 1")
         if not 0.0 <= dropout < 1.0:
             raise DataError("dropout must lie in [0, 1)")
-        self.d = d
-        self.hidden = tuple(int(h) for h in hidden)
         self.dropout = dropout
+        hidden = tuple(int(h) for h in hidden)
         rng = make_rng(seed, "gain-estimator-init")
-        sizes = [2 * d, *self.hidden, d]
+        sizes = [2 * d, *hidden, d]
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

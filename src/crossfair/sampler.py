@@ -275,28 +275,35 @@ def draw_ahead(producer):
     """The messages of ``producer``, an iterator that reads no model
     parameters, made ahead of their use in a forked child.
 
-    The first ``next`` forks the child, which runs the producer and sends
-    each message down a pipe as soon as it is made, on its own core. The
-    pipe's buffer bounds how far ahead it runs: a send blocks while the pipe
-    holds ``PIPE_BYTES``, or the system's default size where that cannot be
-    set. Where ``_fork_context`` gives no context, the producer runs
-    in-process. It is the same iterator either way, so ``next`` returns the
-    same messages, and an exception the producer raises in the child comes
-    out of the ``next`` that was due its message. A child that dies ends
-    ``next`` with a ``CrossfairError`` naming how it ended. The child is
-    killed and reaped on every exit: an exception, or ``close`` (say, on
-    leaving a ``with contextlib.closing(...)`` block).
+    The first ``next`` forks the child, which runs the producer and sends each
+    message down a pipe as soon as it is made, on its own core. The pipe's
+    buffer bounds how far ahead it runs: a send blocks while the pipe holds
+    ``PIPE_BYTES``, or the system's default size where that cannot be set.
+    Where ``_fork_context`` gives no context, or no pipe or child can be made
+    (an ``OSError``), the producer runs in-process. It is the same iterator
+    either way, so ``next`` returns the same messages, and an exception the
+    producer raises in the child comes out of the ``next`` that was due its
+    message. A child that dies ends ``next`` with a ``CrossfairError`` naming
+    how it ended. The child is killed and reaped on every exit: an exception,
+    or ``close`` (say, on leaving a ``with contextlib.closing(...)`` block).
     """
     ctx = _fork_context()
+    ends = ()
+    if ctx is not None:
+        try:
+            conn, send = ends = ctx.Pipe(duplex=False)
+            import fcntl  # a Unix module, as fork is Unix only
+            with suppress(AttributeError, OSError):  # Linux only; else the default size
+                fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            proc = ctx.Process(target=_produce, args=(producer, send, conn), daemon=True)
+            proc.start()
+        except OSError:  # no pipe or no child to be had: the producer has not yet run
+            for end in ends:
+                end.close()
+            ctx = None
     if ctx is None:
         yield from producer
         return
-    conn, send = ctx.Pipe(duplex=False)
-    import fcntl  # a Unix module, as fork is Unix only
-    with suppress(AttributeError, OSError):  # Linux only; else the default size
-        fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    proc = ctx.Process(target=_produce, args=(producer, send, conn), daemon=True)
-    proc.start()
     send.close()  # the child now holds the only write end: its exit is EOF here
     try:
         while True:

@@ -430,9 +430,8 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
 
     log = []
     snapshots = {}
-    best_epoch = -1
+    best_epoch = -1  # so patience counts from before epoch 0 until an epoch is best
     best_val = -np.inf
-    since_best = 0
     # the child, if one can be forked, starts at the first draw and is reaped on every exit
     with closing(draw_ahead(_draws(split, pools, cfg, rng))) as draws:
         for epoch in range(cfg.epochs):
@@ -449,11 +448,8 @@ def train(ds: CrossDomainDataset, cfg: TrainConfig, d: int = 32, mode: str = "sh
                 best_val = stats.val_ndcg10
                 best_epoch = epoch
                 best_backbone = backbone.copy()
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    break
+            elif epoch - best_epoch >= cfg.patience:
+                break
     if best_epoch < 0:
         best_backbone = backbone.copy()
         best_val = float("nan")

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import sys
 import textwrap
 import time
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # ``synth = true`` asks for the synthetic data block with default settings.
 CONFIG_KEYS = ("synth", *CONFIG_SCHEMA)
 FLOAT_KEYS = [key for key, (_, kind) in CONFIG_SCHEMA.items() if kind is float]
+DATA_FILE_KEYS = ("source_interactions", "target_interactions", "attributes")
 
 SYNTH_CFG = """
 # small synthetic fixture
@@ -927,11 +930,27 @@ class TestUsageErrors:
         cfg.write_text("nonsense_key = 1\n", encoding="utf-8")
         assert run("--config", cfg, "--quiet", "synth") == 1
 
-    def test_both_data_sources_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("synth = true\nsource_interactions = x\n"
-                       "target_interactions = y\nattributes = z\n", encoding="utf-8")
-        assert run("--config", cfg, "--out", tmp_path / "o", "--quiet", "train") == 1
+    # every mix of data-file settings and ``synth = true`` but the two complete sources
+    @pytest.mark.parametrize("given, synthetic", [
+        pytest.param(given, synthetic, id="+".join(name.split("_")[0] for name in given)
+                     + "-synth" * synthetic or "none")
+        for n in range(4) for given in combinations(DATA_FILE_KEYS, n)
+        for synthetic in (False, True) if (n, synthetic) not in ((0, True), (3, False))])
+    def test_data_source_settings(self, tmp_path, capsys, given, synthetic):
+        if synthetic:
+            message = "specify either data files or synthetic settings, not both"
+        elif not given:
+            message = "no data source: set file paths or synth = true"
+        else:
+            message = "missing data settings: " + ", ".join(
+                name for name in DATA_FILE_KEYS if name not in given)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{name} = x\n" for name in given)
+                       + ("synth = true\n" if synthetic else ""), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("--config", cfg, "--out", out, "--quiet", "train") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("embedding_dim", "abc"),
@@ -1358,6 +1377,17 @@ class TestDrawAhead:
         in_process(monkeypatch)
         assert run("--config", cfg, "--out", tmp_path / "local", "--quiet", *argv) == 0
         assert_same_files(tmp_path / "child", tmp_path / "local")
+
+    def test_a_fork_that_fails_trains_in_process(self, tmp_path, cfg_file, monkeypatch):
+        def fail():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        assert run("--config", cfg_file, "--out", tmp_path / "unforked", "--quiet",
+                   "train") == 0
+        in_process(monkeypatch)
+        assert run("--config", cfg_file, "--out", tmp_path / "local", "--quiet", "train") == 0
+        assert_same_files(tmp_path / "unforked", tmp_path / "local")
 
     @pytest.mark.parametrize("argv", [
         ["train"],

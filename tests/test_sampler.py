@@ -1,3 +1,4 @@
+import errno
 import math
 import multiprocessing
 import os
@@ -601,3 +602,30 @@ class TestDrawAhead:
         with closing(draw_ahead(messages(3))) as ahead:
             assert [next(ahead)["i"] for _ in range(3)] == [0, 1, 2]
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("call, error", [
+        ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ("pipe", OSError(errno.EMFILE, "Too many open files")),
+    ], ids=["fork", "pipe"])
+    def test_in_process_where_no_pipe_or_child_can_be_made(self, monkeypatch, call, error):
+        def fail():
+            raise error
+
+        made, pipe = [], multiprocessing.context.BaseContext.Pipe
+
+        def recording(ctx, duplex):
+            ends = pipe(ctx, duplex)
+            made.extend(ends)
+            return ends
+
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pipe", recording)
+        monkeypatch.setattr(os, call, fail)
+        assert _fork_context() is not None
+        with closing(draw_ahead(messages(3))) as ahead:
+            got = [next(ahead) for _ in range(3)]
+            assert multiprocessing.active_children() == []
+        for i, message in enumerate(got):
+            assert message["i"] == i
+            assert np.array_equal(message["draw"], make_rng(i, "msg").random(3))
+        assert len(made) == {"fork": 2, "pipe": 0}[call]
+        assert all(end.closed for end in made)
